@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .barycentric import barycentric_renyi_full
-from .errors import QrdivError
+from .errors import BadParameter, QrdivError
 from .hermitian import load_matrix, matrix_to_json
 from .relent import parse_kind, rel_entropy
 from .renyi import max_renyi, renyi_alpha_z
@@ -38,7 +38,10 @@ def fmt_value(x: float) -> str:
 def _parse_alpha(s: str) -> float:
     if s in ("inf", "+inf"):
         return INF
-    return float(s)
+    try:
+        return float(s)
+    except ValueError as exc:
+        raise BadParameter(f"bad alpha {s!r}") from exc
 
 
 def evaluate_kind(kind_str: str, alpha, rho, sigma, seed: int = 0, options=None):
@@ -57,7 +60,10 @@ def evaluate_kind(kind_str: str, alpha, rho, sigma, seed: int = 0, options=None)
             flags.append("not_converged")
         return res["value"], res["gap"], flags, res["center"]
     if kind_str.startswith("az:"):
-        _, a_str, z_str = kind_str.split(":")
+        parts = kind_str.split(":")
+        if len(parts) != 3:
+            raise BadParameter(f"az kind needs az:<alpha>:<z>, got {kind_str!r}")
+        _, a_str, z_str = parts
         return renyi_alpha_z(_parse_alpha(a_str), _parse_alpha(z_str), rho, sigma), 0.0, flags, None
     if kind_str.startswith("max:"):
         a = _parse_alpha(kind_str[4:])
@@ -102,8 +108,11 @@ def cmd_eval(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    a, b, n = spec.split(":")
-    return [float(x) for x in np.linspace(float(a), float(b), int(n))]
+    try:
+        a, b, n = spec.split(":")
+        return [float(x) for x in np.linspace(float(a), float(b), int(n))]
+    except ValueError as exc:
+        raise BadParameter(f"bad grid {spec!r}; expected <start>:<stop>:<count>") from exc
 
 
 def cmd_sweep(args) -> int:

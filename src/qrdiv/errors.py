@@ -55,7 +55,3 @@ class UnsupportedWeights(QrdivError):
 
 class BadParameter(QrdivError):
     """Parameter outside the admissible range."""
-
-
-class SolverNotConverged(QrdivError):
-    """Iterative solver hit its budget before reaching tolerance."""

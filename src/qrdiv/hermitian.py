@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadFactorization,
+    BadParameter,
     BadRank,
     DimensionMismatch,
     DomainError,
@@ -324,11 +325,16 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
-    a = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-    if a.shape != (d, d):
-        raise DimensionMismatch(f"declared dim {d}, data shape {a.shape}")
-    return check_hermitian(a, tol=1e-8)
+    try:
+        d = int(obj["dim"])
+        re, im = np.array(obj["re"], dtype=float), np.array(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadParameter(f"malformed matrix JSON ({type(exc).__name__}: {exc})") from exc
+    if re.shape != (d, d) or im.shape != (d, d):
+        raise DimensionMismatch(f"declared dim {d}, data shapes {re.shape} and {im.shape}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise BadParameter("matrix entries must be finite")
+    return check_hermitian(re + 1j * im, tol=1e-8)
 
 
 def load_matrix(path) -> np.ndarray:

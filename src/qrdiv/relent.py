@@ -128,7 +128,11 @@ def parse_kind(s: str) -> EntropyKind:
             w_str, _, k_str = part.partition("*")
             if not k_str:
                 raise BadParameter(f"bad mixture component {part!r}")
-            comps.append((float(w_str), parse_kind(k_str)))
+            try:
+                w = float(w_str)
+            except ValueError as exc:
+                raise BadParameter(f"bad mixture weight in {part!r}") from exc
+            comps.append((w, parse_kind(k_str)))
         return Mixture(tuple(comps))
     raise BadParameter(f"unknown kind string {s!r}")
 
@@ -199,23 +203,48 @@ def _measured_objective(alpha, rho, sigma, u) -> float:
     return classical_renyi(alpha, a, b)
 
 
-def _skew_generators(dim: int) -> list[np.ndarray]:
-    gens = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            g = np.zeros((dim, dim), dtype=complex)
-            g[i, j], g[j, i] = 1.0, -1.0
-            gens.append(g)
-            g = np.zeros((dim, dim), dtype=complex)
-            g[i, j], g[j, i] = 1j, 1j
-            gens.append(g)
-    return gens
+def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Partial derivatives of the classical objective in a and in b.
+
+    Entries with a = 0 or b = 0 get slope 0, which is exact: a PSD matrix
+    with a zero diagonal entry has that whole row zero, so that entry does
+    not move to first order, and the other argument's slope there is 0.
+    """
+    da, db = np.zeros_like(a), np.zeros_like(b)
+    both = (a > 0) & (b > 0)
+    x, y = a[both], b[both]
+    if alpha is None or alpha == 1:
+        da[both], db[both] = np.log(x) - np.log(y), -x / y
+        if alpha == 1:
+            da, db = da / a.sum(), db / a.sum()
+    elif alpha == INF:
+        # subgradient at the first argmax of a / b
+        ratio = np.full(a.shape, -INF)
+        ratio[both] = x / y
+        i = int(np.argmax(ratio))
+        da[i], db[i] = 1.0 / a[i], -1.0 / b[i]
+    elif alpha == 0:
+        db[both] = -1.0 / b[a > 0].sum()
+    else:
+        q = x**alpha * y ** (1.0 - alpha)
+        qa = q.sum()
+        da[both] = alpha * q / x / (qa * (alpha - 1.0))
+        db[both] = -q / y / qa
+    return da, db
 
 
-def _expm_skew(k: np.ndarray) -> np.ndarray:
-    h = k / 1j
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.exp(1j * w)) @ v.conj().T
+def _measured_gradient(alpha, rho, sigma, u) -> np.ndarray:
+    """Skew-Hermitian M with d/dt f(u e^{tK}) = Re Tr(M K) at t = 0.
+
+    With A = u* rho u and B = u* sigma u, d/dt diag(A) = diag([A, K]), so
+    M = [D_a, A] + [D_b, B] for the diagonal slope matrices D_a, D_b.
+    """
+    am = u.conj().T @ rho @ u
+    bm = u.conj().T @ sigma @ u
+    a = np.clip(np.real(np.diagonal(am)), 0.0, None)
+    b = np.clip(np.real(np.diagonal(bm)), 0.0, None)
+    da, db = _measured_slopes(alpha, a, b)
+    return (da[:, None] - da[None, :]) * am + (db[:, None] - db[None, :]) * bm
 
 
 def measured_lower_bound(
@@ -255,8 +284,6 @@ def measured_lower_bound(
             return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u
         return val + math.log(tr_r) - math.log(tr_s), u
     rng = np.random.default_rng(seed)
-    gens = _skew_generators(d)
-    fd = 1e-4
     # deterministic starts: identity and a joint-diagonalizer candidate
     # (exact for commuting pairs), then random bases
     _, u_joint = spectral_decompose(rho + math.sqrt(2.0) * sigma)
@@ -269,25 +296,22 @@ def measured_lower_bound(
             continue
         step = 0.5
         for _ in range(iters):
-            grad = np.zeros(len(gens))
-            for k, g in enumerate(gens):
-                up = u @ _expm_skew(fd * g)
-                um = u @ _expm_skew(-fd * g)
-                vp = _measured_objective(alpha, rho, sigma, up)
-                vm = _measured_objective(alpha, rho, sigma, um)
-                if math.isfinite(vp) and math.isfinite(vm):
-                    grad[k] = (vp - vm) / (2 * fd)
-            gn = float(np.linalg.norm(grad))
-            if gn < 1e-10:
+            m = _measured_gradient(alpha, rho, sigma, u)
+            mn = float(np.linalg.norm(m))
+            # sqrt(2)|M|_F is the norm of the slope vector along the skew
+            # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
+            if math.sqrt(2.0) * mn < 1e-10:
                 break
-            direction = sum(c * g for c, g in zip(grad / gn, gens))
+            # ascent direction K = -sqrt(2) M / |M|_F; e^{tK} = V e^{itw} V*
+            # with (w, V) = eigh(K / i), one decomposition per iteration
+            w, v = np.linalg.eigh(1j * math.sqrt(2.0) * m / mn)
             improved = False
             t = step
             for _ in range(25):
-                cand = u @ _expm_skew(t * direction)
-                v = _measured_objective(alpha, rho, sigma, cand)
-                if math.isfinite(v) and v > val + 1e-14:
-                    u, val = cand, v
+                cand = u @ ((v * np.exp(1j * t * w)) @ v.conj().T)
+                v_cand = _measured_objective(alpha, rho, sigma, cand)
+                if math.isfinite(v_cand) and v_cand > val + 1e-14:
+                    u, val = cand, v_cand
                     step = min(2 * t, 0.5)
                     improved = True
                     break

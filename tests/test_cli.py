@@ -82,6 +82,29 @@ def test_eval_parse_error_exit_2(mats, capsys):
     assert main(["eval", "--kind", "um", "--rho", "/no/such.json", "--sigma", mats["sigma"]]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--kind", "um", "--alpha", "abc"],
+        ["eval", "--kind", "mix:x*um+0.5*bs"],
+        ["eval", "--kind", "az:0.5"],
+        ["sweep", "--kind", "um", "--alpha-grid", "0:1"],
+    ],
+    ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid"],
+)
+def test_malformed_input_exit_2(mats, capsys, argv):
+    assert main([*argv, "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_non_finite_matrix_exit_2(mats, tmp_path, capsys):
+    obj = matrix_to_json(np.diag([0.6, 0.4]))
+    obj["re"][0][0] = float("nan")
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(obj))
+    assert main(["eval", "--kind", "um", "--rho", str(p), "--sigma", mats["sigma"]]) == 2
+
+
 def test_eval_infinite_prints_plus_inf(mats, tmp_path, capsys):
     p = tmp_path / "p0.json"
     q = tmp_path / "q0.json"

@@ -3,6 +3,7 @@ import pytest
 
 from qrdiv.errors import (
     BadFactorization,
+    BadParameter,
     BadRank,
     DimensionMismatch,
     NonHermitian,
@@ -239,4 +240,31 @@ def test_matrix_json_roundtrip(tmp_path):
     bad = matrix_to_json(rho)
     bad["re"][0][1] += 1.0  # break hermiticity
     with pytest.raises(NonHermitian):
+        matrix_from_json(bad)
+
+
+@pytest.mark.parametrize("part, entry", [("re", float("nan")), ("im", float("inf")),
+                                         ("re", -float("inf"))])
+def test_matrix_json_rejects_non_finite(part, entry):
+    # a NaN entry passes the asymmetry test, since every comparison with NaN
+    # is False
+    bad = matrix_to_json(sample_state(2, 2, 3))
+    bad[part][0][1] = entry
+    bad[part][1][0] = entry
+    with pytest.raises(BadParameter):
+        matrix_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, BadParameter),
+        ({"dim": 2, "re": [[0.5, 0.0], [0.0]], "im": [[0, 0], [0, 0]]}, BadParameter),
+        ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, 0, 0]]}, DimensionMismatch),
+        ([[0.5, 0.0], [0.0, 0.5]], BadParameter),
+    ],
+    ids=["missing-im", "ragged", "im-shape", "not-an-object"],
+)
+def test_matrix_json_rejects_malformed(bad, error):
+    with pytest.raises(error):
         matrix_from_json(bad)

@@ -21,6 +21,7 @@ from qrdiv.relent import (
     rel_entropy,
     umegaki,
 )
+from qrdiv.relent import _measured_gradient, _measured_objective
 from qrdiv.renyi import max_renyi, optimal_reverse_test, renyi_alpha_z
 
 INF = float("inf")
@@ -219,6 +220,82 @@ def test_measured_infinite_cases():
     v, _ = measured_lower_bound(rho, np.diag([0.5, 0.5]).astype(complex), alpha=0.5)
     assert math.isfinite(v)
     assert measured_lower_bound(rho, sigma, alpha=0.5)[0] == INF  # orthogonal
+
+
+def _expm_skew(k):
+    w, v = np.linalg.eigh(k / 1j)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _gradient_vs_central_difference(alpha, rho, sigma, u, rng, h=1e-6):
+    """(Re Tr(M K), central difference of f(u e^{tK})) along a random skew K."""
+    d = rho.shape[0]
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    k = (g - g.conj().T) / 2
+    m = _measured_gradient(alpha, rho, sigma, u)
+    assert np.allclose(m, -m.conj().T, atol=1e-12)
+    fp = _measured_objective(alpha, rho, sigma, u @ _expm_skew(h * k))
+    fm = _measured_objective(alpha, rho, sigma, u @ _expm_skew(-h * k))
+    return np.trace(m @ k).real, (fp - fm) / (2 * h)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [None, 0, 0.5, 1, 2, INF])
+def test_measured_gradient_matches_central_difference(alpha, d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+        ana, fd = _gradient_vs_central_difference(
+            alpha, rho, sigma, sample_unitary(d, rng), rng
+        )
+        assert abs(ana - fd) < 1e-7 * max(1.0, abs(ana))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [None, 0.5, 1, 2, INF])
+def test_measured_gradient_rank_deficient(alpha, d):
+    # rho has a zero last row in the identity basis, so a_{d-1} = 0 exactly.
+    # alpha = 0 is left out: its objective jumps when supp a grows. For
+    # alpha < 1 the a_{d-1} term of the central difference is O(h).
+    rng = np.random.default_rng(50 + d)
+    for _ in range(3):
+        rho = np.zeros((d, d), dtype=complex)
+        rho[: d - 1, : d - 1] = sample_state(d - 1, d - 1, rng)
+        sigma = sample_state(d, d, rng)
+        ana, fd = _gradient_vs_central_difference(alpha, rho, sigma, np.eye(d), rng)
+        assert abs(ana - fd) < 1e-5 * max(1.0, abs(ana))
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_measured_lower_bound_larger_dims(d):
+    rng = np.random.default_rng(60 + d)
+    p, q = rng.random(d) + 0.05, rng.random(d) + 0.05
+    p, q = p / p.sum(), q / q.sum()
+    u = sample_unitary(d, rng)
+    rho, sigma = u @ np.diag(p) @ u.conj().T, u @ np.diag(q) @ u.conj().T
+    lb, _ = measured_lower_bound(rho, sigma, restarts=2, iters=50)
+    assert abs(lb - classical_rel_entropy(p, q)) < 1e-8
+    for n in range(3):
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+        lb, _ = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=n)
+        assert 0.0 < lb <= umegaki(rho, sigma) + 1e-8
+
+
+def test_measured_ascent_one_eigh_per_iteration(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    rng = np.random.default_rng(70)
+    rho, sigma = sample_state(4, 4, rng), sample_state(4, 4, rng)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    measured_lower_bound(rho, sigma, restarts=2, iters=50)
+    # one eigh per iteration of each start, plus the support check and the
+    # joint-diagonalizer start
+    assert 0 < len(calls) <= 2 * (50 + 1) + 5
 
 
 def test_scaling_laws():
