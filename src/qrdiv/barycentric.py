@@ -4,10 +4,15 @@ limits, and the derived geometric means.
 
 The center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) is solved by
 descent in the exponential parametrization omega = exp(H) / Tr exp(H) on
-the compressed feasible subspace. Umegaki and Belavkin-Staszewski terms use
-analytic gradients; all other kinds fall back to central finite differences
-on the H coordinates. The all-Umegaki case bypasses the solver entirely via
-its closed-form center.
+the compressed feasible subspace. Each iterate H is decomposed once (one
+eigh gives omega and H's eigendata); the value and the gradient of the
+Umegaki and Belavkin-Staszewski terms reuse that decomposition and two
+memoized ones (eigh of omega, and for each BS term the eigh of
+sig_eff^{-1/2} omega sig_eff^{-1/2}), and the accepted line-search iterate
+is carried into the next iteration. These terms use analytic gradients; all
+other kinds fall back to central finite differences on the H coordinates.
+The all-Umegaki case bypasses the solver entirely via its closed-form
+center.
 """
 
 from __future__ import annotations
@@ -185,34 +190,32 @@ class _Term:
             val = float(np.trace(omega_c @ logx).real)
         return val / (1.0 - g)
 
-    def value(self, omega_c: np.ndarray, seed: int = 0) -> float:
+    def value(self, pt: _Iterate, seed: int = 0) -> float:
         if self.mode == "um":
-            w, u = np.linalg.eigh(omega_c)
+            w, _ = pt.omega_eig()
             w = np.clip(w, 1e-300, None)
             ent = float(np.sum(w * np.log(w)))
-            return ent - float(np.trace(omega_c @ self.logw).real)
+            return ent - float(np.trace(pt.omega @ self.logw).real)
         if self.mode == "bs":
-            m = self.sig_isqrt @ omega_c @ self.sig_isqrt
-            w, u = np.linalg.eigh((m + m.conj().T) / 2)
+            w, u = pt.bs_eig(self)
             w = np.clip(w, 0.0, None)
             eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
             f = (u * eta) @ u.conj().T
             return float(np.trace(self.sig_eff @ f).real)
         if self.mode == "geom":
-            return self._geom_value(omega_c)
-        omega_full = self.basis @ omega_c @ self.basis.conj().T
+            return self._geom_value(pt.omega)
+        omega_full = self.basis @ pt.omega @ self.basis.conj().T
         return rel_entropy(self.kind, omega_full, self.w_full, seed=seed).value
 
-    def grad_omega(self, omega_c: np.ndarray) -> Optional[np.ndarray]:
+    def grad_omega(self, pt: _Iterate) -> Optional[np.ndarray]:
         """Euclidean gradient w.r.t. omega for analytic modes, else None."""
         if self.mode == "um":
-            w, u = np.linalg.eigh(omega_c)
+            w, u = pt.omega_eig()
             w = np.clip(w, 1e-300, None)
             logw = (u * np.log(w)) @ u.conj().T
             return logw - self.logw
         if self.mode == "bs":
-            m = self.sig_isqrt @ omega_c @ self.sig_isqrt
-            w, u = np.linalg.eigh((m + m.conj().T) / 2)
+            w, u = pt.bs_eig(self)
             w = np.clip(w, 1e-300, None)
             eta1 = _divided_diff(w, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0)
             s_eig = u.conj().T @ self.sig_eff @ u
@@ -241,39 +244,54 @@ def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
     from .hermitian import CLUSTER_RTOL
 
     n = len(w)
-    out = np.empty((n, n))
-    fw = f(w)
     tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
-    for i in range(n):
-        for j in range(n):
-            if abs(w[i] - w[j]) > tol:
-                out[i, j] = (fw[i] - fw[j]) / (w[i] - w[j])
-            else:
-                out[i, j] = fprime(0.5 * (w[i] + w[j]))
-    return out
+    fw = f(w)
+    dw = w[:, None] - w[None, :]
+    out = fprime(0.5 * (w[:, None] + w[None, :]))
+    return np.divide(fw[:, None] - fw[None, :], dw, out=out, where=np.abs(dw) > tol)
 
 
-def _omega_from_h(h: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh((h + h.conj().T) / 2)
-    e = np.exp(w - np.max(w))
-    omega = (u * e) @ u.conj().T
-    return omega / np.trace(omega).real
+class _Iterate:
+    """One point H of the descent with omega = exp(H) / Tr exp(H).
+
+    H's eigendata and omega come from a single eigh. The decompositions the
+    Umegaki and Belavkin-Staszewski terms need are taken on first use and
+    shared by their values and gradients: eigh(omega) by every um term, and
+    eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) by each bs term.
+    """
+
+    def __init__(self, h: np.ndarray):
+        self.h = h
+        self.w, self.u = np.linalg.eigh((h + h.conj().T) / 2)
+        self.shift = np.max(self.w)
+        self.ew = np.exp(self.w - self.shift)
+        self.eh = (self.u * self.ew) @ self.u.conj().T  # exp(H - shift)
+        self.omega = self.eh / np.trace(self.eh).real
+        self._omega_eig = None
+        self._bs_eig: dict = {}
+
+    def omega_eig(self):
+        if self._omega_eig is None:
+            self._omega_eig = np.linalg.eigh(self.omega)
+        return self._omega_eig
+
+    def bs_eig(self, term: _Term):
+        if term not in self._bs_eig:
+            m = term.sig_isqrt @ self.omega @ term.sig_isqrt
+            self._bs_eig[term] = np.linalg.eigh((m + m.conj().T) / 2)
+        return self._bs_eig[term]
 
 
-def _dexp_push(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     """Pushforward of an omega-gradient to the H parametrization of
     omega = exp(H)/Tr exp(H)."""
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    shift = np.max(w)
-    ew = np.exp(w - shift)
-    z = float(np.sum(ew))
-    dd = _divided_diff(w - shift, np.exp, np.exp)
+    v = pt.u
+    z = float(np.sum(pt.ew))
+    dd = _divided_diff(pt.w - pt.shift, np.exp, np.exp)
     gv = v.conj().T @ g @ v
     t = v @ (dd * gv) @ v.conj().T
-    omega = (v * ew) @ v.conj().T / z
-    tr_og = float(np.trace(omega @ g).real)
-    eh = (v * ew) @ v.conj().T
-    return (t - tr_og * eh) / z
+    tr_og = float(np.trace(pt.eh / z @ g).real)
+    return (t - tr_og * pt.eh) / z
 
 
 _HERM_BASIS_CACHE: dict[int, list[np.ndarray]] = {}
@@ -322,16 +340,16 @@ def center_solver(
     else:
         fallback = None
 
-    def f_of(omega_c: np.ndarray) -> float:
+    def f_of(pt: _Iterate) -> float:
         if fallback is not None:
-            return fallback(basis @ omega_c @ basis.conj().T)
-        return sum(t.weight * t.value(omega_c) for t in terms)
+            return fallback(basis @ pt.omega @ basis.conj().T)
+        return sum(t.weight * t.value(pt) for t in terms)
 
     analytic = [t for t in terms if t.mode in ("um", "bs")]
     generic = [t for t in terms if t.mode in ("gen", "geom")]
 
-    def gen_value(omega_c):
-        return sum(t.weight * t.value(omega_c) for t in generic)
+    def gen_value(pt: _Iterate) -> float:
+        return sum(t.weight * t.value(pt) for t in generic)
 
     hbasis = _herm_basis(m)
     rng = np.random.default_rng(opts.seed)
@@ -353,50 +371,51 @@ def center_solver(
 
     mirror = not generic and fallback is None
 
-    def direction_at(h: np.ndarray, omega_c: np.ndarray) -> np.ndarray:
+    def direction_at(pt: _Iterate) -> np.ndarray:
         if mirror:
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
             # of the identity)
             g = np.zeros((m, m), dtype=complex)
             for t in analytic:
-                g = g + t.weight * t.grad_omega(omega_c)
+                g = g + t.weight * t.grad_omega(pt)
             return g - (np.trace(g).real / m) * np.eye(m)
         grad = np.zeros((m, m), dtype=complex)
         gw = np.zeros((m, m), dtype=complex)
         for t in analytic:
-            gw = gw + t.weight * t.grad_omega(omega_c)
+            gw = gw + t.weight * t.grad_omega(pt)
         if analytic:
-            grad = grad + _dexp_push(h, gw)
+            grad = grad + _dexp_push(pt, gw)
         base_fn = f_of if fallback is not None else gen_value
         if fallback is not None:
             grad = np.zeros((m, m), dtype=complex)
         for e in hbasis:
-            vp = base_fn(_omega_from_h(h + opts.fd_step * e))
-            vm = base_fn(_omega_from_h(h - opts.fd_step * e))
+            vp = base_fn(_Iterate(pt.h + opts.fd_step * e))
+            vm = base_fn(_Iterate(pt.h - opts.fd_step * e))
             grad = grad + ((vp - vm) / (2 * opts.fd_step)) * e
         return grad
 
-    best_val, best_h, best_iters, best_conv = INF, starts[0], 0, False
+    best_val, best, best_iters, best_conv = INF, None, 0, False
     for h in starts:
-        val = f_of(_omega_from_h(h))
+        cur = _Iterate(h)
+        val = f_of(cur)
         if not math.isfinite(val):
             continue
         converged = False
         it = 0
         t_prev = 1.0
         for it in range(1, opts.iters + 1):
-            omega_c = _omega_from_h(h)
-            grad = direction_at(h, omega_c)
+            grad = direction_at(cur)
             gn = float(np.linalg.norm(grad))
             if gn < opts.grad_tol:
                 converged = True
                 break
             t_step, accepted = min(2.0 * t_prev, 4.0), False
             for _ in range(60):
-                h_new = h - t_step * grad
+                h_new = cur.h - t_step * grad
                 h_new = h_new - (np.trace(h_new).real / m) * np.eye(m)
-                v_new = f_of(_omega_from_h(h_new))
+                cand = _Iterate(h_new)
+                v_new = f_of(cand)
                 if math.isfinite(v_new) and v_new <= val - 1e-6 * t_step * gn * gn:
                     accepted = True
                     break
@@ -405,13 +424,15 @@ def center_solver(
                 converged = gn < 10 * opts.grad_tol
                 break
             decrease = val - v_new
-            h, val, t_prev = h_new, v_new, t_step
+            # the accepted candidate keeps its decompositions for the next
+            # direction
+            cur, val, t_prev = cand, v_new, t_step
             if decrease < opts.tol and gn < 10 * opts.grad_tol:
                 converged = True
                 break
         if val < best_val - 1e-15:
-            best_val, best_h, best_iters, best_conv = val, h, it, converged
-    center_c = _omega_from_h(best_h)
+            best_val, best, best_iters, best_conv = val, cur, it, converged
+    center_c = (best or _Iterate(starts[0])).omega
     center = basis @ center_c @ basis.conj().T
     gap = 0.0 if best_conv else opts.tol
     return center, best_val, gap, best_iters, best_conv
@@ -425,6 +446,21 @@ def _all_umegaki(kinds: Sequence[EntropyKind], weights: Sequence[float]) -> bool
     return all(
         isinstance(k, Umegaki) for k, w in zip(kinds, weights) if w != 0.0
     )
+
+
+def _umegaki_center(
+    weights: Sequence[float], ops: Sequence[np.ndarray], basis: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """All-Umegaki closed form: (q, center) with q = Tr exp(H) and center
+    exp(H)/q for H = sum_x P(x) log W_x compressed to ran(basis)."""
+    h = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    for w, op in zip(weights, ops):
+        if w != 0.0:
+            h = h + w * (basis.conj().T @ nlog_m(op) @ basis)
+    ww, u = np.linalg.eigh((h + h.conj().T) / 2)
+    q = float(np.sum(np.exp(ww)))
+    center_c = (u * np.exp(ww)) @ u.conj().T / q
+    return q, basis @ center_c @ basis.conj().T
 
 
 def barycentric_q(
@@ -466,19 +502,12 @@ def barycentric_q(
     basis = support_basis(s_plus)
     use_closed = options.use_closed_form if options is not None else True
     if use_closed and _all_umegaki(kinds, weights):
-        h = np.zeros((basis.shape[1],) * 2, dtype=complex)
-        for w, op in zip(weights, channel.operators):
-            if w != 0.0:
-                h = h + w * (basis.conj().T @ nlog_m(op) @ basis)
-        ww, u = np.linalg.eigh((h + h.conj().T) / 2)
-        g_c = (u * np.exp(ww)) @ u.conj().T
-        q = float(np.trace(g_c).real)
-        geo = basis @ g_c @ basis.conj().T
+        q, center = _umegaki_center(weights, channel.operators, basis)
         return BarycenterResult(
             q_value=q,
             radius=-math.log(q),
-            center=geo / q,
-            geo_mean=geo,
+            center=center,
+            geo_mean=q * center,
             iterations=0,
             objective_gap=0.0,
         )
@@ -578,15 +607,8 @@ def barycentric_renyi_full(
 
     use_closed = options.use_closed_form if options is not None else True
     if use_closed and _all_umegaki(kinds, weights):
-        h = np.zeros((basis.shape[1],) * 2, dtype=complex)
-        for w, op in zip(weights, channel_ops):
-            if w != 0.0:
-                h = h + w * (basis.conj().T @ nlog_m(op) @ basis)
-        ww, u = np.linalg.eigh((h + h.conj().T) / 2)
-        q = float(np.sum(np.exp(ww)))
-        center_c = (u * np.exp(ww)) @ u.conj().T / q
+        q, center = _umegaki_center(weights, channel_ops, basis)
         radius = -math.log(q)
-        center = basis @ center_c @ basis.conj().T
         iters, gap, conv = 0, 0.0, True
     else:
         terms = []

@@ -3,18 +3,17 @@ grids to CSV, and run the verification suites.
 
 Exit codes: 0 ok, 2 parse error, 3 solver non-convergence (value still
 printed with its gap), 4 ordering violation under --check-order, 5 suite
-failure. Infinite values print as "+inf", never NaN. The QDIV_THREADS
-environment variable caps sweep parallelism.
+failure. Infinite values print as "+inf", never NaN.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -115,10 +114,22 @@ def _parse_grid(spec: str) -> list[float]:
         raise BadParameter(f"bad grid {spec!r}; expected <start>:<stop>:<count>") from exc
 
 
+def _split_kinds(spec: str) -> list[str]:
+    """Split a --kinds list on commas; a "bary:" kind takes the next item as
+    its second component."""
+    items = (k.strip() for k in spec.split(","))
+    kinds = []
+    for k in items:
+        if k.startswith("bary:"):
+            k = f"{k},{next(items, '')}"
+        kinds.append(k)
+    return kinds
+
+
 def cmd_sweep(args) -> int:
     rho = load_matrix(args.rho)
     sigma = load_matrix(args.sigma)
-    kinds = [k.strip() for k in args.kinds.split(",")] if args.kinds else [args.kind]
+    kinds = _split_kinds(args.kinds) if args.kinds else [args.kind]
     if args.alpha_grid:
         grid = _parse_grid(args.alpha_grid)
         mode = "alpha"
@@ -136,27 +147,21 @@ def cmd_sweep(args) -> int:
             else:
                 jobs.append((kind, g, kind, g))
 
-    def run(job):
-        kstr, alpha, base, g = job
+    rows = []
+    for kstr, alpha, base, g in jobs:
         value, gap, flags, _ = evaluate_kind(kstr, alpha, rho, sigma, seed=args.seed)
-        return base, g, value, gap, flags
+        rows.append((base, g, value, gap, flags))
 
-    threads = int(os.environ.get("QDIV_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
-
-    lines = ["kind,alpha_or_gamma,value,gap,flags"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "alpha_or_gamma", "value", "gap", "flags"])
     for base, g, value, gap, flags in rows:
-        lines.append(f"{base},{g:g},{fmt_value(value)},{gap:.3g},{'|'.join(flags)}")
-    text = "\n".join(lines)
+        writer.writerow([base, f"{g:g}", fmt_value(value), f"{gap:.3g}", "|".join(flags)])
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(buf.getvalue())
     else:
-        print(text)
+        sys.stdout.write(buf.getvalue())
 
     if args.check_order:
         # per kind: values must be nondecreasing along the grid; with several

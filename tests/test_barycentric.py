@@ -578,3 +578,54 @@ def test_center_solver_plain_objective_callable():
     exact = a * umegaki(res["center"], rho) + (1 - a) * umegaki(res["center"], sig)
     assert abs(value - exact) < 1e-6
     np.testing.assert_allclose(center, res["center"], atol=1e-3)
+
+
+def test_center_solver_decomposes_each_iterate_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # one eigh of H per line-search candidate and one per um/bs
+    # decomposition, shared by that term's value and gradient, plus the
+    # setup (172 and 91 calls)
+    for kinds, iters, bound in ((BS, 25, 180), ((Umegaki(), BelavkinStaszewski()), 12, 100)):
+        calls.clear()
+        res = barycentric_renyi_full(0.5, kinds, rho, sig, SolverOptions(restarts=0))
+        assert res["iterations"] == iters and res["converged"]
+        assert 0 < len(calls) <= bound
+
+
+def _divided_diff_loop(w, f, fprime):
+    from qrdiv.hermitian import CLUSTER_RTOL
+
+    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))))
+    fw = f(w)
+    out = np.empty((len(w), len(w)))
+    for i in range(len(w)):
+        for j in range(len(w)):
+            if abs(w[i] - w[j]) > tol:
+                out[i, j] = (fw[i] - fw[j]) / (w[i] - w[j])
+            else:
+                out[i, j] = fprime(0.5 * (w[i] + w[j]))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 32])
+def test_divided_diff_matches_scalar_definition(m):
+    from qrdiv.barycentric import _divided_diff
+
+    rng = np.random.default_rng(m)
+    w = np.sort(rng.uniform(0.05, 3.0, size=m))
+    if m > 1:
+        w[1] = w[0] * (1.0 + 1e-10)  # inside CLUSTER_RTOL: derivative branch
+    for f, fprime in (
+        (lambda x: x * np.log(x), lambda x: np.log(x) + 1.0),
+        (np.exp, np.exp),
+    ):
+        assert np.array_equal(_divided_diff(w, f, fprime), _divided_diff_loop(w, f, fprime))

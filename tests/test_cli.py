@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -171,6 +172,35 @@ def test_sweep_bary_alpha_monotone(mats, capsys):
         ]
     )
     assert code == 0
+
+
+def test_sweep_two_bary_kinds(mats, tmp_path, capsys):
+    # each bary: item takes the next item as its second component, and the
+    # CSV quotes the comma inside the kind
+    out = tmp_path / "bary.csv"
+    code = main(
+        [
+            "sweep",
+            "--kinds",
+            "bary:um,bs,bary:bs,bs",
+            "--alpha-grid",
+            "0.25:0.75:2",
+            "--rho",
+            mats["rho"],
+            "--sigma",
+            mats["sigma"],
+            "--out",
+            str(out),
+            "--check-order",
+        ]
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["kind", "alpha_or_gamma", "value", "gap", "flags"]
+    assert [r[0] for r in rows[1:]] == ["bary:um,bs"] * 2 + ["bary:bs,bs"] * 2
+    assert all(len(r) == 5 for r in rows)
+    assert '"bary:um,bs"' in out.read_text()
 
 
 def test_sweep_detects_violation(mats, capsys):
