@@ -26,11 +26,9 @@ import numpy as np
 from .classical import classify_weights, OTHER
 from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
-    mpower,
-    nlog_m,
     projection_meet,
     sample_hermitian,
-    spectral_decompose,
+    spectrum,
     support_basis,
     support_leq,
     support_projection,
@@ -45,6 +43,8 @@ from .relent import (
 )
 
 INF = float("inf")
+# central finite-difference step on the H coordinates
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class SolverOptions:
     iters: int = 500
     tol: float = 1e-8
     restarts: int = 4
-    fd_step: float = 1e-5
     seed: int = 0
     warm_start: bool = True
     grad_tol: float = 1e-6
@@ -137,7 +136,9 @@ def _json_float(x: float):
 class _Term:
     """One summand weight * D^kind(omega || W) on the compressed subspace."""
 
-    def __init__(self, weight: float, kind: EntropyKind, w_full: np.ndarray, basis: np.ndarray):
+    def __init__(self, weight: float, kind: EntropyKind, w_full: np.ndarray, basis: np.ndarray,
+                 spec=None):
+        """``spec`` is the Spectrum of ``w_full`` when the caller holds it."""
         from .supports import abs_cont_part
 
         self.weight = weight
@@ -145,14 +146,16 @@ class _Term:
         self.basis = basis
         self.w_full = w_full
         self.mode = "gen"
+        spec = w_full if spec is None else spec
         if isinstance(kind, Umegaki):
             self.mode = "um"
-            self.logw = basis.conj().T @ nlog_m(w_full) @ basis
+            self.logw = basis.conj().T @ spectrum(spec).log() @ basis
         elif isinstance(kind, BelavkinStaszewski):
             self.mode = "bs"
-            g = basis.conj().T @ mpower(w_full, -1.0) @ basis
-            self.sig_eff = mpower(g, -1.0)
-            self.sig_isqrt = mpower(self.sig_eff, -0.5)
+            g = basis.conj().T @ spectrum(spec).power(-1.0) @ basis
+            self.sig_eff = spectrum(g).power(-1.0)
+            self.sig_spec = spectrum(self.sig_eff)
+            self.sig_isqrt = self.sig_spec.power(-0.5)
         elif isinstance(kind, GeomWeighted) and isinstance(
             kind.base, (Umegaki, BelavkinStaszewski)
         ):
@@ -190,7 +193,7 @@ class _Term:
             val = float(np.trace(omega_c @ logx).real)
         return val / (1.0 - g)
 
-    def value(self, pt: _Iterate, seed: int = 0) -> float:
+    def value(self, pt: _Iterate) -> float:
         if self.mode == "um":
             w, _ = pt.omega_eig()
             w = np.clip(w, 1e-300, None)
@@ -205,7 +208,7 @@ class _Term:
         if self.mode == "geom":
             return self._geom_value(pt.omega)
         omega_full = self.basis @ pt.omega @ self.basis.conj().T
-        return rel_entropy(self.kind, omega_full, self.w_full, seed=seed).value
+        return rel_entropy(self.kind, omega_full, self.w_full).value
 
     def grad_omega(self, pt: _Iterate) -> Optional[np.ndarray]:
         """Euclidean gradient w.r.t. omega for analytic modes, else None."""
@@ -224,8 +227,20 @@ class _Term:
         return None
 
 
+class _ObjectiveTerm:
+    """A caller's objective on full-space states, as one generic term."""
+
+    mode, weight = "gen", 1.0
+
+    def __init__(self, objective, basis: np.ndarray):
+        self.objective, self.basis = objective, basis
+
+    def value(self, pt: _Iterate) -> float:
+        return self.objective(self.basis @ pt.omega @ self.basis.conj().T)
+
+
 def _expand_terms(
-    weight: float, kind: EntropyKind, op: np.ndarray, basis: np.ndarray
+    weight: float, kind: EntropyKind, op: np.ndarray, basis: np.ndarray, spec=None
 ) -> list[_Term]:
     """Flatten mixtures into weighted terms so their members keep analytic
     gradients; other kinds map to a single term."""
@@ -233,9 +248,9 @@ def _expand_terms(
         out = []
         for w, comp in kind.components:
             if w != 0.0:
-                out.extend(_expand_terms(weight * w, comp, op, basis))
+                out.extend(_expand_terms(weight * w, comp, op, basis, spec))
         return out
-    return [_Term(weight, kind, op, basis)]
+    return [_Term(weight, kind, op, basis, spec)]
 
 
 def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
@@ -323,7 +338,7 @@ def center_solver(
     terms: Optional[list[_Term]] = None,
 ):
     """Minimize the weighted-divergence objective over states supported in
-    ran(S_+).
+    ran(S_+) (``s_plus`` is the projection or its Spectrum).
 
     ``objective`` maps a full-space state to a float; it is only used when
     ``terms`` (the structured compressed form) is not supplied. Returns
@@ -335,14 +350,9 @@ def center_solver(
     if m == 0:
         return None, INF, 0.0, 0, True
     if terms is None:
-        terms = []
-        fallback = objective
-    else:
-        fallback = None
+        terms = [_ObjectiveTerm(objective, basis)]
 
     def f_of(pt: _Iterate) -> float:
-        if fallback is not None:
-            return fallback(basis @ pt.omega @ basis.conj().T)
         return sum(t.weight * t.value(pt) for t in terms)
 
     analytic = [t for t in terms if t.mode in ("um", "bs")]
@@ -357,42 +367,31 @@ def center_solver(
     starts: list[np.ndarray] = []
     if opts.warm_start:
         h0 = np.zeros((m, m), dtype=complex)
-        got = False
         for t in terms:
             if t.mode == "um":
                 h0 = h0 + t.weight * t.logw
-                got = True
             elif t.mode == "bs":
-                h0 = h0 + t.weight * nlog_m(t.sig_eff)
-                got = True
-        starts.append(h0 if got else np.zeros((m, m), dtype=complex))
+                h0 = h0 + t.weight * t.sig_spec.log()
+        starts.append(h0)
     for _ in range(opts.restarts):
         starts.append(sample_hermitian(m, rng))
 
-    mirror = not generic and fallback is None
-
     def direction_at(pt: _Iterate) -> np.ndarray:
-        if mirror:
+        g = np.zeros((m, m), dtype=complex)
+        for t in analytic:
+            g = g + t.weight * t.grad_omega(pt)
+        if not generic:
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
             # of the identity)
-            g = np.zeros((m, m), dtype=complex)
-            for t in analytic:
-                g = g + t.weight * t.grad_omega(pt)
             return g - (np.trace(g).real / m) * np.eye(m)
         grad = np.zeros((m, m), dtype=complex)
-        gw = np.zeros((m, m), dtype=complex)
-        for t in analytic:
-            gw = gw + t.weight * t.grad_omega(pt)
         if analytic:
-            grad = grad + _dexp_push(pt, gw)
-        base_fn = f_of if fallback is not None else gen_value
-        if fallback is not None:
-            grad = np.zeros((m, m), dtype=complex)
+            grad = grad + _dexp_push(pt, g)
         for e in hbasis:
-            vp = base_fn(_Iterate(pt.h + opts.fd_step * e))
-            vm = base_fn(_Iterate(pt.h - opts.fd_step * e))
-            grad = grad + ((vp - vm) / (2 * opts.fd_step)) * e
+            vp = gen_value(_Iterate(pt.h + _FD_STEP * e))
+            vm = gen_value(_Iterate(pt.h - _FD_STEP * e))
+            grad = grad + ((vp - vm) / (2 * _FD_STEP)) * e
         return grad
 
     best_val, best, best_iters, best_conv = INF, None, 0, False
@@ -452,11 +451,12 @@ def _umegaki_center(
     weights: Sequence[float], ops: Sequence[np.ndarray], basis: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """All-Umegaki closed form: (q, center) with q = Tr exp(H) and center
-    exp(H)/q for H = sum_x P(x) log W_x compressed to ran(basis)."""
+    exp(H)/q for H = sum_x P(x) log W_x compressed to ran(basis); ``ops``
+    are matrices or their spectra."""
     h = np.zeros((basis.shape[1],) * 2, dtype=complex)
     for w, op in zip(weights, ops):
         if w != 0.0:
-            h = h + w * (basis.conj().T @ nlog_m(op) @ basis)
+            h = h + w * (basis.conj().T @ spectrum(op).log() @ basis)
     ww, u = np.linalg.eigh((h + h.conj().T) / 2)
     q = float(np.sum(np.exp(ww)))
     center_c = (u * np.exp(ww)) @ u.conj().T / q
@@ -534,18 +534,6 @@ def barycentric_q(
 # two-variable barycentric Renyi divergences
 
 
-def _fast_path(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> Optional[float]:
-    """+inf detection from support projections only."""
-    meet = projection_meet(support_projection(rho), support_projection(sigma))
-    if alpha < 1:
-        if np.trace(meet).real < 0.5:
-            return INF
-    else:
-        if not support_leq(rho, sigma):
-            return INF
-    return None
-
-
 def barycentric_renyi(
     alpha: float,
     kinds: tuple[EntropyKind, EntropyKind],
@@ -586,16 +574,20 @@ def barycentric_renyi_full(
         out["value"] = rel_entropy(q1, rho, sigma).value / tr_rho
         return out
 
-    fp = _fast_path(alpha if alpha != INF else 2.0, rho, sigma)
-    if fp is not None:
+    # +inf from the supports alone: ran(rho) <= ran(sigma) above alpha = 1,
+    # a nonzero meet below it
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if alpha > 1 and not support_leq(sr, ss):
         return out
-
-    meet = projection_meet(support_projection(rho), support_projection(sigma))
-    basis = support_basis(meet)
-    channel_ops = (rho, sigma)
+    p = projection_meet(sr.proj, ss.proj)
+    if alpha < 1 and np.trace(p).real < 0.5:
+        return out
+    meet = spectrum(p)
+    basis = meet.basis
 
     if alpha == INF:
-        terms = _expand_terms(1.0, q0, rho, basis) + _expand_terms(-1.0, q1, sigma, basis)
+        terms = _expand_terms(1.0, q0, rho, basis, sr)
+        terms += _expand_terms(-1.0, q1, sigma, basis, ss)
         center, val, gap, iters, conv = center_solver(None, meet, options, terms=terms)
         out.update(value=-val, center=center, gap=gap, iterations=iters, converged=conv)
         return out
@@ -607,14 +599,14 @@ def barycentric_renyi_full(
 
     use_closed = options.use_closed_form if options is not None else True
     if use_closed and _all_umegaki(kinds, weights):
-        q, center = _umegaki_center(weights, channel_ops, basis)
+        q, center = _umegaki_center(weights, (sr, ss), basis)
         radius = -math.log(q)
         iters, gap, conv = 0, 0.0, True
     else:
         terms = []
-        for w, k, op in zip(weights, kinds, channel_ops):
+        for w, k, op, spec in zip(weights, kinds, (rho, sigma), (sr, ss)):
             if w != 0.0:
-                terms.extend(_expand_terms(w, k, op, basis))
+                terms.extend(_expand_terms(w, k, op, basis, spec))
         center, radius, gap, iters, conv = center_solver(None, meet, options, terms=terms)
 
     # psi_alpha = -radius; D_alpha = (psi_alpha - log Tr rho)/(alpha - 1)

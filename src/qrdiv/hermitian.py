@@ -4,13 +4,14 @@ partial traces, and random instance generators.
 All matrices are dense complex ``numpy`` arrays. Real powers, logarithms and
 generalized inverses of PSD operators are always taken on the support; an
 eigenvalue counts as zero iff it is ``<= SUPPORT_RTOL * max(1, lambda_max)``.
+``spectrum(a)`` decomposes once; the support and function helpers read it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,62 +77,94 @@ def eig_clusters(w: np.ndarray) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def apply_function(a: np.ndarray, f, on_support_only: bool = True) -> np.ndarray:
-    """U f(Lambda) U* for PSD ``a``; eigenvalues below the cutoff map to 0 when
-    ``on_support_only`` is set.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigendata of a Hermitian operator, decomposed once and reused: ``w``
+    (descending), the unitary ``u`` and ``cut``, the support cutoff of ``w``."""
 
-    Raises DomainError if ``f`` fails or is non-finite at a retained eigenvalue.
-    """
+    w: np.ndarray
+    u: np.ndarray
+    cut: float
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """d x r matrix of orthonormal columns spanning the support."""
+        return self.u[:, self.w > self.cut].copy()
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        """Orthogonal projection onto the support."""
+        v = self.u[:, self.w > self.cut]
+        return v @ v.conj().T
+
+    def fn(self, f, on_support_only: bool = True) -> np.ndarray:
+        """U f(Lambda) U*; eigenvalues below the cutoff map to 0 when
+        ``on_support_only`` is set.
+
+        Raises DomainError if ``f`` fails or is non-finite at a retained
+        eigenvalue.
+        """
+        vals = np.zeros_like(self.w)
+        for i, x in enumerate(self.w):
+            if on_support_only and x <= self.cut:
+                continue
+            xi = max(x, 0.0) if not on_support_only else x
+            try:
+                y = f(xi)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"f({xi!r}) failed: {exc}") from exc
+            if not np.isfinite(y):
+                raise DomainError(f"f({xi!r}) = {y!r} is not finite")
+            vals[i] = y
+        return (self.u * vals) @ self.u.conj().T
+
+    def power(self, x: float) -> np.ndarray:
+        """Real power on the support (generalized inverse for x < 0)."""
+        return self.fn(lambda t: t**x)
+
+    def log(self) -> np.ndarray:
+        """Log on the support, 0 on the kernel."""
+        return self.fn(math.log)
+
+
+def spectrum(a) -> Spectrum:
+    """The Spectrum of Hermitian ``a``; a Spectrum is returned unchanged."""
+    if isinstance(a, Spectrum):
+        return a
     w, u = spectral_decompose(a)
-    cut = support_cutoff(w)
-    vals = np.zeros_like(w)
-    for i, x in enumerate(w):
-        if on_support_only and x <= cut:
-            continue
-        xi = max(x, 0.0) if not on_support_only else x
-        try:
-            y = f(xi)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"f({xi!r}) failed: {exc}") from exc
-        if not np.isfinite(y):
-            raise DomainError(f"f({xi!r}) = {y!r} is not finite")
-        vals[i] = y
-    return (u * vals) @ u.conj().T
+    return Spectrum(w, u, support_cutoff(w))
 
 
-def mpower(a: np.ndarray, x: float) -> np.ndarray:
+def apply_function(a, f, on_support_only: bool = True) -> np.ndarray:
+    """U f(Lambda) U* for PSD ``a`` (see Spectrum.fn)."""
+    return spectrum(a).fn(f, on_support_only)
+
+
+def mpower(a, x: float) -> np.ndarray:
     """Real power on the support (A^x, generalized inverse for x < 0)."""
-    return apply_function(a, lambda t: t**x, on_support_only=True)
+    return spectrum(a).power(x)
 
 
-def nlog_m(a: np.ndarray) -> np.ndarray:
+def nlog_m(a) -> np.ndarray:
     """Matrix nlog: log on the support, 0 on the kernel."""
-    return apply_function(a, math.log, on_support_only=True)
+    return spectrum(a).log()
 
 
-def support_projection(a: np.ndarray) -> np.ndarray:
+def support_projection(a) -> np.ndarray:
     """Orthogonal projection A^0 onto the range of PSD ``a``."""
-    w, u = spectral_decompose(a)
-    cut = support_cutoff(w)
-    v = u[:, w > cut]
-    return v @ v.conj().T
+    return spectrum(a).proj
 
 
-def support_rank(a: np.ndarray) -> int:
-    w, _ = spectral_decompose(a)
-    return int(np.sum(w > support_cutoff(w)))
-
-
-def support_basis(a: np.ndarray) -> np.ndarray:
+def support_basis(a) -> np.ndarray:
     """d x r matrix of orthonormal columns spanning the range of PSD ``a``."""
-    w, u = spectral_decompose(a)
-    return u[:, w > support_cutoff(w)].copy()
+    return spectrum(a).basis
 
 
-def support_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:
-    """Whether ran(a) is contained in ran(b), for PSD a, b."""
-    v = support_basis(a)
-    pb = support_projection(b)
+def support_leq(a, b, tol: float = 1e-7) -> bool:
+    """Whether ran(a) is contained in ran(b), for PSD a, b (matrices or
+    spectra)."""
+    v = spectrum(a).basis
+    pb = spectrum(b).proj
     return float(np.max(np.abs(v - pb @ v))) <= tol if v.size else True
 
 
@@ -247,68 +280,6 @@ def sample_cptp(dim_in: int, dim_out: int, env_dim: int, seed=0) -> CptpChannel:
         raise BadRank(f"no isometry from dim {dim_in} into {dim_out}*{env_dim}")
     u = sample_unitary(dim_out * env_dim, seed)
     return CptpChannel(dim_in, dim_out, env_dim, u[:, :dim_in].copy())
-
-
-# ---------------------------------------------------------------------------
-# typed wrappers (validated at construction; used at API and file boundaries)
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", check_hermitian(self.mat, tol=1e-12 * 100))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @cached_property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        return spectral_decompose(self.mat)
-
-
-@dataclass(frozen=True)
-class ProjectionOperator:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        p = check_hermitian(self.mat)
-        if np.max(np.abs(p @ p - p)) > 1e-9:
-            raise NonHermitian("not idempotent within 1e-9")
-        object.__setattr__(self, "mat", p)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.mat).real))
-
-
-@dataclass(frozen=True)
-class PsdOperator:
-    mat: np.ndarray
-    support: ProjectionOperator = field(init=False)
-    rank: int = field(init=False)
-
-    def __post_init__(self):
-        h = check_hermitian(self.mat)
-        w, u = np.linalg.eigh(h)
-        tol_psd = 1e-10 * max(1.0, float(w[-1]) if w.size else 1.0)
-        if w.size and w[0] < -tol_psd:
-            raise DomainError(f"eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
-        w = np.maximum(w, 0.0)
-        m = (u * w) @ u.conj().T
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "support", ProjectionOperator(support_projection(m)))
-        object.__setattr__(self, "rank", support_rank(m))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 # ---------------------------------------------------------------------------

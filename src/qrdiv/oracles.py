@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter
-from .hermitian import mpower, nlog_m, spectral_decompose, support_cutoff
+from .hermitian import nlog_m, spectrum
 
 INF = float("inf")
 
@@ -66,10 +66,10 @@ def batch_umegaki_term(w_op: np.ndarray):
 
 def batch_bs_term(w_op: np.ndarray):
     """Vectorized omega -> D^max(omega || W) on qubit batches; W invertible."""
-    w, _ = spectral_decompose(w_op)
-    if w[-1] <= support_cutoff(w):
+    sw = spectrum(w_op)
+    if sw.w[-1] <= sw.cut:
         raise BadParameter("batched BS term needs an invertible second argument")
-    wm = mpower(w_op, -0.5)
+    wm = sw.power(-0.5)
 
     def term(states: np.ndarray) -> np.ndarray:
         m = np.einsum("ij,njk,kl->nil", wm, states, wm)

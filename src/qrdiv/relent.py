@@ -17,14 +17,7 @@ import numpy as np
 
 from .classical import classical_rel_entropy, classical_renyi
 from .errors import BadParameter, DimensionMismatch
-from .hermitian import (
-    mpower,
-    nlog_m,
-    sample_unitary,
-    spectral_decompose,
-    support_basis,
-    support_leq,
-)
+from .hermitian import sample_unitary, spectral_decompose, spectrum, support_leq
 from .supports import kubo_ando_mean
 
 INF = float("inf")
@@ -166,9 +159,10 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
         return 0.0
     if _is_zero(sigma):
         return INF
-    if not support_leq(rho, sigma):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if not support_leq(sr, ss):
         return INF
-    return float(np.trace(rho @ (nlog_m(rho) - nlog_m(sigma))).real)
+    return float(np.trace(rho @ (sr.log() - ss.log())).real)
 
 
 def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -183,14 +177,15 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return 0.0
     if _is_zero(sigma):
         return INF
-    if not support_leq(rho, sigma):
+    ss = spectrum(sigma)
+    if not support_leq(rho, ss):
         return INF
-    b = support_basis(sigma)
+    b = ss.basis
     rc = b.conj().T @ rho @ b
     sc = b.conj().T @ sigma @ b
-    rh = mpower(rc, 0.5)
-    x = rh @ mpower(sc, -1.0) @ rh
-    return float(np.trace(rc @ nlog_m(x)).real)
+    rh = spectrum(rc).power(0.5)
+    x = rh @ spectrum(sc).power(-1.0) @ rh
+    return float(np.trace(rc @ spectrum(x).log()).real)
 
 
 def _measured_objective(alpha, rho, sigma, u) -> float:
@@ -276,13 +271,17 @@ def measured_lower_bound(
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
-    if abs(tr_r - 1.0) > 1e-12 or abs(tr_s - 1.0) > 1e-12:
-        val, u = measured_lower_bound(
-            rho / tr_r, sigma / tr_s, alpha, restarts, iters, seed
-        )
-        if alpha is None:
-            return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u
-        return val + math.log(tr_r) - math.log(tr_s), u
+    if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
+        return _measured_ascent(rho, sigma, alpha, restarts, iters, seed)
+    val, u = _measured_ascent(rho / tr_r, sigma / tr_s, alpha, restarts, iters, seed)
+    if alpha is None:
+        return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u
+    return val + math.log(tr_r) - math.log(tr_s), u
+
+
+def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
+    """Multi-start ascent of measured_lower_bound on a pair of states."""
+    d = rho.shape[0]
     rng = np.random.default_rng(seed)
     # deterministic starts: identity and a joint-diagonalizer candidate
     # (exact for commuting pairs), then random bases

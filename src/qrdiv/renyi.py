@@ -14,17 +14,16 @@ import numpy as np
 from .classical import classical_renyi
 from .errors import BadParameter, DimensionMismatch, InfiniteLimit
 from .hermitian import (
-    mpower,
-    nlog_m,
+    eig_clusters,
     projection_meet,
     spectral_decompose,
+    spectrum,
     support_basis,
     support_cutoff,
     support_leq,
-    support_projection,
 )
 from .relent import umegaki
-from .supports import OpConvexFn, abs_cont_part, perspective
+from .supports import OpConvexFn, _abs_cont, perspective
 
 INF = float("inf")
 
@@ -51,21 +50,21 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     if alpha == 1:
         u = umegaki(rho, sigma)
         return u / tr_rho if math.isfinite(u) else INF
-    if alpha > 1 and not support_leq(rho, sigma):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if alpha > 1 and not support_leq(sr, ss):
         return INF
     if z == INF:
-        p = projection_meet(support_projection(rho), support_projection(sigma))
-        b = support_basis(p)
+        b = support_basis(projection_meet(sr.proj, ss.proj))
         if b.shape[1] == 0:
             q = 0.0
         else:
-            lr = b.conj().T @ nlog_m(rho) @ b
-            ls = b.conj().T @ nlog_m(sigma) @ b
+            lr = b.conj().T @ sr.log() @ b
+            ls = b.conj().T @ ss.log() @ b
             w, _ = spectral_decompose(alpha * lr + (1.0 - alpha) * ls)
             q = float(np.sum(np.exp(w)))
     else:
-        a = mpower(rho, alpha / (2.0 * z))
-        m = a @ mpower(sigma, (1.0 - alpha) / z) @ a
+        a = sr.power(alpha / (2.0 * z))
+        m = a @ ss.power((1.0 - alpha) / z) @ a
         w, _ = spectral_decompose(m)
         w = w[w > support_cutoff(w)]
         q = float(np.sum(w**z))
@@ -77,9 +76,10 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
 def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D_inf: log of the smallest lambda with rho <= lambda sigma."""
     rho, sigma = _check_shapes(rho, sigma)
-    if not support_leq(rho, sigma):
+    ss = spectrum(sigma)
+    if not support_leq(rho, ss):
         return INF
-    shi = mpower(sigma, -0.5)
+    shi = ss.power(-0.5)
     w, _ = spectral_decompose(shi @ rho @ shi)
     return float(np.log(max(w[0], 0.0))) if w[0] > 0 else -INF
 
@@ -96,7 +96,6 @@ class ReverseTest:
     p: np.ndarray
     q: np.ndarray
     gamma_map: list  # density matrix per index
-    index_meta: list  # (eigenvalue, spectral projection) per index
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros_like(self.gamma_map[0])
@@ -115,19 +114,19 @@ def optimal_reverse_test(
     d = rho.shape[0]
     if tau0 is None:
         tau0 = np.eye(d, dtype=complex) / d
-    rho_ac = abs_cont_part(rho, sigma)
-    shi = mpower(sigma, -0.5)
-    sh = mpower(sigma, 0.5)
+    ss = spectrum(sigma)
+    rho_ac = _abs_cont(rho, ss.proj)
+    shi = ss.power(-0.5)
+    sh = ss.power(0.5)
     m = shi @ rho_ac @ shi
     w, u = spectral_decompose(m)
     cut = support_cutoff(w)
-    clusters = _cluster_indices(w)
     missing = float(np.trace(rho - rho_ac).real)
     sing = missing > 1e-12 * max(1.0, np.trace(rho).real)
 
-    p, q, gammas, meta = [], [], [], []
+    p, q, gammas = [], [], []
     mass_cut = support_cutoff(np.array([np.trace(sigma).real]))
-    for idx in clusters:
+    for idx in eig_clusters(w):
         lam = float(np.mean(w[idx]))
         lam = 0.0 if lam <= cut else lam  # zero clusters snap to exact zero
         e = u[:, idx] @ u[:, idx].conj().T
@@ -138,7 +137,6 @@ def optimal_reverse_test(
             gammas.append(sh @ e @ sh / mass)
         else:
             gammas.append(tau0.copy())  # any state is admissible here
-        meta.append((lam, e))
     p.append(missing if sing else 0.0)
     q.append(0.0)
     if sing:
@@ -146,14 +144,7 @@ def optimal_reverse_test(
     else:
         tail = tau0.copy()
     gammas.append(tail)
-    meta.append((None, None))
-    return ReverseTest(np.array(p), np.array(q), gammas, meta)
-
-
-def _cluster_indices(w: np.ndarray) -> list[np.ndarray]:
-    from .hermitian import eig_clusters
-
-    return eig_clusters(w)
+    return ReverseTest(np.array(p), np.array(q), gammas)
 
 
 @dataclass(frozen=True)
@@ -192,11 +183,12 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
         return float(np.trace(kubo_ando_mean(alpha, rho, sigma)).real)
     if not 1.0 < alpha <= 2.0:
         raise BadParameter(f"mean route needs alpha in [0, 2], got {alpha}")
-    if not support_leq(rho, sigma):
+    ss = spectrum(sigma)
+    if not support_leq(rho, ss):
         return INF
-    shi = mpower(sigma, -0.5)
+    shi = ss.power(-0.5)
     m = shi @ rho @ shi
-    return float(np.trace(sigma @ mpower(m, alpha)).real)
+    return float(np.trace(sigma @ spectrum(m).power(alpha)).real)
 
 
 def max_fdivergence(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, InfiniteLimit, NotInvertible
 from .hermitian import (
-    apply_function,
     clip_psd,
     mpower,
     projection_meet,
-    spectral_decompose,
+    spectrum,
     support_basis,
     support_cutoff,
     support_projection,
@@ -94,7 +93,11 @@ def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
-    s = support_projection(sigma)
+    return _abs_cont(rho, support_projection(sigma))
+
+
+def _abs_cont(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """abs_cont_part against the support projection ``s``."""
     sp = np.eye(rho.shape[0]) - s
     block = sp @ rho @ sp
     res = s @ rho @ s - s @ rho @ sp @ mpower(block, -1.0) @ sp @ rho @ s
@@ -132,12 +135,12 @@ def _persp_core(fn: OpConvexFn, rc: np.ndarray, sc: np.ndarray) -> np.ndarray:
     exact arguments are strictly positive and the floor only absorbs
     rounding noise.
     """
-    sh = mpower(sc, 0.5)
-    shi = mpower(sc, -0.5)
-    m = shi @ rc @ shi
-    w, _ = spectral_decompose(m)
-    floor = support_cutoff(np.abs(w))
-    return sh @ apply_function(m, lambda x: fn.f(max(x, floor)), False) @ sh
+    ssc = spectrum(sc)
+    sh = ssc.power(0.5)
+    shi = ssc.power(-0.5)
+    sm = spectrum(shi @ rc @ shi)
+    floor = support_cutoff(np.abs(sm.w))
+    return sh @ sm.fn(lambda x: fn.f(max(x, floor)), False) @ sh
 
 
 def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -154,9 +157,10 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
-    p = projection_meet(support_projection(rho), support_projection(sigma))
-    rho_ac = abs_cont_part(rho, p)
-    sigma_ac = abs_cont_part(sigma, p)
+    meet = projection_meet(support_projection(rho), support_projection(sigma))
+    p = support_projection(meet)
+    rho_ac = _abs_cont(rho, p)
+    sigma_ac = _abs_cont(sigma, p)
     rho_def = rho - rho_ac
     sigma_def = sigma - sigma_ac
     scale = max(1.0, np.trace(rho).real + np.trace(sigma).real)
@@ -187,9 +191,10 @@ def perspective_smoothed(
     d = rho.shape[0]
     re = np.asarray(rho, dtype=complex) + eps * np.eye(d)
     se = np.asarray(sigma, dtype=complex) + eps * np.eye(d)
-    sh = mpower(se, 0.5)
-    shi = mpower(se, -0.5)
-    return sh @ apply_function(shi @ re @ shi, fn.f, on_support_only=False) @ sh
+    sse = spectrum(se)
+    sh = sse.power(0.5)
+    shi = sse.power(-0.5)
+    return sh @ spectrum(shi @ re @ shi).fn(fn.f, on_support_only=False) @ sh
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +227,10 @@ def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.
     """sigma #_gamma rho for any real gamma; both inputs must be invertible."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    for name, a in (("rho", rho), ("sigma", sigma)):
-        w, _ = spectral_decompose(a)
-        if w[-1] <= support_cutoff(w):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    for name, s in (("rho", sr), ("sigma", ss)):
+        if s.w[-1] <= s.cut:
             raise NotInvertible(f"{name} has an eigenvalue at or below the cutoff")
-    sh = mpower(sigma, 0.5)
-    shi = mpower(sigma, -0.5)
-    return sh @ apply_function(shi @ rho @ shi, lambda x: x**gamma, False) @ sh
+    sh = ss.power(0.5)
+    shi = ss.power(-0.5)
+    return sh @ spectrum(shi @ rho @ shi).fn(lambda x: x**gamma, False) @ sh

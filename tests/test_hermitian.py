@@ -1,18 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
+from qrdiv import (
+    Umegaki,
+    barycentric_renyi_full,
+    bs_rel_entropy,
+    max_renyi,
+    measured_lower_bound,
+    parse_kind,
+    rel_entropy,
+    renyi_alpha_z,
+    umegaki,
+)
 from qrdiv.errors import (
     BadFactorization,
     BadParameter,
     BadRank,
     DimensionMismatch,
+    DomainError,
     NonHermitian,
     NotAResolution,
 )
 from qrdiv.hermitian import (
-    HermitianOperator,
-    ProjectionOperator,
-    PsdOperator,
     apply_function,
     check_hermitian,
     matrix_from_json,
@@ -24,6 +35,7 @@ from qrdiv.hermitian import (
     sample_state,
     sample_unitary,
     spectral_decompose,
+    spectrum,
     support_projection,
     tensor,
 )
@@ -220,17 +232,50 @@ def test_sample_cptp_env1_is_unitary_conjugation():
     np.testing.assert_allclose(win, wout, atol=1e-10)
 
 
-def test_typed_wrappers():
+def test_spectrum():
     rho = sample_state(3, 2, 8)
-    op = PsdOperator(rho)
-    assert op.rank == 2
-    assert op.support.rank == 2
-    h = HermitianOperator(rho)
-    w, u = h.spectral
-    np.testing.assert_allclose((u * w) @ u.conj().T, rho, atol=1e-10)
-    ProjectionOperator(support_projection(rho))
-    with pytest.raises(NonHermitian):
-        ProjectionOperator(rho)  # not idempotent
+    sp = spectrum(rho)
+    assert spectrum(sp) is sp
+    assert sp.basis.shape == (3, 2)
+    np.testing.assert_allclose((sp.u * sp.w) @ sp.u.conj().T, rho, atol=1e-10)
+    np.testing.assert_allclose(sp.proj @ sp.proj, sp.proj, atol=1e-12)
+    assert np.array_equal(sp.proj, support_projection(rho))
+    # f fails at the retained top eigenvalue: DomainError
+    with pytest.raises(DomainError):
+        sp.fn(lambda x: math.log(sp.w[0] - x))
+    # f fails only at the kernel eigenvalue, which fn skips
+    assert np.all(np.isfinite(sp.fn(lambda x: math.log(x - sp.w[-1]))))
+
+
+_UM = Umegaki()
+# each operand is decomposed once per call; the count when every helper
+# re-decomposed its input is on the right
+_EIGH_BOUNDS = [
+    ("umegaki", lambda r, s: umegaki(r, s), 2),  # 4
+    ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s), 5),  # 6
+    ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s), 5),  # 9
+    ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s), 4),  # 6
+    ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s), 14),  # 19
+    ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 5),  # 10
+    ("measured 2rho, 3sigma",
+     lambda r, s: measured_lower_bound(2 * r, 3 * s, restarts=2, iters=0), 3),  # 5
+]
+
+
+@pytest.mark.parametrize("name, call, bound", _EIGH_BOUNDS, ids=[b[0] for b in _EIGH_BOUNDS])
+def test_eigh_count_per_call(monkeypatch, name, call, bound):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    rng = np.random.default_rng(11)
+    rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    call(rho, sig)
+    assert 0 < len(calls) <= bound
 
 
 def test_matrix_json_roundtrip(tmp_path):
