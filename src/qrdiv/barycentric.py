@@ -11,14 +11,16 @@ memoized ones (eigh of omega, and for each BS term the eigh of
 sig_eff^{-1/2} omega sig_eff^{-1/2}), and the accepted line-search iterate
 is carried into the next iteration. These terms use analytic gradients; all
 other kinds fall back to central finite differences on the H coordinates.
-The all-Umegaki case bypasses the solver entirely via its closed-form
-center.
+The all-Umegaki case, and alpha = inf with equal Umegaki or equal
+Belavkin-Staszewski generators, bypass the solver entirely via their
+closed-form centers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +33,6 @@ from .hermitian import (
     spectrum,
     support_basis,
     support_leq,
-    support_projection,
 )
 from .relent import (
     BelavkinStaszewski,
@@ -41,6 +42,7 @@ from .relent import (
     Umegaki,
     rel_entropy,
 )
+from .renyi import _dmax_top, _log_euclidean_h, _log_euclidean_top
 
 INF = float("inf")
 # central finite-difference step on the H coordinates
@@ -69,17 +71,22 @@ class GcqChannel:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
+    @cached_property
+    def spectra(self) -> tuple:
+        """The Spectrum of each W_x, decomposed once."""
+        return tuple(spectrum(w) for w in self.operators)
+
     def support_meets(self, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(S_+, S_-): meets of the supports over positive / negative weights
         (empty meets default to the identity)."""
         d = self.dim
         s_plus = np.eye(d, dtype=complex)
         s_minus = np.eye(d, dtype=complex)
-        for w, op in zip(weights, self.operators):
+        for w, sp in zip(weights, self.spectra):
             if w > 0:
-                s_plus = projection_meet(s_plus, support_projection(op))
+                s_plus = projection_meet(s_plus, sp.proj)
             elif w < 0:
-                s_minus = projection_meet(s_minus, support_projection(op))
+                s_minus = projection_meet(s_minus, sp.proj)
         return s_plus, s_minus
 
 
@@ -453,10 +460,7 @@ def _umegaki_center(
     """All-Umegaki closed form: (q, center) with q = Tr exp(H) and center
     exp(H)/q for H = sum_x P(x) log W_x compressed to ran(basis); ``ops``
     are matrices or their spectra."""
-    h = np.zeros((basis.shape[1],) * 2, dtype=complex)
-    for w, op in zip(weights, ops):
-        if w != 0.0:
-            h = h + w * (basis.conj().T @ spectrum(op).log() @ basis)
+    h = _log_euclidean_h(weights, ops, basis)
     ww, u = np.linalg.eigh((h + h.conj().T) / 2)
     q = float(np.sum(np.exp(ww)))
     center_c = (u * np.exp(ww)) @ u.conj().T / q
@@ -482,27 +486,24 @@ def barycentric_q(
         raise DimensionMismatch("kinds/weights/operators must align")
     cls = classify_weights(weights)
     if cls == OTHER:
-        sups = [
-            support_projection(op)
-            for op, w in zip(channel.operators, weights)
-            if w != 0.0
-        ]
+        sups = [sp.proj for sp, w in zip(channel.spectra, weights) if w != 0.0]
         if any(np.max(np.abs(s - sups[0])) > 1e-7 for s in sups[1:]):
             raise UnsupportedWeights(
                 "signed weights outside the admissible classes need equal supports"
             )
     s_plus, s_minus = channel.support_meets(weights)
+    sp_plus = spectrum(s_plus)
     has_negative = any(w < 0 for w in weights)
-    if has_negative and not support_leq(s_plus, s_minus):
+    if has_negative and not support_leq(sp_plus, s_minus):
         return BarycenterResult(q_value=INF, radius=-INF)
     rank_plus = int(round(np.trace(s_plus).real))
     if rank_plus == 0:
         return BarycenterResult(q_value=0.0, radius=INF)
 
-    basis = support_basis(s_plus)
+    basis = sp_plus.basis
     use_closed = options.use_closed_form if options is not None else True
     if use_closed and _all_umegaki(kinds, weights):
-        q, center = _umegaki_center(weights, channel.operators, basis)
+        q, center = _umegaki_center(weights, channel.spectra, basis)
         return BarycenterResult(
             q_value=q,
             radius=-math.log(q),
@@ -513,10 +514,10 @@ def barycentric_q(
         )
 
     terms = []
-    for w, k, op in zip(weights, kinds, channel.operators):
+    for w, k, op, sp in zip(weights, kinds, channel.operators, channel.spectra):
         if w != 0.0:
-            terms.extend(_expand_terms(w, k, op, basis))
-    center, radius, gap, iters, conv = center_solver(None, s_plus, options, terms=terms)
+            terms.extend(_expand_terms(w, k, op, basis, sp))
+    center, radius, gap, iters, conv = center_solver(None, sp_plus, options, terms=terms)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
     return BarycenterResult(
@@ -544,8 +545,13 @@ def barycentric_renyi(
     """Barycentric Renyi alpha-divergence generated by (D^{q0}, D^{q1}).
 
     alpha = 1 returns D^{q1}(rho||sigma) / Tr rho; alpha = inf evaluates the
-    sup of D^{q1}(omega||sigma) - D^{q0}(omega||rho) over states in ran(rho)
-    (approximate: the supremum may be unattained).
+    sup of D^{q1}(omega||sigma) - D^{q0}(omega||rho) over states in ran(rho).
+    At alpha = inf, equal Umegaki generators give the top eigenvalue of
+    B*(log rho - log sigma)B on the support meet ran(B), and equal BS
+    generators give D_max(rho||sigma); both are exact. Every other pair, and
+    ``use_closed_form=False``, runs the solver, whose value is only a lower
+    bound on the supremum (it may be unattained, and the solver can stall
+    well below it).
     """
     res = barycentric_renyi_full(alpha, kinds, rho, sigma, options)
     return res["value"]
@@ -584,12 +590,32 @@ def barycentric_renyi_full(
         return out
     meet = spectrum(p)
     basis = meet.basis
+    use_closed = options.use_closed_form if options is not None else True
 
     if alpha == INF:
-        terms = _expand_terms(1.0, q0, rho, basis, sr)
-        terms += _expand_terms(-1.0, q1, sigma, basis, ss)
-        center, val, gap, iters, conv = center_solver(None, meet, options, terms=terms)
-        out.update(value=-val, center=center, gap=gap, iterations=iters, converged=conv)
+        if basis.shape[1] == 0:
+            # rho is below the support cutoff, so D^{q0}(omega || rho) = +inf
+            # for every state
+            out["value"] = -INF
+            return out
+        # equal Umegaki generators: the entropies cancel and the sup is the
+        # top eigenvalue of B*(log rho - log sigma)B; equal BS generators:
+        # D_max(rho || sigma), an upper bound by the antimonotonicity of BS
+        # in its second argument and attained on a pure state. Both centers
+        # are pure.
+        closed = use_closed and q0 == q1
+        if closed and q0 == Umegaki():
+            value, v = _log_euclidean_top(sr, ss, basis)
+            psi = basis @ v
+        elif closed and q0 == BelavkinStaszewski():
+            value, psi = _dmax_top(rho, ss)
+        else:
+            terms = _expand_terms(1.0, q0, rho, basis, sr)
+            terms += _expand_terms(-1.0, q1, sigma, basis, ss)
+            center, val, gap, iters, conv = center_solver(None, meet, options, terms=terms)
+            out.update(value=-val, center=center, gap=gap, iterations=iters, converged=conv)
+            return out
+        out.update(value=value, center=np.outer(psi, psi.conj()))
         return out
 
     if alpha == 0:
@@ -597,7 +623,6 @@ def barycentric_renyi_full(
     else:
         weights = (alpha, 1.0 - alpha)
 
-    use_closed = options.use_closed_form if options is not None else True
     if use_closed and _all_umegaki(kinds, weights):
         q, center = _umegaki_center(weights, (sr, ss), basis)
         radius = -math.log(q)

@@ -36,14 +36,41 @@ def _check_shapes(rho, sigma):
     return rho, sigma
 
 
+def _log_euclidean_h(weights, ops, basis: np.ndarray) -> np.ndarray:
+    """H = sum_x P(x) B* log W_x B, the log-Euclidean exponent compressed to
+    ran(B); ``ops`` are matrices or their spectra, and zero weights are
+    skipped."""
+    h = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    for w, op in zip(weights, ops):
+        if w != 0.0:
+            h = h + w * (basis.conj().T @ spectrum(op).log() @ basis)
+    return h
+
+
+def _log_euclidean_top(rho, sigma, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair (lambda, v) of B*(log rho - log sigma)B on a nonzero
+    ran(B) (``rho``, ``sigma`` matrices or spectra).
+
+    lambda is the alpha -> inf limit of the log-Euclidean D_{alpha,inf} and
+    the sup over states omega in ran(B) of Tr omega (log rho - log sigma),
+    attained at B v v* B*.
+    """
+    h = _log_euclidean_h((1.0, -1.0), (rho, sigma), basis)
+    w, u = np.linalg.eigh((h + h.conj().T) / 2)
+    return float(w[-1]), u[:, -1]
+
+
 def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """Renyi (alpha, z)-divergence; z = inf gives the log-Euclidean family
-    on the compression to the support meet."""
+    on the compression to the support meet, including its alpha = inf
+    limit (alpha = inf needs z = inf)."""
     rho, sigma = _check_shapes(rho, sigma)
     if not (z == INF or z > 0):
         raise BadParameter(f"z must be positive or inf, got {z}")
     if alpha < 0:
         raise BadParameter(f"alpha must be >= 0, got {alpha}")
+    if alpha == INF and z != INF:
+        raise BadParameter(f"alpha = inf is defined here for z = inf only, got z = {z}")
     tr_rho = float(np.trace(rho).real)
     if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
@@ -57,10 +84,10 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
         b = support_basis(projection_meet(sr.proj, ss.proj))
         if b.shape[1] == 0:
             q = 0.0
+        elif alpha == INF:
+            return _log_euclidean_top(sr, ss, b)[0]
         else:
-            lr = b.conj().T @ sr.log() @ b
-            ls = b.conj().T @ ss.log() @ b
-            w, _ = spectral_decompose(alpha * lr + (1.0 - alpha) * ls)
+            w, _ = spectral_decompose(_log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b))
             q = float(np.sum(np.exp(w)))
     else:
         a = sr.power(alpha / (2.0 * z))
@@ -79,9 +106,26 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     ss = spectrum(sigma)
     if not support_leq(rho, ss):
         return INF
-    shi = ss.power(-0.5)
-    w, _ = spectral_decompose(shi @ rho @ shi)
-    return float(np.log(max(w[0], 0.0))) if w[0] > 0 else -INF
+    return _dmax_top(rho, ss)[0]
+
+
+def _dmax_top(rho: np.ndarray, sigma) -> tuple[float, np.ndarray | None]:
+    """(D_max(rho || sigma), psi) for ran(rho) <= ran(sigma) (``sigma`` a
+    matrix or its Spectrum).
+
+    D_max is the log of the top eigenvalue lambda of
+    sigma^{-1/2} rho sigma^{-1/2}, with top eigenvector x; y = sigma^{-1/2} x
+    solves rho y = lambda sigma y. The unit vector psi ~ rho y lies in
+    ran(rho) and has <psi|sigma^+|psi> = lambda <psi|rho^+|psi>, so on the
+    pure state psi psi* BS(.||sigma) - BS(.||rho) reaches D_max. psi is None
+    when rho = 0 (D_max = -inf).
+    """
+    shi = spectrum(sigma).power(-0.5)
+    w, u = spectral_decompose(shi @ rho @ shi)
+    if w[0] <= 0:
+        return -INF, None
+    psi = rho @ (shi @ u[:, 0])
+    return float(np.log(w[0])), psi / np.linalg.norm(psi)
 
 
 # ---------------------------------------------------------------------------

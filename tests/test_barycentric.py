@@ -22,6 +22,7 @@ from qrdiv.hermitian import (
     sample_cptp,
     sample_state,
     sample_unitary,
+    support_basis,
     support_projection,
     tensor,
 )
@@ -535,11 +536,69 @@ def test_alpha_inf_all_umegaki_closed_form():
 
     rng = np.random.default_rng(23)
     rho, sig = noncommuting_qubits(rng)
-    res = barycentric_renyi_full(INF, UM, rho, sig)
+    res = barycentric_renyi_full(INF, UM, rho, sig, SolverOptions(use_closed_form=False))
     w, _ = spectral_decompose(nlog_m(rho) - nlog_m(sig))
     assert abs(res["value"] - w[0]) < 1e-4
     assert res["value"] <= w[0] + 1e-12
     assert not res["converged"]  # supremum sits on the state-space boundary
+    # the default path returns the top eigenvalue itself, at a pure center
+    res = barycentric_renyi_full(INF, UM, rho, sig)
+    assert abs(res["value"] - w[0]) < 1e-10
+    assert res["converged"] and res["iterations"] == 0 and res["gap"] == 0.0
+
+
+def _inf_pair(d, case, rng):
+    """(rho, sigma) at dimension d: both full rank, or a rank-deficient rho
+    inside a rank-deficient ran(sigma), each also scaled to (2 rho, 3 sigma)."""
+    k = d if case.startswith("full") else max(2, d - 1)
+    v = sample_unitary(d, rng)[:, :k]
+    sig = v @ sample_state(k, k, rng) @ v.conj().T
+    rho = v @ sample_state(k, k if case.startswith("full") else k // 2, rng) @ v.conj().T
+    if case.endswith("scaled"):
+        return 2 * rho, 3 * sig
+    return rho, sig
+
+
+@pytest.mark.parametrize("case", ["full", "full-scaled", "deficient", "deficient-scaled"])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_alpha_inf_closed_form_equal_generators(d, case):
+    # um,um: sup_omega Tr omega (log rho - log sigma); bs,bs: D_max(rho || sigma).
+    # Both are attained at the returned pure center.
+    from qrdiv.renyi import max_relative_entropy
+
+    rng = np.random.default_rng(100 * d + len(case))
+    rho, sig = _inf_pair(d, case, rng)
+    solver = SolverOptions(use_closed_form=False, restarts=0, iters=100)
+    objectives = {
+        "um": lambda c: umegaki(c, sig) - umegaki(c, rho),
+        "bs": lambda c: bs_rel_entropy(c, sig) - bs_rel_entropy(c, rho),
+    }
+    vals = {}
+    for name, kinds in (("um", UM), ("bs", BS)):
+        res = barycentric_renyi_full(INF, kinds, rho, sig)
+        assert res["converged"] and res["iterations"] == 0 and res["gap"] == 0.0
+        c = res["center"]
+        assert abs(np.trace(c).real - 1.0) < 1e-12
+        assert np.linalg.matrix_rank(c, tol=1e-10) == 1
+        obj = objectives[name]
+        assert abs(res["value"] - obj(c)) < 1e-10
+        assert res["value"] >= barycentric_renyi(INF, kinds, rho, sig, solver) - 1e-12
+        # mixed states in ran(rho), where the objective is finite
+        b = support_basis(rho)
+        for _ in range(10):
+            omega = b @ sample_state(b.shape[1], b.shape[1], rng) @ b.conj().T
+            assert obj(omega) <= res["value"] + 1e-10
+        vals[name] = res["value"]
+    assert abs(vals["bs"] - max_relative_entropy(rho, sig)) < 1e-12
+    assert vals["um"] <= vals["bs"] + 1e-12
+
+
+def test_alpha_inf_rho_below_support_cutoff():
+    # every eigenvalue of rho counts as zero, so D(omega || rho) = +inf for
+    # every state and the supremum is -inf, for every generator pair
+    rho, sig = 1e-12 * np.eye(2, dtype=complex), np.eye(2, dtype=complex) / 2
+    for kinds in (UM, BS, (Umegaki(), BelavkinStaszewski()), (BelavkinStaszewski(), Umegaki())):
+        assert barycentric_renyi(INF, kinds, rho, sig) == -INF
 
 
 def test_measured_kind_barycentric_generic_path():

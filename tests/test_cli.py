@@ -116,6 +116,30 @@ def test_eval_infinite_prints_plus_inf(mats, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "+inf"
 
 
+def _eval_line(capsys, kind, rho, sigma, *extra):
+    code = main(["eval", "--kind", kind, *extra, "--rho", rho, "--sigma", sigma])
+    return code, capsys.readouterr().out.strip()
+
+
+def test_eval_alpha_inf_closed_forms(mats, tmp_path, capsys):
+    # bary:bs,bs at alpha = inf is D_max = max:inf, exact (exit 0)
+    paths = []
+    for name, seed in (("r3", 3), ("s3", 4)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(matrix_to_json(sample_state(3, 3, seed))))
+        paths.append(str(p))
+    code, bary = _eval_line(capsys, "bary:bs,bs", *paths, "--alpha", "inf")
+    assert code == 0
+    assert _eval_line(capsys, "max:inf", *paths) == (0, bary)
+    # bary:um,um at alpha = inf is the alpha -> inf limit of az:alpha:inf
+    for rho, sig in (paths, (mats["rho"], mats["sigma"])):
+        code, bary = _eval_line(capsys, "bary:um,um", rho, sig, "--alpha", "inf")
+        assert code == 0
+        assert _eval_line(capsys, "az:inf:inf", rho, sig) == (0, bary)
+    # alpha = inf with finite z is rejected at the boundary
+    assert _eval_line(capsys, "az:inf:0.5", mats["rho"], mats["sigma"])[0] == 2
+
+
 def test_sweep_gamma_monotone(mats, capsys):
     code = main(
         [

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from qrdiv import (
+    BelavkinStaszewski,
+    GcqChannel,
+    SolverOptions,
     Umegaki,
+    barycentric_q,
     barycentric_renyi_full,
     bs_rel_entropy,
     max_renyi,
@@ -247,7 +251,15 @@ def test_spectrum():
     assert np.all(np.isfinite(sp.fn(lambda x: math.log(x - sp.w[-1]))))
 
 
-_UM = Umegaki()
+_UM, _BS = Umegaki(), BelavkinStaszewski()
+
+
+def _q3(kind, r, s, options=None):
+    """barycentric_q over (r, s, (r + s)/2) with weights (0.5, 0.25, 0.25)."""
+    ch = GcqChannel(("a", "b", "c"), (r, s, (r + s) / 2))
+    return barycentric_q((kind,) * 3, ch, (0.5, 0.25, 0.25), options)
+
+
 # each operand is decomposed once per call; the count when every helper
 # re-decomposed its input is on the right
 _EIGH_BOUNDS = [
@@ -259,6 +271,12 @@ _EIGH_BOUNDS = [
     ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 5),  # 10
     ("measured 2rho, 3sigma",
      lambda r, s: measured_lower_bound(2 * r, 3 * s, restarts=2, iters=0), 3),  # 5
+    ("bary_q um", lambda r, s: _q3(_UM, r, s), 8),  # 11
+    ("bary_q bs iters=0",
+     lambda r, s: _q3(_BS, r, s, SolverOptions(iters=0, restarts=0)), 17),  # 21
+    # alpha = inf: ~10^4 when the solver ran to its iteration cap
+    ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 5),
+    ("bary bs,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_BS, _BS), r, s), 5),
 ]
 
 
