@@ -11,9 +11,11 @@ memoized ones (eigh of omega, and for each BS term the eigh of
 sig_eff^{-1/2} omega sig_eff^{-1/2}), and the accepted line-search iterate
 is carried into the next iteration. These terms use analytic gradients; all
 other kinds fall back to central finite differences on the H coordinates.
-The all-Umegaki case, and alpha = inf with equal Umegaki or equal
-Belavkin-Staszewski generators, bypass the solver entirely via their
-closed-form centers.
+The all-Umegaki case bypasses the solver via its closed-form center, and so
+does alpha = inf with a Umegaki first generator and a second that mixes
+Umegaki and Belavkin-Staszewski (a pure center from a 1-D convex dual,
+``renyi._um_first_top``) or with equal Belavkin-Staszewski generators
+(D_max).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .relent import (
     Umegaki,
     rel_entropy,
 )
-from .renyi import _dmax_top, _log_euclidean_h, _log_euclidean_top
+from .renyi import _dmax_top, _log_euclidean_h, _um_first_top
 
 INF = float("inf")
 # central finite-difference step on the H coordinates
@@ -258,6 +260,24 @@ def _expand_terms(
                 out.extend(_expand_terms(weight * w, comp, op, basis, spec))
         return out
     return [_Term(weight, kind, op, basis, spec)]
+
+
+def _um_bs_weights(kind: EntropyKind) -> Optional[tuple[float, float]]:
+    """(t, u) with kind = t bs + u um, or None if any other kind carries
+    weight."""
+    if isinstance(kind, Umegaki):
+        return 0.0, 1.0
+    if isinstance(kind, BelavkinStaszewski):
+        return 1.0, 0.0
+    if not isinstance(kind, Mixture):
+        return None
+    t = u = 0.0
+    for w, comp in kind.components:
+        sub = _um_bs_weights(comp) if w != 0.0 else (0.0, 0.0)
+        if sub is None:
+            return None
+        t, u = t + w * sub[0], u + w * sub[1]
+    return t, u
 
 
 def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
@@ -546,12 +566,18 @@ def barycentric_renyi(
 
     alpha = 1 returns D^{q1}(rho||sigma) / Tr rho; alpha = inf evaluates the
     sup of D^{q1}(omega||sigma) - D^{q0}(omega||rho) over states in ran(rho).
-    At alpha = inf, equal Umegaki generators give the top eigenvalue of
-    B*(log rho - log sigma)B on the support meet ran(B), and equal BS
-    generators give D_max(rho||sigma); both are exact. Every other pair, and
-    ``use_closed_form=False``, runs the solver, whose value is only a lower
-    bound on the supremum (it may be unattained, and the solver can stall
-    well below it).
+    At alpha = inf, q0 = um with q1 = t bs + (1 - t) um is attained at a pure
+    state and solved by the 1-D dual
+    min_{s>0} lambda_max(B*(t s sigma^+ + L)B) - t(log s + 1),
+    L = log rho - (1 - t) log sigma, on the support meet ran(B): the value is
+    the objective at the returned pure center, within the returned gap
+    (at most ``tol`` when converged) of the sup. t = 0 (um,um) is the top
+    eigenvalue of B*(log rho - log sigma)B, and equal BS generators give
+    D_max(rho||sigma); both are exact. Every other pair (bs,um among them),
+    and ``use_closed_form=False``, runs the solver, whose value is only a
+    lower bound on the supremum (it may be unattained, and the solver can
+    stall well below it). A rho below the support cutoff (an empty meet)
+    gives -inf above alpha = 1 and +inf below it.
     """
     res = barycentric_renyi_full(alpha, kinds, rho, sigma, options)
     return res["value"]
@@ -590,32 +616,34 @@ def barycentric_renyi_full(
         return out
     meet = spectrum(p)
     basis = meet.basis
-    use_closed = options.use_closed_form if options is not None else True
+    if basis.shape[1] == 0:
+        # above alpha = 1, rho is below the support cutoff: every eigenvalue
+        # counts as zero, log Q_alpha = -inf and so does the value
+        out["value"] = -INF
+        return out
+    opts = options or SolverOptions()
 
     if alpha == INF:
-        if basis.shape[1] == 0:
-            # rho is below the support cutoff, so D^{q0}(omega || rho) = +inf
-            # for every state
-            out["value"] = -INF
-            return out
-        # equal Umegaki generators: the entropies cancel and the sup is the
-        # top eigenvalue of B*(log rho - log sigma)B; equal BS generators:
-        # D_max(rho || sigma), an upper bound by the antimonotonicity of BS
-        # in its second argument and attained on a pure state. Both centers
-        # are pure.
-        closed = use_closed and q0 == q1
-        if closed and q0 == Umegaki():
-            value, v = _log_euclidean_top(sr, ss, basis)
+        # q0 = um and q1 = t bs + u um: a pure state attains the sup, which is
+        # a 1-D convex dual (t = 0: the top eigenvalue of
+        # B*(log rho - log sigma)B); equal BS generators: D_max(rho || sigma),
+        # an upper bound by the antimonotonicity of BS in its second argument
+        # and attained on a pure state. All these centers are pure.
+        tu = _um_bs_weights(q1) if q0 == Umegaki() else None
+        if opts.use_closed_form and tu is not None:
+            value, v, gap, iters = _um_first_top(sr, ss, basis, *tu, tol=opts.tol)
             psi = basis @ v
-        elif closed and q0 == BelavkinStaszewski():
+        elif opts.use_closed_form and q0 == q1 == BelavkinStaszewski():
             value, psi = _dmax_top(rho, ss)
+            gap, iters = 0.0, 0
         else:
             terms = _expand_terms(1.0, q0, rho, basis, sr)
             terms += _expand_terms(-1.0, q1, sigma, basis, ss)
             center, val, gap, iters, conv = center_solver(None, meet, options, terms=terms)
             out.update(value=-val, center=center, gap=gap, iterations=iters, converged=conv)
             return out
-        out.update(value=value, center=np.outer(psi, psi.conj()))
+        out.update(value=value, center=np.outer(psi, psi.conj()), gap=gap, iterations=iters,
+                   converged=gap <= opts.tol)
         return out
 
     if alpha == 0:
@@ -623,7 +651,7 @@ def barycentric_renyi_full(
     else:
         weights = (alpha, 1.0 - alpha)
 
-    if use_closed and _all_umegaki(kinds, weights):
+    if opts.use_closed_form and _all_umegaki(kinds, weights):
         q, center = _umegaki_center(weights, (sr, ss), basis)
         radius = -math.log(q)
         iters, gap, conv = 0, 0.0, True

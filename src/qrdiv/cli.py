@@ -279,21 +279,40 @@ def _suite_ordering(seed: int, samples: int) -> dict:
         rel_entropy,
     )
 
+    um, bs = Umegaki(), BelavkinStaszewski()
     rng = np.random.default_rng(seed)
-    ok = True
+    # (margin, sample, ordering) of the tightest ordering seen
+    worst = (INF, None, None)
     for n in range(samples):
         d = int(rng.integers(2, 5))
         rho = sample_state(d, d, rng)
         sig = sample_state(d, d, rng)
-        lb = rel_entropy(MeasuredProjective(restarts=3, iters=60), rho, sig, seed=n)
-        um = rel_entropy(Umegaki(), rho, sig)
-        ge = rel_entropy(GeomWeighted(Umegaki(), 0.5), rho, sig)
-        bs = rel_entropy(BelavkinStaszewski(), rho, sig)
-        chain = [lb.value, um.value, ge.value, bs.value]
-        for i in range(1, 4):
-            if chain[i] < chain[i - 1] - 1e-8:
-                ok = False
-    return {"passed": ok, "samples": samples}
+        vals = {
+            "meas": rel_entropy(MeasuredProjective(restarts=3, iters=60), rho, sig, seed=n).value,
+            "um": rel_entropy(um, rho, sig).value,
+            "geom:um:0.5": rel_entropy(GeomWeighted(um, 0.5), rho, sig).value,
+            "bs": rel_entropy(bs, rho, sig).value,
+        }
+        # at alpha = inf, from U <= BS and log-Euclidean <= D_max
+        for kinds in ((um, um), (um, bs), (bs, bs)):
+            vals[f"bary:{kinds[0]},{kinds[1]}@inf"] = barycentric_renyi_full(
+                INF, kinds, rho, sig
+            )["value"]
+        for lo, hi in (
+            ("meas", "um"),
+            ("um", "geom:um:0.5"),
+            ("geom:um:0.5", "bs"),
+            ("bary:um,um@inf", "bary:um,bs@inf"),
+            ("bary:bs,bs@inf", "bary:um,bs@inf"),
+            ("bary:um,um@inf", "bary:bs,bs@inf"),
+        ):
+            worst = min(worst, (vals[hi] - vals[lo], n, f"{lo} <= {hi}"), key=lambda w: w[0])
+    margin, sample, ordering = worst
+    return {
+        "passed": margin >= -1e-8,
+        "samples": samples,
+        "worst": {"sample": sample, "ordering": ordering, "margin": margin},
+    }
 
 
 SUITES = {

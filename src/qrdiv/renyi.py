@@ -47,17 +47,84 @@ def _log_euclidean_h(weights, ops, basis: np.ndarray) -> np.ndarray:
     return h
 
 
-def _log_euclidean_top(rho, sigma, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair (lambda, v) of B*(log rho - log sigma)B on a nonzero
-    ran(B) (``rho``, ``sigma`` matrices or spectra).
+def _um_first_top(
+    rho, sigma, basis: np.ndarray, t: float = 0.0, u: float = 1.0, tol: float = 0.0
+) -> tuple[float, np.ndarray, float, int]:
+    """sup over states omega in ran(B) of
+    t BS(omega||sigma) + u D(omega||sigma) - D(omega||rho), with D Umegaki,
+    t, u >= 0 and t + u = 1, on a nonzero ran(B) inside ran(sigma)
+    (``rho``, ``sigma`` matrices or spectra). Returns (value, v, gap, steps):
+    the value is the objective at the pure state B v v* B*, and value + gap
+    an upper bound on the sup.
 
-    lambda is the alpha -> inf limit of the log-Euclidean D_{alpha,inf} and
-    the sup over states omega in ran(B) of Tr omega (log rho - log sigma),
-    attained at B v v* B*.
+    Pure states suffice. Write omega = sum_i p_i e_i e_i* and
+    X = omega^{1/2} sigma^+ omega^{1/2}, so <e_i|X|e_i> = p_i <e_i|sigma^+|e_i>.
+    Jensen on the spectral measure of X at e_i gives
+    <e_i|log X|e_i> <= log <e_i|X|e_i>, and summing with weights p_i,
+    BS(omega||sigma) + S(omega) <= sum_i p_i log <e_i|sigma^+|e_i>. The
+    objective is t (BS(omega||sigma) + S(omega)) + Tr omega L with
+    L = log rho - u log sigma, hence at most sum_i p_i f(e_i e_i*). On a pure
+    B v it is t log <v|A|v> + <v|L|v> with A = B* sigma^+ B and L compressed
+    to ran(B). (Mixture weights sum to 1 within 1e-12; the slack
+    (1 - t - u) S(omega) is below 1e-12 log d.)
+
+    The dual. The pairs (<v|A|v>, <v|L|v>) over unit v fill a convex set
+    (Toeplitz-Hausdorff for A + iL), on which t log a + l is concave. With
+    log a = min_{s>0} s a - log s - 1 and the minimax theorem,
+        value = min_{s>0} lambda_max(t s A + L) - t (log s + 1).
+    Every s gives an upper bound, and the top eigenvector v_s of t s A + L
+    the lower bound t log <v_s|A|v_s> + <v_s|L|v_s>; they differ by
+    t (x - 1 - log x) with x = s <v_s|A|v_s>, which is nondecreasing in s.
+    Each step bisects u = log s on the sign of x - 1, starting from the
+    exact bracket [-log lambda_max(A), -log lambda_min(A)], at one eigh of
+    t s A + L. Where the top eigenvalue is degenerate at the minimizer (as
+    for commuting pairs) no single eigenvector attains the value; the step
+    then also tries the v with s <v|A|v> = 1 in the span of the
+    eigenvectors whose eigenvalues lie within the current gap of the top,
+    which is at most that spread below the upper bound.
+
+    The loop stops once the best upper bound minus the best lower bound is
+    at most ``tol``, or the bracket reaches float resolution; ``gap`` is
+    that difference, floored at 0 against rounding. t = 0 is the
+    log-Euclidean limit: lambda_max(L), with no s, gap 0 and 0 steps.
     """
-    h = _log_euclidean_h((1.0, -1.0), (rho, sigma), basis)
-    w, u = np.linalg.eigh((h + h.conj().T) / 2)
-    return float(w[-1]), u[:, -1]
+    h = _log_euclidean_h((1.0, -u), (rho, sigma), basis)
+    ell = (h + h.conj().T) / 2
+    if t == 0.0:
+        w, vecs = np.linalg.eigh(ell)
+        return float(w[-1]), vecs[:, -1], 0.0, 0
+    a = basis.conj().T @ spectrum(sigma).power(-1.0) @ basis
+    a = (a + a.conj().T) / 2
+    wa = np.linalg.eigvalsh(a)
+    lo, hi = -math.log(wa[-1]), -math.log(wa[0])
+    best_up, best_lo, best_v = INF, -INF, None
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        s = math.exp(mid)
+        w, vecs = np.linalg.eigh(t * s * a + ell)
+        steps += 1
+        best_up = min(best_up, float(w[-1]) - t * (mid + 1.0))
+        cands = [vecs[:, -1]]
+        x = s * float(np.vdot(cands[0], a @ cands[0]).real)
+        near = vecs[:, w >= w[-1] - (t * (x - 1.0 - math.log(x)))]
+        if near.shape[1] > 1:
+            mu, e = np.linalg.eigh(s * (near.conj().T @ a @ near))
+            if mu[0] <= 1.0 <= mu[-1]:
+                c2 = (mu[-1] - 1.0) / (mu[-1] - mu[0]) if mu[-1] > mu[0] else 0.0
+                cands.append(near @ (math.sqrt(c2) * e[:, 0] + math.sqrt(1.0 - c2) * e[:, -1]))
+        for v in cands:
+            v = v / np.linalg.norm(v)
+            low = t * math.log(float(np.vdot(v, a @ v).real)) + float(np.vdot(v, ell @ v).real)
+            if low > best_lo:
+                best_lo, best_v = low, v
+        if best_up - best_lo <= tol or not lo < mid < hi:
+            break
+        if x < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return best_lo, best_v, max(best_up - best_lo, 0.0), steps
 
 
 def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -85,7 +152,7 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
         if b.shape[1] == 0:
             q = 0.0
         elif alpha == INF:
-            return _log_euclidean_top(sr, ss, b)[0]
+            return _um_first_top(sr, ss, b)[0]
         else:
             w, _ = spectral_decompose(_log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b))
             q = float(np.sum(np.exp(w)))
@@ -96,7 +163,8 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
         w = w[w > support_cutoff(w)]
         q = float(np.sum(w**z))
     if q <= 0.0:
-        return INF
+        # log q = -inf, divided by alpha - 1
+        return -INF if alpha > 1 else INF
     return (math.log(q) - math.log(tr_rho)) / (alpha - 1.0)
 
 

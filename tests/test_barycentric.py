@@ -593,12 +593,112 @@ def test_alpha_inf_closed_form_equal_generators(d, case):
     assert vals["um"] <= vals["bs"] + 1e-12
 
 
-def test_alpha_inf_rho_below_support_cutoff():
-    # every eigenvalue of rho counts as zero, so D(omega || rho) = +inf for
-    # every state and the supremum is -inf, for every generator pair
+@pytest.mark.parametrize("alpha", [0.5, 1.5, INF])
+def test_rho_below_support_cutoff(alpha):
+    # an empty meet: log Q_alpha = -inf, so the value is -inf above alpha = 1
+    # and +inf below it, on the barycentric and the (alpha, inf) paths alike
     rho, sig = 1e-12 * np.eye(2, dtype=complex), np.eye(2, dtype=complex) / 2
+    want = -INF if alpha > 1 else INF
     for kinds in (UM, BS, (Umegaki(), BelavkinStaszewski()), (BelavkinStaszewski(), Umegaki())):
-        assert barycentric_renyi(INF, kinds, rho, sig) == -INF
+        assert barycentric_renyi(alpha, kinds, rho, sig) == want
+    assert renyi_alpha_z(alpha, INF, rho, sig) == want
+
+
+UM_BS = (Umegaki(), BelavkinStaszewski())
+UM_MIX = (Umegaki(), Mixture(((0.5, BelavkinStaszewski()), (0.5, Umegaki()))))
+
+
+@pytest.mark.parametrize("case", ["full", "full-scaled", "deficient", "deficient-scaled"])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_alpha_inf_um_first_dual(d, case):
+    # q0 = um, q1 = t bs + (1 - t) um: the sup is attained at a pure state and
+    # the 1-D dual brackets it within the returned gap
+    from qrdiv.renyi import max_relative_entropy
+
+    rng = np.random.default_rng(300 * d + len(case))
+    rho, sig = _inf_pair(d, case, rng)
+    b = support_basis(rho)
+    omegas = [b @ sample_state(b.shape[1], b.shape[1], rng) @ b.conj().T for _ in range(10)]
+    solver = SolverOptions(use_closed_form=False, restarts=0, iters=100)
+    vals = {}
+    for name, kinds, t in (("um,bs", UM_BS, 1.0), ("um,mix", UM_MIX, 0.5)):
+
+        def obj(c):
+            return (t * bs_rel_entropy(c, sig) + (1 - t) * umegaki(c, sig)
+                    - umegaki(c, rho))
+
+        for tol in (1e-8, 1e-12):
+            res = barycentric_renyi_full(INF, kinds, rho, sig, SolverOptions(tol=tol))
+            assert 0.0 <= res["gap"] <= tol and res["converged"]
+            assert 0 < res["iterations"] < 64
+            c = res["center"]
+            assert abs(np.trace(c).real - 1.0) < 1e-12
+            assert np.linalg.matrix_rank(c, tol=1e-10) == 1
+            assert abs(res["value"] - obj(c)) < 1e-10
+            # the lemma: no mixed state in ran(rho) beats the pure center
+            for omega in omegas:
+                assert obj(omega) <= res["value"] + 1e-10
+        assert res["value"] >= barycentric_renyi(INF, kinds, rho, sig, solver) - 1e-12
+        vals[name] = res["value"]
+    assert vals["um,bs"] >= max_relative_entropy(rho, sig) - 1e-12
+    um_um = barycentric_renyi(INF, UM, rho, sig)
+    assert um_um - 1e-12 <= vals["um,mix"] <= vals["um,bs"] + 1e-12
+
+
+@pytest.mark.parametrize("case", ["full", "full-scaled", "deficient", "deficient-scaled"])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_alpha_inf_orderings(d, case):
+    # U <= BS pointwise gives um,um <= um,bs and bs,bs <= um,bs; the
+    # log-Euclidean limit is at most D_max, so um,um <= bs,bs
+    rho, sig = _inf_pair(d, case, np.random.default_rng(400 * d + len(case)))
+    um_um, um_bs, bs_bs = (barycentric_renyi(INF, k, rho, sig) for k in (UM, UM_BS, BS))
+    assert um_um <= um_bs + 1e-12
+    assert bs_bs <= um_bs + 1e-12
+    assert um_um <= bs_bs + 1e-12
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_alpha_inf_um_bs_matches_bloch_grid(seed):
+    # the grid maximizes BS(w||sigma) - U(w||rho) over the Bloch ball; value
+    # + gap bounds the supremum, so the grid may not exceed it
+    rho, sig = noncommuting_qubits(np.random.default_rng(seed))
+    res = barycentric_renyi_full(INF, UM_BS, rho, sig)
+    neg = make_batch_objective([(1.0, batch_umegaki_term(rho)), (-1.0, batch_bs_term(sig))])
+    _, oracle_val = bloch_grid_min(None, resolution=(60, 120, 30), batch_objective=neg)
+    assert -oracle_val <= res["value"] + res["gap"] + 1e-10
+    assert res["value"] + oracle_val < 1e-5
+
+
+def test_alpha_inf_um_bs_commuting_degenerate_top():
+    # rho = sigma = diag(l): the objective over pure psi is
+    # log sum_i p_i / l_i + sum_i p_i log l_i with p_i = |psi_i|^2, maximal
+    # at a superposition, where the dual's top eigenvalue is degenerate
+    lam = np.array([0.9, 0.1])
+    p = np.linspace(0.0, 1.0, 1_000_001)
+    exact = np.max(np.log(p / lam[0] + (1 - p) / lam[1]) + p * np.log(lam[0])
+                   + (1 - p) * np.log(lam[1]))
+    rho = np.diag(lam).astype(complex)
+    u = sample_unitary(2, 3)
+    for r in (rho, u @ rho @ u.conj().T):
+        res = barycentric_renyi_full(INF, UM_BS, r, r, SolverOptions(tol=1e-12))
+        assert 0.0 <= res["gap"] <= 1e-12 and res["converged"]
+        assert abs(res["value"] - exact) < 1e-10
+
+
+def test_alpha_inf_um_um_unchanged_through_dual():
+    # t = 0 of the dual is the top eigenvalue of B*(log rho - log sigma)B,
+    # computed with the same arithmetic as before the dual existed
+    from qrdiv.hermitian import projection_meet
+    from qrdiv.renyi import _log_euclidean_h
+
+    for d, case in ((2, "full"), (3, "deficient"), (4, "full-scaled"), (8, "deficient-scaled")):
+        rho, sig = _inf_pair(d, case, np.random.default_rng(500 + d))
+        b = support_basis(projection_meet(support_projection(rho), support_projection(sig)))
+        h = _log_euclidean_h((1.0, -1.0), (rho, sig), b)
+        top = float(np.linalg.eigh((h + h.conj().T) / 2)[0][-1])
+        res = barycentric_renyi_full(INF, UM, rho, sig)
+        assert res["value"] == top == renyi_alpha_z(INF, INF, rho, sig)
+        assert res["gap"] == 0.0 and res["iterations"] == 0 and res["converged"]
 
 
 def test_measured_kind_barycentric_generic_path():

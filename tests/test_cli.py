@@ -140,6 +140,47 @@ def test_eval_alpha_inf_closed_forms(mats, tmp_path, capsys):
     assert _eval_line(capsys, "az:inf:0.5", mats["rho"], mats["sigma"])[0] == 2
 
 
+def test_eval_um_bs_alpha_inf_dual(mats, tmp_path, capsys):
+    # the pure-state dual closes its gap, so the CLI exits 0, and the value
+    # is at least D_max = max:inf (the bs,bs value, with U <= BS)
+    pairs = [(mats["rho"], mats["sigma"])]
+    paths = []
+    for name, seed in (("r3", 3), ("s3", 4)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(matrix_to_json(sample_state(3, 3, seed))))
+        paths.append(str(p))
+    pairs.append(tuple(paths))
+    for rho, sig in pairs:
+        code = main(["eval", "--kind", "bary:um,bs", "--alpha", "inf", "--out", "json",
+                     "--rho", rho, "--sigma", sig])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["flags"] == []
+        assert 0.0 <= payload["gap"] <= 1e-8
+        _, dmax = _eval_line(capsys, "max:inf", rho, sig)
+        assert float(payload["value"]) >= float(dmax)
+
+
+def test_eval_rho_below_support_cutoff(tmp_path, capsys):
+    # every eigenvalue of rho counts as zero: -inf above alpha = 1, +inf below
+    # it, and az:alpha:inf agrees with bary:um,um
+    rho, sig = tmp_path / "tiny.json", tmp_path / "half.json"
+    rho.write_text(json.dumps(matrix_to_json(1e-12 * np.eye(2))))
+    sig.write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
+    for alpha, want in (("0.5", "+inf"), ("1.5", "-inf"), ("inf", "-inf")):
+        for kind in ("bary:um,um", "bary:bs,bs", "bary:um,bs"):
+            assert _eval_line(capsys, kind, str(rho), str(sig), "--alpha", alpha) == (0, want)
+        assert _eval_line(capsys, f"az:{alpha}:inf", str(rho), str(sig)) == (0, want)
+
+
+def test_verify_ordering_suite_reports_worst(capsys):
+    code = main(["verify", "--suite", "ordering", "--samples", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["passed"]
+    worst = report["worst"]
+    assert worst["sample"] in range(3) and worst["margin"] >= -1e-8
+    assert " <= " in worst["ordering"]
+
+
 def test_sweep_gamma_monotone(mats, capsys):
     code = main(
         [

@@ -277,6 +277,10 @@ _EIGH_BOUNDS = [
     # alpha = inf: ~10^4 when the solver ran to its iteration cap
     ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 5),
     ("bary bs,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_BS, _BS), r, s), 5),
+    # three spectra, one eigh per dual step (14 here), and one more on each
+    # step whose second eigenvalue lies within the gap of the top (once
+    # here); about 1.6e4 when the solver ran
+    ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 18),
 ]
 
 
