@@ -28,9 +28,9 @@ from .relent import (
     Umegaki,
     axioms_check,
     bs_rel_entropy,
-    format_kind,
     measured_lower_bound,
     parse_kind,
+    parse_kinds,
     rel_entropy,
     umegaki,
 )

@@ -49,6 +49,8 @@ from .renyi import _dmax_top, _log_euclidean_h, _um_first_top
 INF = float("inf")
 # central finite-difference step on the H coordinates
 _FD_STEP = 1e-5
+# stop when the descent direction's norm falls below this
+_GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,6 @@ class SolverOptions:
     restarts: int = 4
     seed: int = 0
     warm_start: bool = True
-    grad_tol: float = 1e-6
     use_closed_form: bool = True
 
 
@@ -174,9 +175,9 @@ class _Term:
             proj = basis @ basis.conj().T
             self.w_ac = basis.conj().T @ abs_cont_part(w_full, proj) @ basis
 
-    def _geom_value(self, omega_c: np.ndarray) -> float:
+    def _geom_value(self, pt: _Iterate) -> float:
         g = self.kind.gamma
-        w, u = np.linalg.eigh(omega_c)
+        w, u = pt.omega_eig()
         w = np.clip(w, 1e-300, None)
         oh = (u * np.sqrt(w)) @ u.conj().T
         ohi = (u / np.sqrt(w)) @ u.conj().T
@@ -189,7 +190,7 @@ class _Term:
             wm = np.clip(wm, 1e-300, None)
             logm = (um * np.log(wm)) @ um.conj().T
             ent = float(np.sum(w * np.log(w)))
-            val = ent - float(np.trace(omega_c @ logm).real)
+            val = ent - float(np.trace(pt.omega @ logm).real)
         else:
             # BS(omega || mean) = Tr omega log(omega^{1/2} mean^{-1} omega^{1/2})
             wm, um = np.linalg.eigh((mean + mean.conj().T) / 2)
@@ -199,7 +200,7 @@ class _Term:
             wx, ux = np.linalg.eigh((x + x.conj().T) / 2)
             wx = np.clip(wx, 1e-300, None)
             logx = (ux * np.log(wx)) @ ux.conj().T
-            val = float(np.trace(omega_c @ logx).real)
+            val = float(np.trace(pt.omega @ logx).real)
         return val / (1.0 - g)
 
     def value(self, pt: _Iterate) -> float:
@@ -215,7 +216,7 @@ class _Term:
             f = (u * eta) @ u.conj().T
             return float(np.trace(self.sig_eff @ f).real)
         if self.mode == "geom":
-            return self._geom_value(pt.omega)
+            return self._geom_value(pt)
         omega_full = self.basis @ pt.omega @ self.basis.conj().T
         return rel_entropy(self.kind, omega_full, self.w_full).value
 
@@ -251,32 +252,25 @@ class _ObjectiveTerm:
 def _expand_terms(
     weight: float, kind: EntropyKind, op: np.ndarray, basis: np.ndarray, spec=None
 ) -> list[_Term]:
-    """Flatten mixtures into weighted terms so their members keep analytic
-    gradients; other kinds map to a single term."""
-    if isinstance(kind, Mixture):
-        out = []
-        for w, comp in kind.components:
-            if w != 0.0:
-                out.extend(_expand_terms(weight * w, comp, op, basis, spec))
-        return out
-    return [_Term(weight, kind, op, basis, spec)]
+    """One weighted term per member of a mixture (flat by construction), so
+    each keeps its analytic gradient; other kinds map to a single term."""
+    comps = kind.components if isinstance(kind, Mixture) else ((1.0, kind),)
+    return [_Term(weight * w, k, op, basis, spec) for w, k in comps if w != 0.0]
 
 
 def _um_bs_weights(kind: EntropyKind) -> Optional[tuple[float, float]]:
     """(t, u) with kind = t bs + u um, or None if any other kind carries
     weight."""
-    if isinstance(kind, Umegaki):
-        return 0.0, 1.0
-    if isinstance(kind, BelavkinStaszewski):
-        return 1.0, 0.0
-    if not isinstance(kind, Mixture):
-        return None
     t = u = 0.0
-    for w, comp in kind.components:
-        sub = _um_bs_weights(comp) if w != 0.0 else (0.0, 0.0)
-        if sub is None:
+    for w, comp in kind.components if isinstance(kind, Mixture) else ((1.0, kind),):
+        if w == 0.0:
+            continue
+        if comp == BelavkinStaszewski():
+            t += w
+        elif comp == Umegaki():
+            u += w
+        else:
             return None
-        t, u = t + w * sub[0], u + w * sub[1]
     return t, u
 
 
@@ -298,8 +292,8 @@ class _Iterate:
 
     H's eigendata and omega come from a single eigh. The decompositions the
     Umegaki and Belavkin-Staszewski terms need are taken on first use and
-    shared by their values and gradients: eigh(omega) by every um term, and
-    eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) by each bs term.
+    shared by their values and gradients: eigh(omega) by every um and geom
+    term, and eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) by each bs term.
     """
 
     def __init__(self, h: np.ndarray):
@@ -433,7 +427,7 @@ def center_solver(
         for it in range(1, opts.iters + 1):
             grad = direction_at(cur)
             gn = float(np.linalg.norm(grad))
-            if gn < opts.grad_tol:
+            if gn < _GRAD_TOL:
                 converged = True
                 break
             t_step, accepted = min(2.0 * t_prev, 4.0), False
@@ -447,13 +441,13 @@ def center_solver(
                     break
                 t_step /= 2
             if not accepted:
-                converged = gn < 10 * opts.grad_tol
+                converged = gn < 10 * _GRAD_TOL
                 break
             decrease = val - v_new
             # the accepted candidate keeps its decompositions for the next
             # direction
             cur, val, t_prev = cand, v_new, t_step
-            if decrease < opts.tol and gn < 10 * opts.grad_tol:
+            if decrease < opts.tol and gn < 10 * _GRAD_TOL:
                 converged = True
                 break
         if val < best_val - 1e-15:

@@ -18,9 +18,19 @@ import sys
 import numpy as np
 
 from .barycentric import barycentric_renyi_full
-from .errors import BadParameter, QrdivError
+from .errors import QrdivError
 from .hermitian import load_matrix, matrix_to_json
-from .relent import parse_kind, rel_entropy
+from .relent import (
+    Barycentric,
+    EvalSpec,
+    MaxRenyi,
+    RenyiAlphaZ,
+    parse_alpha,
+    parse_grid,
+    parse_kind,
+    parse_kinds,
+    rel_entropy,
+)
 from .renyi import max_renyi, renyi_alpha_z
 
 INF = float("inf")
@@ -34,60 +44,30 @@ def fmt_value(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_alpha(s: str) -> float:
-    if s in ("inf", "+inf"):
-        return INF
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise BadParameter(f"bad alpha {s!r}") from exc
-
-
-def evaluate_kind(kind_str: str, alpha, rho, sigma, seed: int = 0, options=None):
-    """Dispatch a CLI kind string to (value, gap, flags, center)."""
-    flags = []
-    if kind_str.startswith("bary:"):
-        part = kind_str[5:]
-        k0_str, _, k1_str = part.partition(",")
-        if not k1_str:
-            raise QrdivError(f"bary kind needs two components: {kind_str!r}")
+def evaluate(spec: EvalSpec, alpha, rho, sigma, seed: int = 0):
+    """Turn a parsed kind or eval spec into (value, gap, flags, center)."""
+    if isinstance(spec, Barycentric):
         if alpha is None:
             raise QrdivError("bary kinds require --alpha")
-        kinds = (parse_kind(k0_str), parse_kind(k1_str))
-        res = barycentric_renyi_full(alpha, kinds, rho, sigma, options)
-        if not res["converged"]:
-            flags.append("not_converged")
+        res = barycentric_renyi_full(alpha, spec.kinds, rho, sigma)
+        flags = [] if res["converged"] else ["not_converged"]
         return res["value"], res["gap"], flags, res["center"]
-    if kind_str.startswith("az:"):
-        parts = kind_str.split(":")
-        if len(parts) != 3:
-            raise BadParameter(f"az kind needs az:<alpha>:<z>, got {kind_str!r}")
-        _, a_str, z_str = parts
-        return renyi_alpha_z(_parse_alpha(a_str), _parse_alpha(z_str), rho, sigma), 0.0, flags, None
-    if kind_str.startswith("max:"):
-        a = _parse_alpha(kind_str[4:])
-        mv = max_renyi(a, rho, sigma)
-        if mv.upper_bound_only:
-            flags.append("upper_bound_only")
-        return mv.value, 0.0, flags, None
-    if kind_str == "meas-lb":
-        kind = parse_kind("meas")
-    else:
-        kind = parse_kind(kind_str)
-    dv = rel_entropy(kind, rho, sigma, seed=seed)
-    gap = dv.certificate_gap or 0.0
-    if dv.certificate_gap is not None:
-        flags.append("lower_bound")
-    return dv.value, gap, flags, None
+    if isinstance(spec, RenyiAlphaZ):
+        return renyi_alpha_z(spec.alpha, spec.z, rho, sigma), 0.0, [], None
+    if isinstance(spec, MaxRenyi):
+        mv = max_renyi(spec.alpha, rho, sigma)
+        return mv.value, 0.0, ["upper_bound_only"] if mv.upper_bound_only else [], None
+    dv = rel_entropy(spec, rho, sigma, seed=seed)
+    if dv.certificate_gap is None:
+        return dv.value, 0.0, [], None
+    return dv.value, dv.certificate_gap, ["lower_bound"], None
 
 
 def cmd_eval(args) -> int:
     rho = load_matrix(args.rho)
     sigma = load_matrix(args.sigma)
-    alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
-    value, gap, flags, center = evaluate_kind(
-        args.kind, alpha, rho, sigma, seed=args.seed
-    )
+    alpha = parse_alpha(args.alpha) if args.alpha is not None else None
+    value, gap, flags, center = evaluate(parse_kind(args.kind), alpha, rho, sigma, args.seed)
     if args.out == "json":
         payload = {
             "kind": args.kind,
@@ -106,57 +86,39 @@ def cmd_eval(args) -> int:
     return 3 if "not_converged" in flags else 0
 
 
-def _parse_grid(spec: str) -> list[float]:
-    try:
-        a, b, n = spec.split(":")
-        return [float(x) for x in np.linspace(float(a), float(b), int(n))]
-    except ValueError as exc:
-        raise BadParameter(f"bad grid {spec!r}; expected <start>:<stop>:<count>") from exc
-
-
-def _split_kinds(spec: str) -> list[str]:
-    """Split a --kinds list on commas; a "bary:" kind takes the next item as
-    its second component."""
-    items = (k.strip() for k in spec.split(","))
-    kinds = []
-    for k in items:
-        if k.startswith("bary:"):
-            k = f"{k},{next(items, '')}"
-        kinds.append(k)
-    return kinds
+def _sweep_items(args, suffix: str) -> list:
+    """(text as written, spec) of each item of --kinds, or of --kind."""
+    if args.kinds:
+        return parse_kinds(args.kinds, suffix)
+    if args.kind is None:
+        raise QrdivError("sweep needs --kind or --kinds")
+    return [(args.kind, parse_kind(args.kind, suffix))]
 
 
 def cmd_sweep(args) -> int:
     rho = load_matrix(args.rho)
     sigma = load_matrix(args.sigma)
-    kinds = _split_kinds(args.kinds) if args.kinds else [args.kind]
     if args.alpha_grid:
-        grid = _parse_grid(args.alpha_grid)
-        mode = "alpha"
+        points = [(g, g, "") for g in parse_grid(args.alpha_grid)]
     elif args.gamma_grid:
-        grid = _parse_grid(args.gamma_grid)
-        mode = "gamma"
+        # a gamma sweep reads ":<gamma>" at the end of every item
+        points = [(g, None, f":{g:g}") for g in parse_grid(args.gamma_grid)]
     else:
         raise QrdivError("sweep needs --alpha-grid or --gamma-grid")
 
-    jobs = []
-    for kind in kinds:
-        for g in grid:
-            if mode == "gamma":
-                jobs.append((f"{kind}:{g:g}", None, kind, g))
-            else:
-                jobs.append((kind, g, kind, g))
-
-    rows = []
-    for kstr, alpha, base, g in jobs:
-        value, gap, flags, _ = evaluate_kind(kstr, alpha, rho, sigma, seed=args.seed)
-        rows.append((base, g, value, gap, flags))
+    # table[j][i]: item i at grid point j as (text, g, value, gap, flags)
+    table = [
+        [(text, g, *evaluate(spec, alpha, rho, sigma, args.seed)[:3])
+         for text, spec in _sweep_items(args, suffix)]
+        for g, alpha, suffix in points
+    ]
+    columns = list(zip(*table))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "alpha_or_gamma", "value", "gap", "flags"])
-    for base, g, value, gap, flags in rows:
-        writer.writerow([base, f"{g:g}", fmt_value(value), f"{gap:.3g}", "|".join(flags)])
+    for text, g, value, gap, flags in (row for col in columns for row in col):
+        writer.writerow([text, f"{g:g}", fmt_value(value), f"{gap:.3g}", "|".join(flags)])
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
             fh.write(buf.getvalue())
@@ -164,30 +126,16 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(buf.getvalue())
 
     if args.check_order:
-        # per kind: values must be nondecreasing along the grid; with several
-        # kinds the columns must be ordered as listed at each grid point
-        by_kind: dict[str, list[float]] = {}
-        for base, g, value, gap, flags in rows:
-            by_kind.setdefault(base, []).append(value)
-        for kind, vals in by_kind.items():
-            for i in range(1, len(vals)):
-                if vals[i] < vals[i - 1] - 1e-9:
-                    print(
-                        f"order violation: kind {kind} decreases at grid index {i}",
-                        file=sys.stderr,
-                    )
-                    return 4
-        if len(kinds) > 1:
-            for i in range(len(grid)):
-                col = [by_kind[k][i] for k in kinds]
-                for j in range(1, len(col)):
-                    if col[j] < col[j - 1] - 1e-9:
-                        print(
-                            f"order violation: kinds {kinds[j-1]} > {kinds[j]} "
-                            f"at grid index {i}",
-                            file=sys.stderr,
-                        )
-                        return 4
+        # per item: values must be nondecreasing along the grid; with several
+        # items the columns must be ordered as listed at each grid point
+        steps = [(f"kind {hi[0]} decreases", i, lo, hi)
+                 for col in columns for i, (lo, hi) in enumerate(zip(col, col[1:]), 1)]
+        steps += [(f"kinds {lo[0]} > {hi[0]}", i, lo, hi)
+                  for i, row in enumerate(table) for lo, hi in zip(row, row[1:])]
+        for what, i, lo, hi in steps:
+            if hi[2] < lo[2] - 1e-9:
+                print(f"order violation: {what} at grid index {i}", file=sys.stderr)
+                return 4
     return 0
 
 

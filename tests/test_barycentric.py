@@ -304,6 +304,79 @@ def test_solver_matches_bloch_oracle_bs():
     assert abs(radius - oracle_val) < 2e-4
 
 
+def _batch_fn(a, f):
+    """f applied to each Hermitian matrix of a stack."""
+    w, u = np.linalg.eigh(a)
+    return np.einsum("nij,nj,nkj->nik", u, f(w), u.conj())
+
+
+def _batch_geom_term(kind, w_op):
+    """Vectorized omega -> D^{base,#gamma}(omega || W)
+    = D^base(omega || omega #_{1-gamma} W) / (1 - gamma) on qubit batches;
+    the pure boundary, where rounding swamps omega^{-1/2}, counts as +inf."""
+    g = kind.gamma
+
+    def term(states):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            oh, ohi = _batch_fn(states, np.sqrt), _batch_fn(states, lambda x: x**-0.5)
+            mean = oh @ _batch_fn(ohi @ w_op @ ohi, lambda x: x ** (1.0 - g)) @ oh
+            if isinstance(kind.base, Umegaki):
+                inner = _batch_fn(states, np.log) - _batch_fn(mean, np.log)
+            else:
+                inner = _batch_fn(oh @ _batch_fn(mean, lambda x: 1.0 / x) @ oh, np.log)
+            val = np.einsum("nij,nji->n", states, inner).real / (1.0 - g)
+        return np.where(np.linalg.eigvalsh(states)[:, 0] > 1e-9, val, INF)
+
+    return term
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        # an analytic term next to a generic one: the H-gradient of the
+        # analytic part goes through _dexp_push
+        (Umegaki(), GeomWeighted(Umegaki(), 0.5)),
+        # the BS-base branch of the geom term's value
+        (GeomWeighted(BelavkinStaszewski(), 0.5), BelavkinStaszewski()),
+    ],
+    ids=["um,geom:um:0.5", "geom:bs:0.5,bs"],
+)
+def test_solver_matches_bloch_oracle_mixed_geom(kinds):
+    rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
+    a = 0.5
+    res = barycentric_renyi_full(a, kinds, rho, sig)
+    c = res["center"]
+    radius = a * rel_entropy(kinds[0], c, rho).value + (1 - a) * rel_entropy(kinds[1], c, sig).value
+    terms = []
+    for w, k, op in ((a, kinds[0], rho), (1 - a, kinds[1], sig)):
+        if isinstance(k, GeomWeighted):
+            terms.append((w, _batch_geom_term(k, op)))
+        else:
+            terms.append((w, (batch_umegaki_term if k == Umegaki() else batch_bs_term)(op)))
+    obj = make_batch_objective(terms)
+    _, oracle_val = bloch_grid_min(None, resolution=(40, 80, 20), batch_objective=obj)
+    assert res["converged"]
+    assert -1e-9 <= oracle_val - radius < 2e-5
+
+
+def test_geom_solver_eigh_count(monkeypatch):
+    # geom terms read omega's eigendata from the iterate's memo; 486 when
+    # each geom value decomposed omega itself
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    rng = np.random.default_rng(11)
+    rho, sig = sample_state(2, 2, rng), sample_state(2, 2, rng)
+    geom = GeomWeighted(Umegaki(), 0.5)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    barycentric_renyi_full(0.5, (geom, geom), rho, sig, SolverOptions(restarts=0))
+    assert 0 < len(calls) <= 418
+
+
 def test_objective_midpoint_convexity():
     rng = np.random.default_rng(14)
     rho, sig = noncommuting_qubits(rng)

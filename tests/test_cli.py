@@ -90,12 +90,41 @@ def test_eval_parse_error_exit_2(mats, capsys):
         ["eval", "--kind", "mix:x*um+0.5*bs"],
         ["eval", "--kind", "az:0.5"],
         ["sweep", "--kind", "um", "--alpha-grid", "0:1"],
+        ["eval", "--kind", "meas:r2:i-3"],
+        ["eval", "--kind", "meas:r-1:i5"],
     ],
-    ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid"],
+    ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid",
+         "meas-negative-iters", "meas-negative-restarts"],
 )
 def test_malformed_input_exit_2(mats, capsys, argv):
     assert main([*argv, "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_exponent_weight(mats, capsys):
+    # the "+" of a signed exponent is part of the number, not a separator
+    assert _eval_line(capsys, "mix:1e+0*um", mats["rho"], mats["sigma"]) == _eval_line(
+        capsys, "um", mats["rho"], mats["sigma"])
+
+
+def test_sweep_needs_a_kind(mats, capsys):
+    assert main(["sweep", "--alpha-grid", "0:1:2", "--rho", mats["rho"],
+                 "--sigma", mats["sigma"]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_gamma_grid_over_kinds_list(mats, capsys):
+    # every listed item reads the grid's ":<gamma>"; a repeated item is its
+    # own column, so --check-order compares it only with itself
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
+    code = main(["sweep", "--kinds", "geom:um, geom:um", "--gamma-grid", "0.1:0.9:3",
+                 "--check-order", *rs])
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert code == 0
+    assert [r[0] for r in rows] == ["geom:um"] * 6
+    assert [r[2] for r in rows[:3]] == [r[2] for r in rows[3:]]
+    main(["eval", "--kind", "geom:um:0.5", *rs])
+    assert rows[1][2] == capsys.readouterr().out.strip()
 
 
 def test_eval_non_finite_matrix_exit_2(mats, tmp_path, capsys):
@@ -332,6 +361,13 @@ def test_verify_axioms_suite(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"]
+
+
+def test_verify_separation_dim2_suite(capsys):
+    code = main(["verify", "--suite", "separation-dim2", "--samples", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["passed"]
+    assert report["min_margin"] > 0
 
 
 def test_verify_unknown_suite(capsys):

@@ -7,17 +7,22 @@ from qrdiv.classical import classical_rel_entropy
 from qrdiv.errors import BadParameter
 from qrdiv.hermitian import pinch, sample_state, sample_unitary
 from qrdiv.relent import (
+    Barycentric,
     BelavkinStaszewski,
     GeomWeighted,
+    MaxRenyi,
     MeasuredProjective,
     Mixture,
+    RenyiAlphaZ,
     Umegaki,
     axioms_check,
     bs_rel_entropy,
-    format_kind,
     kind_is_exact,
     measured_lower_bound,
+    parse_alpha,
+    parse_grid,
     parse_kind,
+    parse_kinds,
     rel_entropy,
     umegaki,
 )
@@ -36,13 +41,104 @@ ALL_KINDS = [
 def test_kind_strings_roundtrip():
     for s in ("um", "bs", "meas:r8:i200", "geom:um:0.5", "mix:0.5*um+0.5*bs",
               "geom:bs:0.25", "mix:0.25*um+0.75*geom:um:0.3"):
-        assert format_kind(parse_kind(s)) == s
+        assert str(parse_kind(s)) == s
     assert parse_kind("meas") == MeasuredProjective()
     with pytest.raises(BadParameter):
         parse_kind("nope")
     with pytest.raises(BadParameter):
         parse_kind("geom:um:1.5")
 
+
+
+_UM, _BS = Umegaki(), BelavkinStaszewski()
+# nested mixtures and geometric weights, a long gamma, exponent-form and
+# non-terminating weights, and measured counts of zero
+ROUNDTRIP_KINDS = [
+    MeasuredProjective(0, 0),
+    GeomWeighted(_UM, 0.123456789),
+    GeomWeighted(GeomWeighted(_BS, 0.1), 1 / 3),
+    GeomWeighted(MeasuredProjective(3, 7), 0.5),
+    Mixture(((1e-20, _UM), (1 - 1e-20, _BS))),
+    Mixture(((1 / 3, _UM), (2 / 3, GeomWeighted(_BS, 0.7)))),
+    Mixture(((0.5, _UM), (0.5, Mixture(((0.5, _UM), (0.5, _BS)))))),
+    Mixture(((0.25, Mixture(((0.1, _BS), (0.9, GeomWeighted(_UM, 0.3))))),
+             (0.75, GeomWeighted(Mixture(((0.5, _UM), (0.5, _BS))), 0.123456789)))),
+    Mixture(((0.0, MeasuredProjective()), (1.0, _UM))),
+]
+
+
+@pytest.mark.parametrize("kind", ROUNDTRIP_KINDS, ids=str)
+def test_kind_str_roundtrip(kind):
+    assert parse_kind(str(kind)) == kind
+    assert str(parse_kind(str(kind))) == str(kind)
+
+
+def test_nested_mixture_flattens_and_prints_flat():
+    inner = Mixture(((0.5, _UM), (0.5, _BS)))
+    nested = Mixture(((0.5, _UM), (0.5, inner)))
+    assert nested.components == ((0.5, _UM), (0.25, _UM), (0.25, _BS))
+    assert str(nested) == "mix:0.5*um+0.25*um+0.25*bs"
+    # a nested mix: reads every component after it
+    assert parse_kind("mix:0.5*um+0.5*mix:0.5*um+0.5*bs") == nested
+    assert parse_kind("geom:mix:0.5*um+0.5*bs:0.7") == GeomWeighted(inner, 0.7)
+
+
+def test_number_rule():
+    # FLOAT takes a signed exponent, INT only digits; inf only where allowed
+    assert parse_kind("mix:1e+0*um") == Mixture(((1.0, _UM),))
+    assert parse_kind("mix:5E-1*um+.5*bs") == Mixture(((0.5, _UM), (0.5, _BS)))
+    assert parse_kind("az:1.5:inf") == RenyiAlphaZ(1.5, math.inf)
+    assert parse_kind("max:inf") == MaxRenyi(math.inf)
+    assert parse_alpha("inf") == math.inf and parse_alpha("2.5e-1") == 0.25
+    assert parse_grid("0:1e0:3") == [0.0, 0.5, 1.0]
+    for bad in ("-1", "+inf", "nan", "1_0", "0.5x"):
+        with pytest.raises(BadParameter):
+            parse_alpha(bad)
+    for bad in ("0:1", "0:1:2.5", "0:1:-2", "0:inf:3"):
+        with pytest.raises(BadParameter):
+            parse_grid(bad)
+    for bad in ("meas:r2:i-3", "meas:r-1:i5", "meas:r2.5:i5", "geom:um:inf", "mix:inf*um",
+                "mix:-0.5*um+1.5*bs", "bary:um", "az:0.5", "max:", "um:0.3", "meas-lb:3"):
+        with pytest.raises(BadParameter):
+            parse_kind(bad)
+
+
+def test_eval_forms():
+    assert parse_kind("meas-lb") == MeasuredProjective()
+    assert parse_kind("bary:geom:um:0.5,mix:0.5*um+0.5*bs") == Barycentric(
+        (GeomWeighted(_UM, 0.5), Mixture(((0.5, _UM), (0.5, _BS)))))
+    assert parse_kind("az:inf:inf") == RenyiAlphaZ(math.inf, math.inf)
+    assert parse_kind("max:0.5") == MaxRenyi(0.5)
+    # an eval form is no entropy kind: it cannot be nested or evaluated as one
+    with pytest.raises(BadParameter):
+        parse_kind("geom:max:0.5:0.5")
+    with pytest.raises(BadParameter):
+        rel_entropy(parse_kind("max:0.5"), np.eye(2) / 2, np.eye(2) / 2)
+
+
+def test_kind_list():
+    # a bary: item reads its own comma
+    items = parse_kinds("bary:um,bs,bary:bs,bs,um")
+    assert items == [("bary:um,bs", Barycentric((_UM, _BS))),
+                     ("bary:bs,bs", Barycentric((_BS, _BS))), ("um", _UM)]
+    assert [t for t, _ in parse_kinds(" meas-lb , geom:um:0.5,bs ")] == [
+        "meas-lb", "geom:um:0.5", "bs"]
+    # a suffix is read at the end of every item (a gamma sweep)
+    assert parse_kinds("geom:um,az:0.5", ":0.25") == [
+        ("geom:um", GeomWeighted(_UM, 0.25)), ("az:0.5", RenyiAlphaZ(0.5, 0.25))]
+    assert parse_kind("geom:mix:0.5*um+0.5*bs", ":0.3") == parse_kind(
+        "geom:mix:0.5*um+0.5*bs:0.3")
+    for bad in ("um,,bs", "um,", ",um", "geom:um:0.5"):
+        with pytest.raises(BadParameter):
+            parse_kinds(bad, ":0.5" if bad == "geom:um:0.5" else "")
+
+
+def test_measured_counts_validated():
+    assert MeasuredProjective(0, 0).iters == 0
+    assert MeasuredProjective(np.int64(3), 5) == MeasuredProjective(3, 5)
+    for restarts, iters in ((2, -3), (-1, 5), (2.5, 5), (2, "5")):
+        with pytest.raises(BadParameter):
+            MeasuredProjective(restarts, iters)
 
 def test_geom_nesting_normalizes():
     inner = GeomWeighted(Umegaki(), 0.3)
@@ -51,14 +147,14 @@ def test_geom_nesting_normalizes():
     assert abs(outer.gamma - (1 - (1 - 0.3) * (1 - 0.5))) < 1e-15
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=format_kind)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_zero_on_equal_states(kind):
     rho = sample_state(3, 3, 0)
     assert abs(rel_entropy(kind, rho, rho).value) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + [MeasuredProjective(restarts=4, iters=80)],
-                         ids=format_kind)
+                         ids=str)
 def test_classical_reduction(kind):
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -339,7 +435,7 @@ def test_ordering_chain_meas_um_geom_max():
         assert ge <= bs + 1e-8
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=format_kind)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_axioms_report(kind):
     report = axioms_check(kind, samples=12, rng_seed=0)
     assert report["all_pass"], report
