@@ -4,13 +4,11 @@ limits, and the derived geometric means.
 
 The center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) is solved by
 descent in the exponential parametrization omega = exp(H) / Tr exp(H) on
-the compressed feasible subspace. Each iterate H is decomposed once (one
-eigh gives omega and H's eigendata); the value and the gradient of the
-Umegaki and Belavkin-Staszewski terms reuse that decomposition and two
-memoized ones (eigh of omega, and for each BS term the eigh of
-sig_eff^{-1/2} omega sig_eff^{-1/2}), and the accepted line-search iterate
-is carried into the next iteration. These terms use analytic gradients; all
-other kinds fall back to central finite differences on the H coordinates.
+the compressed feasible subspace; each iterate is decomposed once, and its
+memoized decompositions serve every term's value and gradient (``_Iterate``).
+Umegaki, BS and geom:um terms have analytic gradients (geom over BS is BS,
+geom over a mixture expands by linearity); central finite differences on
+the H coordinates serve only the measured kind and caller objectives.
 The all-Umegaki case bypasses the solver via its closed-form center, and so
 does alpha = inf with a Umegaki first generator and a second that mixes
 Umegaki and Belavkin-Staszewski (a pure center from a 1-D convex dual,
@@ -144,13 +142,12 @@ def _json_float(x: float):
 
 
 class _Term:
-    """One summand weight * D^kind(omega || W) on the compressed subspace."""
+    """One summand weight * D^kind(omega || W) on the compressed subspace;
+    only mode "gen" (not um, bs or geom:um) lacks an analytic gradient."""
 
     def __init__(self, weight: float, kind: EntropyKind, w_full: np.ndarray, basis: np.ndarray,
                  spec=None):
         """``spec`` is the Spectrum of ``w_full`` when the caller holds it."""
-        from .supports import abs_cont_part
-
         self.weight = weight
         self.kind = kind
         self.basis = basis
@@ -160,81 +157,66 @@ class _Term:
         if isinstance(kind, Umegaki):
             self.mode = "um"
             self.logw = basis.conj().T @ spectrum(spec).log() @ basis
-        elif isinstance(kind, BelavkinStaszewski):
-            self.mode = "bs"
+        elif isinstance(kind, BelavkinStaszewski) or (
+            isinstance(kind, GeomWeighted) and isinstance(kind.base, Umegaki)
+        ):
+            # ran(basis) lies in supp W, so sig_eff is also W's compressed
+            # part absolutely continuous there: all that W #_g omega sees
+            self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
             g = basis.conj().T @ spectrum(spec).power(-1.0) @ basis
             self.sig_eff = spectrum(g).power(-1.0)
             self.sig_spec = spectrum(self.sig_eff)
             self.sig_isqrt = self.sig_spec.power(-0.5)
-        elif isinstance(kind, GeomWeighted) and isinstance(
-            kind.base, (Umegaki, BelavkinStaszewski)
-        ):
-            # W #_g omega only sees the part of W absolutely continuous
-            # w.r.t. the compressed subspace, which is fixed
-            self.mode = "geom"
-            proj = basis @ basis.conj().T
-            self.w_ac = basis.conj().T @ abs_cont_part(w_full, proj) @ basis
-
-    def _geom_value(self, pt: _Iterate) -> float:
-        g = self.kind.gamma
-        w, u = pt.omega_eig()
-        w = np.clip(w, 1e-300, None)
-        oh = (u * np.sqrt(w)) @ u.conj().T
-        ohi = (u / np.sqrt(w)) @ u.conj().T
-        inner = ohi @ self.w_ac @ ohi
-        wi, ui = np.linalg.eigh((inner + inner.conj().T) / 2)
-        wi = np.clip(wi, 1e-300, None)
-        mean = oh @ ((ui * wi ** (1.0 - g)) @ ui.conj().T) @ oh
-        if isinstance(self.kind.base, Umegaki):
-            wm, um = np.linalg.eigh((mean + mean.conj().T) / 2)
-            wm = np.clip(wm, 1e-300, None)
-            logm = (um * np.log(wm)) @ um.conj().T
-            ent = float(np.sum(w * np.log(w)))
-            val = ent - float(np.trace(pt.omega @ logm).real)
-        else:
-            # BS(omega || mean) = Tr omega log(omega^{1/2} mean^{-1} omega^{1/2})
-            wm, um = np.linalg.eigh((mean + mean.conj().T) / 2)
-            wm = np.clip(wm, 1e-300, None)
-            minv = (um / wm) @ um.conj().T
-            x = oh @ minv @ oh
-            wx, ux = np.linalg.eigh((x + x.conj().T) / 2)
-            wx = np.clip(wx, 1e-300, None)
-            logx = (ux * np.log(wx)) @ ux.conj().T
-            val = float(np.trace(pt.omega @ logx).real)
-        return val / (1.0 - g)
+            if self.mode == "geom":
+                self.sig_sqrt = self.sig_spec.power(0.5)
 
     def value(self, pt: _Iterate) -> float:
-        if self.mode == "um":
+        if self.mode in ("um", "geom"):
+            # geom: D^um(omega || M) / (1 - g) for the mean M = W #_g omega
             w, _ = pt.omega_eig()
             w = np.clip(w, 1e-300, None)
             ent = float(np.sum(w * np.log(w)))
-            return ent - float(np.trace(pt.omega @ self.logw).real)
+            if self.mode == "um":
+                return ent - float(np.trace(pt.omega @ self.logw).real)
+            logm = pt.mean_eig(self)[2]
+            return (ent - float(np.trace(pt.omega @ logm).real)) / (1.0 - self.kind.gamma)
         if self.mode == "bs":
             w, u = pt.bs_eig(self)
             w = np.clip(w, 0.0, None)
             eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
             f = (u * eta) @ u.conj().T
             return float(np.trace(self.sig_eff @ f).real)
-        if self.mode == "geom":
-            return self._geom_value(pt)
         omega_full = self.basis @ pt.omega @ self.basis.conj().T
         return rel_entropy(self.kind, omega_full, self.w_full).value
 
-    def grad_omega(self, pt: _Iterate) -> Optional[np.ndarray]:
-        """Euclidean gradient w.r.t. omega for analytic modes, else None."""
-        if self.mode == "um":
-            w, u = pt.omega_eig()
-            w = np.clip(w, 1e-300, None)
-            logw = (u * np.log(w)) @ u.conj().T
-            return logw - self.logw
+    def grad_omega(self, pt: _Iterate) -> np.ndarray:
+        """Euclidean omega-gradient, up to a multiple of the identity."""
         if self.mode == "bs":
-            w, u = pt.bs_eig(self)
-            w = np.clip(w, 1e-300, None)
-            eta1 = _divided_diff(w, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0)
-            s_eig = u.conj().T @ self.sig_eff @ u
-            t = u @ (eta1 * s_eig) @ u.conj().T
-            return self.sig_isqrt @ t @ self.sig_isqrt
-        return None
+            return self._pullback(pt, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0,
+                                  self.sig_eff)
+        w, u = pt.omega_eig()
+        w = np.clip(w, 1e-300, None)
+        logw = (u * np.log(w)) @ u.conj().T
+        if self.mode == "um":
+            return logw - self.logw
+        # geom: with M = S X^g S, d Tr(omega log M) = Tr(log M d omega)
+        # + Tr(Y dM) for Y = Dlog_M[omega], and Tr(Y dM) = Tr(Z dX^g)
+        # for Z = S Y S
+        g = self.kind.gamma
+        mu, q, logm = pt.mean_eig(self)
+        dlog = _divided_diff(mu, np.log, lambda x: 1.0 / x)
+        y = q @ (dlog * (q.conj().T @ pt.omega @ q)) @ q.conj().T
+        z = self.sig_sqrt @ y @ self.sig_sqrt
+        adj = self._pullback(pt, lambda x: x**g, lambda x: g * x ** (g - 1.0), z)
+        return (logw - logm - adj) / (1.0 - g)
+
+    def _pullback(self, pt: _Iterate, f, fprime, z: np.ndarray) -> np.ndarray:
+        """omega-gradient of Tr(z f(X)) for X = S^{-1} omega S^{-1}, S =
+        sig_eff^{1/2}: S^{-1} Df_X[z] S^{-1}, from X's memoized eigh."""
+        w, u = pt.bs_eig(self)
+        w = np.clip(w, 1e-300, None)
+        t = u @ (_divided_diff(w, f, fprime) * (u.conj().T @ z @ u)) @ u.conj().T
+        return self.sig_isqrt @ t @ self.sig_isqrt
 
 
 class _ObjectiveTerm:
@@ -252,10 +234,18 @@ class _ObjectiveTerm:
 def _expand_terms(
     weight: float, kind: EntropyKind, op: np.ndarray, basis: np.ndarray, spec=None
 ) -> list[_Term]:
-    """One weighted term per member of a mixture (flat by construction), so
-    each keeps its analytic gradient; other kinds map to a single term."""
-    comps = kind.components if isinstance(kind, Mixture) else ((1.0, kind),)
-    return [_Term(weight * w, k, op, basis, spec) for w, k in comps if w != 0.0]
+    """One weighted term per generator, so each keeps its analytic gradient:
+    a mixture (flat by construction) and a geom over a mixture expand by
+    linearity, D^{sum_i w_i q_i, #g} = sum_i w_i D^{q_i, #g}, and a geom over
+    BS is BS (the fixed point D^{bs, #g} = D^bs)."""
+    if isinstance(kind, GeomWeighted) and isinstance(kind.base, Mixture):
+        kind = Mixture(tuple((w, GeomWeighted(k, kind.gamma)) for w, k in kind.base.components))
+    elif isinstance(kind, GeomWeighted) and isinstance(kind.base, BelavkinStaszewski):
+        kind = kind.base
+    if isinstance(kind, Mixture):
+        return [t for w, k in kind.components if w != 0.0
+                for t in _expand_terms(weight * w, k, op, basis, spec)]
+    return [_Term(weight, kind, op, basis, spec)]
 
 
 def _um_bs_weights(kind: EntropyKind) -> Optional[tuple[float, float]]:
@@ -290,10 +280,9 @@ def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
 class _Iterate:
     """One point H of the descent with omega = exp(H) / Tr exp(H).
 
-    H's eigendata and omega come from a single eigh. The decompositions the
-    Umegaki and Belavkin-Staszewski terms need are taken on first use and
-    shared by their values and gradients: eigh(omega) by every um and geom
-    term, and eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) by each bs term.
+    H's eigendata and omega come from one eigh; eigh(omega) (um, geom),
+    eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) (bs, geom) and eigh(W #_g omega)
+    (geom) are taken on first use and shared by each term's value and gradient.
     """
 
     def __init__(self, h: np.ndarray):
@@ -305,6 +294,7 @@ class _Iterate:
         self.omega = self.eh / np.trace(self.eh).real
         self._omega_eig = None
         self._bs_eig: dict = {}
+        self._mean_eig: dict = {}
 
     def omega_eig(self):
         if self._omega_eig is None:
@@ -316,6 +306,18 @@ class _Iterate:
             m = term.sig_isqrt @ self.omega @ term.sig_isqrt
             self._bs_eig[term] = np.linalg.eigh((m + m.conj().T) / 2)
         return self._bs_eig[term]
+
+    def mean_eig(self, term: _Term):
+        """(mu, Q, log M) for W #_g omega = M = S X^g S = Q diag(mu) Q*, with
+        S = sig_eff^{1/2} and X = S^{-1} omega S^{-1} from bs_eig."""
+        if term not in self._mean_eig:
+            x, v = self.bs_eig(term)
+            sv = term.sig_sqrt @ v
+            m = (sv * np.clip(x, 1e-300, None) ** term.kind.gamma) @ sv.conj().T
+            mu, q = np.linalg.eigh((m + m.conj().T) / 2)
+            mu = np.clip(mu, 1e-300, None)
+            self._mean_eig[term] = mu, q, (q * np.log(mu)) @ q.conj().T
+        return self._mean_eig[term]
 
 
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
@@ -330,26 +332,22 @@ def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     return (t - tr_og * pt.eh) / z
 
 
-_HERM_BASIS_CACHE: dict[int, list[np.ndarray]] = {}
-
-
 def _herm_basis(m: int) -> list[np.ndarray]:
-    if m not in _HERM_BASIS_CACHE:
-        basis = []
-        for i in range(m):
+    """Orthonormal basis of the m x m Hermitian matrices: the FD directions."""
+    basis = []
+    for i in range(m):
+        e = np.zeros((m, m), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(m):
+        for j in range(i + 1, m):
             e = np.zeros((m, m), dtype=complex)
-            e[i, i] = 1.0
+            e[i, j] = e[j, i] = 1.0 / math.sqrt(2)
             basis.append(e)
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = np.zeros((m, m), dtype=complex)
-                e[i, j] = e[j, i] = 1.0 / math.sqrt(2)
-                basis.append(e)
-                e = np.zeros((m, m), dtype=complex)
-                e[i, j], e[j, i] = 1j / math.sqrt(2), -1j / math.sqrt(2)
-                basis.append(e)
-        _HERM_BASIS_CACHE[m] = basis
-    return _HERM_BASIS_CACHE[m]
+            e = np.zeros((m, m), dtype=complex)
+            e[i, j], e[j, i] = 1j / math.sqrt(2), -1j / math.sqrt(2)
+            basis.append(e)
+    return basis
 
 
 def center_solver(
@@ -376,13 +374,16 @@ def center_solver(
     def f_of(pt: _Iterate) -> float:
         return sum(t.weight * t.value(pt) for t in terms)
 
-    analytic = [t for t in terms if t.mode in ("um", "bs")]
-    generic = [t for t in terms if t.mode in ("gen", "geom")]
+    analytic = [t for t in terms if t.mode != "gen"]
+    generic = [t for t in terms if t.mode == "gen"]
+    # geom terms step in H coordinates: mirror descent stalls on them at
+    # negative weight
+    mirror = all(t.mode in ("um", "bs") for t in terms)
 
     def gen_value(pt: _Iterate) -> float:
         return sum(t.weight * t.value(pt) for t in generic)
 
-    hbasis = _herm_basis(m)
+    hbasis = _herm_basis(m) if generic else []
     rng = np.random.default_rng(opts.seed)
 
     starts: list[np.ndarray] = []
@@ -401,14 +402,12 @@ def center_solver(
         g = np.zeros((m, m), dtype=complex)
         for t in analytic:
             g = g + t.weight * t.grad_omega(pt)
-        if not generic:
+        if mirror:
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
             # of the identity)
             return g - (np.trace(g).real / m) * np.eye(m)
-        grad = np.zeros((m, m), dtype=complex)
-        if analytic:
-            grad = grad + _dexp_push(pt, g)
+        grad = _dexp_push(pt, g)
         for e in hbasis:
             vp = gen_value(_Iterate(pt.h + _FD_STEP * e))
             vm = gen_value(_Iterate(pt.h - _FD_STEP * e))

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .barycentric import barycentric_renyi_full
+from .barycentric import _json_float, barycentric_renyi_full
 from .errors import QrdivError
 from .hermitian import load_matrix, matrix_to_json
 from .relent import (
@@ -67,11 +67,14 @@ def cmd_eval(args) -> int:
     rho = load_matrix(args.rho)
     sigma = load_matrix(args.sigma)
     alpha = parse_alpha(args.alpha) if args.alpha is not None else None
-    value, gap, flags, center = evaluate(parse_kind(args.kind), alpha, rho, sigma, args.seed)
+    spec = parse_kind(args.kind)
+    if alpha is not None and not isinstance(spec, Barycentric):
+        raise QrdivError("--alpha applies only to bary: kinds (az: and max: carry their own)")
+    value, gap, flags, center = evaluate(spec, alpha, rho, sigma, args.seed)
     if args.out == "json":
         payload = {
             "kind": args.kind,
-            "alpha": alpha,
+            "alpha": _json_float(alpha),
             "value": fmt_value(value),
             "gap": gap,
             "flags": flags,

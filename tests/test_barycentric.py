@@ -20,6 +20,7 @@ from qrdiv.hermitian import (
     partial_trace,
     pinch,
     sample_cptp,
+    sample_hermitian,
     sample_state,
     sample_unitary,
     support_basis,
@@ -333,13 +334,14 @@ def _batch_geom_term(kind, w_op):
 @pytest.mark.parametrize(
     "kinds",
     [
-        # an analytic term next to a generic one: the H-gradient of the
-        # analytic part goes through _dexp_push
+        # a geom term keeps the H-coordinate direction: its exact gradient
+        # and the um term's go through _dexp_push
         (Umegaki(), GeomWeighted(Umegaki(), 0.5)),
-        # the BS-base branch of the geom term's value
+        # geom:bs builds a plain bs term (D^{bs,#g} = D^bs); the oracle
+        # evaluates the geom composition itself
         (GeomWeighted(BelavkinStaszewski(), 0.5), BelavkinStaszewski()),
     ],
-    ids=["um,geom:um:0.5", "geom:bs:0.5,bs"],
+    ids=["um,geom:um:0.5-exact-grad", "geom:bs:0.5,bs-fixed-point"],
 )
 def test_solver_matches_bloch_oracle_mixed_geom(kinds):
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
@@ -360,8 +362,8 @@ def test_solver_matches_bloch_oracle_mixed_geom(kinds):
 
 
 def test_geom_solver_eigh_count(monkeypatch):
-    # geom terms read omega's eigendata from the iterate's memo; 486 when
-    # each geom value decomposed omega itself
+    # each candidate decomposes H, omega, and per geom term X and the mean
+    # (6 eighs for geom,geom); the gradient takes no further eigh
     calls = []
     eigh = np.linalg.eigh
 
@@ -369,12 +371,94 @@ def test_geom_solver_eigh_count(monkeypatch):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    rng = np.random.default_rng(11)
-    rho, sig = sample_state(2, 2, rng), sample_state(2, 2, rng)
     geom = GeomWeighted(Umegaki(), 0.5)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    barycentric_renyi_full(0.5, (geom, geom), rho, sig, SolverOptions(restarts=0))
-    assert 0 < len(calls) <= 418
+    for d, iters, bound in ((2, 7, 80), (4, 192, 1166)):
+        rng = np.random.default_rng(11)
+        rho, sig = sample_state(d, d, rng), sample_state(d, d, rng)
+        calls.clear()
+        res = barycentric_renyi_full(0.5, (geom, geom), rho, sig, SolverOptions(restarts=0))
+        assert res["iterations"] == iters and res["converged"]
+        assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_geom_term_exact_gradient(d, gamma):
+    # on a proper subspace of a full-rank W, the geom:um term's value is
+    # rel_entropy's on the full space (its setup's sig_eff is W's
+    # absolutely continuous part there), and its omega-gradient pushed to H
+    # matches a Richardson central difference along random H directions
+    from qrdiv.barycentric import _dexp_push, _Iterate, _Term
+
+    rng = np.random.default_rng(100 * d + round(10 * gamma))
+    w_op = sample_state(d + 1, d + 1, rng)
+    basis = sample_unitary(d + 1, rng)[:, :d]
+    term = _Term(1.0, GeomWeighted(Umegaki(), gamma), w_op, basis)
+    assert term.mode == "geom"
+    h = sample_hermitian(d, rng)
+    pt = _Iterate(h)
+    full = rel_entropy(term.kind, basis @ pt.omega @ basis.conj().T, w_op).value
+    assert abs(term.value(pt) - full) < 1e-10
+    grad = _dexp_push(pt, term.grad_omega(pt))
+    for _ in range(3):
+        e = sample_hermitian(d, rng)
+        fd = fd_derivative(lambda t: term.value(_Iterate(h + t * e)), 0.0)
+        exact = float(np.trace(grad @ e).real)
+        assert abs(fd - exact) <= 1e-7 * abs(exact)
+
+
+_GEOM = GeomWeighted(Umegaki(), 0.5)
+_GEOM_MIX = GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))), 0.7)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
+    # every closed-form generator solves on the analytic path: building the
+    # finite-difference basis fails the solve
+    import qrdiv.barycentric as bary
+
+    def no_fd(m):
+        raise AssertionError("finite-difference route taken")
+
+    monkeypatch.setattr(bary, "_herm_basis", no_fd)
+    rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
+    opts = SolverOptions(restarts=0, iters=30, use_closed_form=False)
+    kinds = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
+             _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
+    for k in kinds:
+        assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
+
+
+def test_center_solver_analytic_term_next_to_objective():
+    # a um term (pushed through _dexp_push) next to a caller objective for
+    # the sigma half (finite differences) reaches the all-Umegaki closed form
+    from qrdiv.barycentric import _ObjectiveTerm, _Term, center_solver
+
+    rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    a = 0.5
+    basis = support_basis(np.eye(3))
+    terms = [_Term(a, Umegaki(), rho, basis),
+             _ObjectiveTerm(lambda w: (1 - a) * umegaki(w, sig), basis)]
+    _, value, _, _, conv = center_solver(None, np.eye(3), SolverOptions(restarts=0), terms)
+    res = barycentric_renyi_full(a, UM, rho, sig)
+    exact = a * umegaki(res["center"], rho) + (1 - a) * umegaki(res["center"], sig)
+    assert conv and abs(value - exact) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "alpha, kinds, floor",
+    [(1.5, (Umegaki(), _GEOM), None), (INF, (Umegaki(), _GEOM), 2.11),
+     (1.5, (_GEOM_MIX, _GEOM_MIX), None)],
+    ids=["um,geom@1.5", "um,geom@inf", "geom-mix@1.5"],
+)
+def test_negative_weight_geom_finite(alpha, kinds, floor):
+    # the second term carries weight 1 - alpha < 0 (-1 at alpha = inf);
+    # mirror descent stalls here (at 1.908 for um,geom@inf) or raises
+    rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    value = barycentric_renyi(alpha, kinds, rho, sig, SolverOptions(restarts=0))
+    assert math.isfinite(value)
+    assert floor is None or value >= floor
 
 
 def test_objective_midpoint_convexity():

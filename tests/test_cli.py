@@ -169,9 +169,14 @@ def test_eval_alpha_inf_closed_forms(mats, tmp_path, capsys):
     assert _eval_line(capsys, "az:inf:0.5", mats["rho"], mats["sigma"])[0] == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_eval_um_bs_alpha_inf_dual(mats, tmp_path, capsys):
     # the pure-state dual closes its gap, so the CLI exits 0, and the value
-    # is at least D_max = max:inf (the bs,bs value, with U <= BS)
+    # is at least D_max = max:inf (the bs,bs value, with U <= BS); the
+    # payload is strict JSON, alpha = inf included
     pairs = [(mats["rho"], mats["sigma"])]
     paths = []
     for name, seed in (("r3", 3), ("s3", 4)):
@@ -182,11 +187,25 @@ def test_eval_um_bs_alpha_inf_dual(mats, tmp_path, capsys):
     for rho, sig in pairs:
         code = main(["eval", "--kind", "bary:um,bs", "--alpha", "inf", "--out", "json",
                      "--rho", rho, "--sigma", sig])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0 and payload["flags"] == []
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 0 and payload["flags"] == [] and payload["alpha"] == "+inf"
         assert 0.0 <= payload["gap"] <= 1e-8
         _, dmax = _eval_line(capsys, "max:inf", rho, sig)
         assert float(payload["value"]) >= float(dmax)
+
+
+def test_eval_alpha_only_for_bary(mats, capsys):
+    # --alpha moves only bary: kinds; az: and max: carry their own alpha
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
+    for kind in ("um", "geom:um:0.5", "meas-lb", "az:0.5:inf", "max:0.5"):
+        assert main(["eval", "--kind", kind, "--alpha", "0.5", *rs]) == 2
+        assert capsys.readouterr().err.startswith("error: --alpha applies only to bary:")
+    assert main(["eval", "--kind", "bary:um,bs", "--alpha", "0.5", "--out", "json", *rs]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+    # a sweep's alpha grid passes over the other items unchanged
+    assert main(["sweep", "--kinds", "um,max:0.5", "--alpha-grid", "0.25:0.75:3", *rs]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len({r[2] for r in rows[:3]}) == 1 and len({r[2] for r in rows[3:]}) == 1
 
 
 def test_eval_rho_below_support_cutoff(tmp_path, capsys):
