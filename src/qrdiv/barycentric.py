@@ -2,18 +2,19 @@
 two-variable barycentric Renyi divergences with their alpha in {0, 1, inf}
 limits, and the derived geometric means.
 
-The center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) is solved by
-descent in the exponential parametrization omega = exp(H) / Tr exp(H) on
-the compressed feasible subspace; each iterate is decomposed once, and its
-memoized decompositions serve every term's value and gradient (``_Iterate``).
-Umegaki, BS and geom:um terms have analytic gradients (geom over BS is BS,
-geom over a mixture expands by linearity); central finite differences on
-the H coordinates serve only the measured kind and caller objectives.
-The all-Umegaki case bypasses the solver via its closed-form center, and so
-does alpha = inf with a Umegaki first generator and a second that mixes
-Umegaki and Belavkin-Staszewski (a pure center from a 1-D convex dual,
-``renyi._um_first_top``) or with equal Belavkin-Staszewski generators
-(D_max).
+Every value reads its kinds as generators (``_generators``: a mixture and a
+geom over a mixture split by linearity, geom over BS is BS) and reaches the
+center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) through one
+function, ``_center``: the closed-form center when every generator is
+Umegaki, else descent in the exponential parametrization
+omega = exp(H) / Tr exp(H) on the compressed feasible subspace. Each iterate
+is decomposed once: H's eigh gives omega and log omega, and memoized
+decompositions serve every term's value and gradient (``_Iterate``).
+Umegaki, BS and geom:um terms have analytic gradients; central finite
+differences on the H coordinates serve only the measured kind and caller
+objectives. At alpha = inf, Umegaki first generators against Umegaki and
+BS second ones give a pure center from a 1-D convex dual
+(``renyi._um_first_top``), and all-BS generators D_max.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .classical import classify_weights, OTHER
 from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
+    _check_shapes,
     projection_meet,
     sample_hermitian,
     spectrum,
@@ -173,9 +175,7 @@ class _Term:
     def value(self, pt: _Iterate) -> float:
         if self.mode in ("um", "geom"):
             # geom: D^um(omega || M) / (1 - g) for the mean M = W #_g omega
-            w, _ = pt.omega_eig()
-            w = np.clip(w, 1e-300, None)
-            ent = float(np.sum(w * np.log(w)))
+            ent = float(np.exp(pt.logp) @ pt.logp)
             if self.mode == "um":
                 return ent - float(np.trace(pt.omega @ self.logw).real)
             logm = pt.mean_eig(self)[2]
@@ -194,11 +194,8 @@ class _Term:
         if self.mode == "bs":
             return self._pullback(pt, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0,
                                   self.sig_eff)
-        w, u = pt.omega_eig()
-        w = np.clip(w, 1e-300, None)
-        logw = (u * np.log(w)) @ u.conj().T
         if self.mode == "um":
-            return logw - self.logw
+            return pt.log_omega - self.logw
         # geom: with M = S X^g S, d Tr(omega log M) = Tr(log M d omega)
         # + Tr(Y dM) for Y = Dlog_M[omega], and Tr(Y dM) = Tr(Z dX^g)
         # for Z = S Y S
@@ -208,7 +205,7 @@ class _Term:
         y = q @ (dlog * (q.conj().T @ pt.omega @ q)) @ q.conj().T
         z = self.sig_sqrt @ y @ self.sig_sqrt
         adj = self._pullback(pt, lambda x: x**g, lambda x: g * x ** (g - 1.0), z)
-        return (logw - logm - adj) / (1.0 - g)
+        return (pt.log_omega - logm - adj) / (1.0 - g)
 
     def _pullback(self, pt: _Iterate, f, fprime, z: np.ndarray) -> np.ndarray:
         """omega-gradient of Tr(z f(X)) for X = S^{-1} omega S^{-1}, S =
@@ -231,37 +228,19 @@ class _ObjectiveTerm:
         return self.objective(self.basis @ pt.omega @ self.basis.conj().T)
 
 
-def _expand_terms(
-    weight: float, kind: EntropyKind, op: np.ndarray, basis: np.ndarray, spec=None
-) -> list[_Term]:
-    """One weighted term per generator, so each keeps its analytic gradient:
-    a mixture (flat by construction) and a geom over a mixture expand by
-    linearity, D^{sum_i w_i q_i, #g} = sum_i w_i D^{q_i, #g}, and a geom over
-    BS is BS (the fixed point D^{bs, #g} = D^bs)."""
+def _generators(weight: float, kind: EntropyKind) -> list[tuple[float, EntropyKind]]:
+    """weight * D^kind as (w, q) pairs, one per generator with a nonzero
+    weight, so that each term keeps its analytic gradient and each dispatch
+    reads one structure: a mixture (flat by construction) and a geom over a
+    mixture split by linearity, D^{sum_i w_i q_i, #g} = sum_i w_i D^{q_i, #g},
+    and a geom over BS is BS (the fixed point D^{bs, #g} = D^bs)."""
     if isinstance(kind, GeomWeighted) and isinstance(kind.base, Mixture):
         kind = Mixture(tuple((w, GeomWeighted(k, kind.gamma)) for w, k in kind.base.components))
     elif isinstance(kind, GeomWeighted) and isinstance(kind.base, BelavkinStaszewski):
         kind = kind.base
     if isinstance(kind, Mixture):
-        return [t for w, k in kind.components if w != 0.0
-                for t in _expand_terms(weight * w, k, op, basis, spec)]
-    return [_Term(weight, kind, op, basis, spec)]
-
-
-def _um_bs_weights(kind: EntropyKind) -> Optional[tuple[float, float]]:
-    """(t, u) with kind = t bs + u um, or None if any other kind carries
-    weight."""
-    t = u = 0.0
-    for w, comp in kind.components if isinstance(kind, Mixture) else ((1.0, kind),):
-        if w == 0.0:
-            continue
-        if comp == BelavkinStaszewski():
-            t += w
-        elif comp == Umegaki():
-            u += w
-        else:
-            return None
-    return t, u
+        return [g for w, k in kind.components for g in _generators(weight * w, k)]
+    return [(weight, kind)] if weight != 0.0 else []
 
 
 def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
@@ -280,9 +259,11 @@ def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
 class _Iterate:
     """One point H of the descent with omega = exp(H) / Tr exp(H).
 
-    H's eigendata and omega come from one eigh; eigh(omega) (um, geom),
-    eigh(sig_eff^{-1/2} omega sig_eff^{-1/2}) (bs, geom) and eigh(W #_g omega)
-    (geom) are taken on first use and shared by each term's value and gradient.
+    H's one eigh gives omega and log omega = U diag(log p) U*, with
+    log p = w - log sum exp(w) read off H's eigenvalues w: exact where p
+    underflows, so no floor is needed. eigh(sig_eff^{-1/2} omega
+    sig_eff^{-1/2}) (bs, geom) and eigh(W #_g omega) (geom) are taken on
+    first use and shared by each term's value and gradient.
     """
 
     def __init__(self, h: np.ndarray):
@@ -292,14 +273,16 @@ class _Iterate:
         self.ew = np.exp(self.w - self.shift)
         self.eh = (self.u * self.ew) @ self.u.conj().T  # exp(H - shift)
         self.omega = self.eh / np.trace(self.eh).real
-        self._omega_eig = None
         self._bs_eig: dict = {}
         self._mean_eig: dict = {}
 
-    def omega_eig(self):
-        if self._omega_eig is None:
-            self._omega_eig = np.linalg.eigh(self.omega)
-        return self._omega_eig
+    @cached_property
+    def logp(self) -> np.ndarray:
+        return self.w - self.shift - math.log(np.sum(self.ew))
+
+    @cached_property
+    def log_omega(self) -> np.ndarray:
+        return (self.u * self.logp) @ self.u.conj().T
 
     def bs_eig(self, term: _Term):
         if term not in self._bs_eig:
@@ -461,23 +444,25 @@ def center_solver(
 # multi-variate barycentric Q
 
 
-def _all_umegaki(kinds: Sequence[EntropyKind], weights: Sequence[float]) -> bool:
-    return all(
-        isinstance(k, Umegaki) for k, w in zip(kinds, weights) if w != 0.0
-    )
-
-
-def _umegaki_center(
-    weights: Sequence[float], ops: Sequence[np.ndarray], basis: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """All-Umegaki closed form: (q, center) with q = Tr exp(H) and center
-    exp(H)/q for H = sum_x P(x) log W_x compressed to ran(basis); ``ops``
-    are matrices or their spectra."""
-    h = _log_euclidean_h(weights, ops, basis)
-    ww, u = np.linalg.eigh((h + h.conj().T) / 2)
-    q = float(np.sum(np.exp(ww)))
-    center_c = (u * np.exp(ww)) @ u.conj().T / q
-    return q, basis @ center_c @ basis.conj().T
+def _center(weights, kinds, ops, spectra, meet, options: Optional[SolverOptions]):
+    """(center, radius, gap, iterations, converged) for the radius
+    inf over states omega in ran(meet) of sum_x P(x) D^{q_x}(omega || W_x)
+    (``meet`` a Spectrum), with one term per generator of each q_x. All
+    Umegaki generators take the closed form: center exp(H)/Tr exp(H) and
+    radius -log Tr exp(H) for H = sum P(x) w log W_x compressed to ran(meet)."""
+    basis = meet.basis
+    if basis.shape[1] == 0:
+        return None, INF, 0.0, 0, True
+    gens = [(w, q, op, sp) for p, k, op, sp in zip(weights, kinds, ops, spectra)
+            for w, q in _generators(p, k)]
+    if (options or SolverOptions()).use_closed_form and all(q == Umegaki() for _, q, _, _ in gens):
+        h = _log_euclidean_h([w for w, *_ in gens], [sp for *_, sp in gens], basis)
+        ww, u = np.linalg.eigh((h + h.conj().T) / 2)
+        q = float(np.sum(np.exp(ww)))
+        center = basis @ ((u * np.exp(ww)) @ u.conj().T / q) @ basis.conj().T
+        return center, -math.log(q), 0.0, 0, True
+    terms = [_Term(w, q, op, basis, sp) for w, q, op, sp in gens]
+    return center_solver(None, meet, options, terms=terms)
 
 
 def barycentric_q(
@@ -493,11 +478,9 @@ def barycentric_q(
     Q = +inf for signed P with S_+ not below S_-) run before any solver call.
     """
     weights = [float(w) for w in weights]
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise BadParameter("weights must sum to 1")
+    cls = classify_weights(weights)
     if len(kinds) != len(channel.operators) or len(weights) != len(channel.operators):
         raise DimensionMismatch("kinds/weights/operators must align")
-    cls = classify_weights(weights)
     if cls == OTHER:
         sups = [sp.proj for sp, w in zip(channel.spectra, weights) if w != 0.0]
         if any(np.max(np.abs(s - sups[0])) > 1e-7 for s in sups[1:]):
@@ -506,31 +489,11 @@ def barycentric_q(
             )
     s_plus, s_minus = channel.support_meets(weights)
     sp_plus = spectrum(s_plus)
-    has_negative = any(w < 0 for w in weights)
-    if has_negative and not support_leq(sp_plus, s_minus):
+    if any(w < 0 for w in weights) and not support_leq(sp_plus, s_minus):
         return BarycenterResult(q_value=INF, radius=-INF)
-    rank_plus = int(round(np.trace(s_plus).real))
-    if rank_plus == 0:
-        return BarycenterResult(q_value=0.0, radius=INF)
 
-    basis = sp_plus.basis
-    use_closed = options.use_closed_form if options is not None else True
-    if use_closed and _all_umegaki(kinds, weights):
-        q, center = _umegaki_center(weights, channel.spectra, basis)
-        return BarycenterResult(
-            q_value=q,
-            radius=-math.log(q),
-            center=center,
-            geo_mean=q * center,
-            iterations=0,
-            objective_gap=0.0,
-        )
-
-    terms = []
-    for w, k, op, sp in zip(weights, kinds, channel.operators, channel.spectra):
-        if w != 0.0:
-            terms.extend(_expand_terms(w, k, op, basis, sp))
-    center, radius, gap, iters, conv = center_solver(None, sp_plus, options, terms=terms)
+    center, radius, gap, iters, conv = _center(
+        weights, kinds, channel.operators, channel.spectra, sp_plus, options)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
     return BarycenterResult(
@@ -559,13 +522,14 @@ def barycentric_renyi(
 
     alpha = 1 returns D^{q1}(rho||sigma) / Tr rho; alpha = inf evaluates the
     sup of D^{q1}(omega||sigma) - D^{q0}(omega||rho) over states in ran(rho).
-    At alpha = inf, q0 = um with q1 = t bs + (1 - t) um is attained at a pure
-    state and solved by the 1-D dual
+    At alpha = inf, generators read as in ``_generators`` (so geom:bs counts
+    as bs): q0 = um with q1 = t bs + (1 - t) um is attained at a pure state
+    and solved by the 1-D dual
     min_{s>0} lambda_max(B*(t s sigma^+ + L)B) - t(log s + 1),
     L = log rho - (1 - t) log sigma, on the support meet ran(B): the value is
     the objective at the returned pure center, within the returned gap
     (at most ``tol`` when converged) of the sup. t = 0 (um,um) is the top
-    eigenvalue of B*(log rho - log sigma)B, and equal BS generators give
+    eigenvalue of B*(log rho - log sigma)B, and all-BS generators give
     D_max(rho||sigma); both are exact. Every other pair (bs,um among them),
     and ``use_closed_form=False``, runs the solver, whose value is only a
     lower bound on the supremum (it may be unattained, and the solver can
@@ -583,10 +547,7 @@ def barycentric_renyi_full(
     sigma: np.ndarray,
     options: Optional[SolverOptions] = None,
 ) -> dict:
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     tr_rho = float(np.trace(rho).real)
     if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
@@ -617,46 +578,38 @@ def barycentric_renyi_full(
     opts = options or SolverOptions()
 
     if alpha == INF:
-        # q0 = um and q1 = t bs + u um: a pure state attains the sup, which is
-        # a 1-D convex dual (t = 0: the top eigenvalue of
-        # B*(log rho - log sigma)B); equal BS generators: D_max(rho || sigma),
-        # an upper bound by the antimonotonicity of BS in its second argument
-        # and attained on a pure state. All these centers are pure.
-        tu = _um_bs_weights(q1) if q0 == Umegaki() else None
-        if opts.use_closed_form and tu is not None:
-            value, v, gap, iters = _um_first_top(sr, ss, basis, *tu, tol=opts.tol)
-            psi = basis @ v
-        elif opts.use_closed_form and q0 == q1 == BelavkinStaszewski():
-            value, psi = _dmax_top(rho, ss)
-            gap, iters = 0.0, 0
-        else:
-            terms = _expand_terms(1.0, q0, rho, basis, sr)
-            terms += _expand_terms(-1.0, q1, sigma, basis, ss)
-            center, val, gap, iters, conv = center_solver(None, meet, options, terms=terms)
-            out.update(value=-val, center=center, gap=gap, iterations=iters, converged=conv)
+        # q0's generators all um and q1's um or bs, q1 = t bs + u um: a pure
+        # state attains the sup, which is a 1-D convex dual (t = 0: the top
+        # eigenvalue of B*(log rho - log sigma)B); all generators bs:
+        # D_max(rho || sigma), an upper bound by the antimonotonicity of BS in
+        # its second argument and attained on a pure state. Every other pair
+        # is solved (an all-um pair never reaches _center's closed form).
+        um, bs = Umegaki(), BelavkinStaszewski()
+        w0, w1 = {}, {}
+        for tally, kind in ((w0, q0), (w1, q1)):
+            for w, q in _generators(1.0, kind):
+                tally[q] = tally.get(q, 0.0) + w
+        pure = None
+        if opts.use_closed_form and set(w0) == {um} and set(w1) <= {um, bs}:
+            value, v, gap, iters = _um_first_top(sr, ss, basis, w1.get(bs, 0.0), w1.get(um, 0.0),
+                                                 tol=opts.tol)
+            pure = basis @ v
+        elif opts.use_closed_form and set(w0) == set(w1) == {bs}:
+            (value, pure), gap, iters = _dmax_top(rho, ss), 0.0, 0
+        if pure is not None:
+            out.update(value=value, center=np.outer(pure, pure.conj()), gap=gap,
+                       iterations=iters, converged=gap <= opts.tol)
             return out
-        out.update(value=value, center=np.outer(psi, psi.conj()), gap=gap, iterations=iters,
-                   converged=gap <= opts.tol)
-        return out
-
-    if alpha == 0:
-        weights = (0.0, 1.0)
+        weights = (1.0, -1.0)
     else:
-        weights = (alpha, 1.0 - alpha)
-
-    if opts.use_closed_form and _all_umegaki(kinds, weights):
-        q, center = _umegaki_center(weights, (sr, ss), basis)
-        radius = -math.log(q)
-        iters, gap, conv = 0, 0.0, True
-    else:
-        terms = []
-        for w, k, op, spec in zip(weights, kinds, (rho, sigma), (sr, ss)):
-            if w != 0.0:
-                terms.extend(_expand_terms(w, k, op, basis, spec))
-        center, radius, gap, iters, conv = center_solver(None, meet, options, terms=terms)
+        weights = (0.0, 1.0) if alpha == 0 else (alpha, 1.0 - alpha)
+    center, radius, gap, iters, conv = _center(weights, kinds, (rho, sigma), (sr, ss), meet,
+                                               options)
 
     # psi_alpha = -radius; D_alpha = (psi_alpha - log Tr rho)/(alpha - 1)
-    if alpha == 0:
+    if alpha == INF:
+        value = -radius
+    elif alpha == 0:
         value = radius + math.log(tr_rho)
     else:
         value = (-radius - math.log(tr_rho)) / (alpha - 1.0)

@@ -50,6 +50,16 @@ def check_hermitian(a: np.ndarray, tol: float = HERM_ATOL) -> np.ndarray:
     return herm_part(a)
 
 
+def _check_shapes(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The operand pair as complex arrays; DimensionMismatch unless the
+    shapes agree."""
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    return rho, sigma
+
+
 def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and a unitary of eigenvectors of Hermitian ``a``."""
     h = check_hermitian(a)
@@ -305,7 +315,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise DimensionMismatch(f"declared dim {d}, data shapes {re.shape} and {im.shape}")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise BadParameter("matrix entries must be finite")
-    return check_hermitian(re + 1j * im, tol=1e-8)
+    a = check_hermitian(re + 1j * im, tol=1e-8)
+    w = np.linalg.eigvalsh(a)
+    if np.any(w < -support_cutoff(w)):
+        raise BadParameter(f"matrix must be PSD, has eigenvalue {w[0]:.3e}")
+    return a
 
 
 def load_matrix(path) -> np.ndarray:

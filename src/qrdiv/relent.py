@@ -18,8 +18,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .classical import classical_rel_entropy, classical_renyi
-from .errors import BadParameter, DimensionMismatch
-from .hermitian import sample_unitary, spectral_decompose, spectrum, support_leq
+from .errors import BadParameter
+from .hermitian import _check_shapes, sample_unitary, spectral_decompose, spectrum, support_leq
 from .supports import kubo_ando_mean
 
 INF = float("inf")
@@ -162,14 +162,18 @@ class _Reader:
             self.fail(repr("".join(texts)))
 
     def number(self, inf: bool = False, whole: bool = False):
-        """FLOAT, "inf" too where ``inf``, or INT where ``whole``."""
+        """FLOAT, "inf" too where ``inf``, or INT where ``whole``; a FLOAT
+        beyond the float range is no number (only the token "inf" is)."""
         if inf and self.accept("inf"):
             return INF
         tok = self.toks[self.i] if self.i < len(self.toks) else ""
         if not (tok.isdigit() if whole else tok[:1].isdigit() or tok[:1] == "."):
             self.fail("a whole number" if whole else "a number")
+        value = int(tok) if whole else float(tok)
+        if value == INF:
+            self.fail("a number within the float range")
         self.i += 1
-        return int(tok) if whole else float(tok)
+        return value
 
     def kind(self) -> EntropyKind:
         if self.accept("um"):
@@ -244,13 +248,18 @@ def parse_alpha(text: str) -> float:
 
 
 def parse_grid(text: str) -> list[float]:
-    """``grid``: that many evenly spaced points."""
+    """``grid``: that many evenly spaced points; a count numpy cannot build
+    is a BadParameter."""
     r = _Reader(text, "grid")
     start = r.number()
     r.expect(":")
     stop = r.number()
     r.expect(":")
-    return r.done([float(x) for x in np.linspace(start, stop, r.number(whole=True))])
+    count = r.done(r.number(whole=True))
+    try:
+        return [float(x) for x in np.linspace(start, stop, count)]
+    except (ValueError, MemoryError) as exc:
+        raise BadParameter(f"bad grid {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -270,10 +279,7 @@ def _is_zero(a: np.ndarray) -> bool:
 
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     if _is_zero(rho):
         return 0.0
     if _is_zero(sigma):
@@ -288,10 +294,7 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Belavkin-Staszewski (= maximal) relative entropy
     Tr rho nlog(rho^{1/2} sigma^{-1} rho^{1/2}), products taken inside the
     support of sigma."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     if _is_zero(rho):
         return 0.0
     if _is_zero(sigma):
@@ -376,8 +379,7 @@ def measured_lower_bound(
     Returns (value, best basis unitary). Multi-start reduction is the max,
     ties resolved toward the lowest start index.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
     if _is_zero(rho):
         return 0.0, np.eye(d)
@@ -463,10 +465,7 @@ def rel_entropy(
     For MeasuredProjective the value is a certified lower bound with
     certificate_gap = D^Um - value when both are finite.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     if isinstance(kind, Umegaki):
         return DivergenceValue(umegaki(rho, sigma))
     if isinstance(kind, BelavkinStaszewski):

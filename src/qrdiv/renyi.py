@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import classical_renyi
-from .errors import BadParameter, DimensionMismatch, InfiniteLimit
+from .errors import BadParameter, InfiniteLimit
 from .hermitian import (
+    _check_shapes,
     eig_clusters,
     projection_meet,
     spectral_decompose,
@@ -26,14 +27,6 @@ from .relent import umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
 
 INF = float("inf")
-
-
-def _check_shapes(rho, sigma):
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
-    return rho, sigma
 
 
 def _log_euclidean_h(weights, ops, basis: np.ndarray) -> np.ndarray:

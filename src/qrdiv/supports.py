@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, InfiniteLimit, NotInvertible
+from .errors import BadParameter, InfiniteLimit, NotInvertible
 from .hermitian import (
+    _check_shapes,
     clip_psd,
     mpower,
     projection_meet,
@@ -89,10 +90,7 @@ def neg_power(gamma: float) -> OpConvexFn:
 def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Largest 0 <= C <= rho with ran(C) inside ran(sigma), via the Schur
     complement of rho with respect to the kernel of sigma."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     return _abs_cont(rho, support_projection(sigma))
 
 
@@ -153,10 +151,7 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     (0 * inf = 0); otherwise the limit does not exist and InfiniteLimit
     is raised.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    rho, sigma = _check_shapes(rho, sigma)
     meet = projection_meet(support_projection(rho), support_projection(sigma))
     p = support_projection(meet)
     rho_ac = _abs_cont(rho, p)
@@ -210,8 +205,7 @@ def kubo_ando_mean(
     """sigma #_gamma rho for gamma in [0, 1] and arbitrary PSD inputs."""
     if not 0.0 <= gamma <= 1.0:
         raise BadParameter(f"gamma {gamma} outside [0, 1]")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _check_shapes(rho, sigma)
     if gamma == 0.0:
         if endpoint_convention == "classical":
             return sigma.copy()
@@ -225,8 +219,7 @@ def kubo_ando_mean(
 
 def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """sigma #_gamma rho for any real gamma; both inputs must be invertible."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _check_shapes(rho, sigma)
     sr, ss = spectrum(rho), spectrum(sigma)
     for name, s in (("rho", sr), ("sigma", ss)):
         if s.w[-1] <= s.cut:

@@ -362,8 +362,9 @@ def test_solver_matches_bloch_oracle_mixed_geom(kinds):
 
 
 def test_geom_solver_eigh_count(monkeypatch):
-    # each candidate decomposes H, omega, and per geom term X and the mean
-    # (6 eighs for geom,geom); the gradient takes no further eigh
+    # each candidate decomposes H, and per geom term X and the mean (5 eighs
+    # for geom,geom; log omega comes from H's eigh); the gradient takes no
+    # further eigh
     calls = []
     eigh = np.linalg.eigh
 
@@ -373,7 +374,7 @@ def test_geom_solver_eigh_count(monkeypatch):
 
     geom = GeomWeighted(Umegaki(), 0.5)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for d, iters, bound in ((2, 7, 80), (4, 192, 1166)):
+    for d, iters, bound in ((2, 7, 68), (4, 192, 973)):
         rng = np.random.default_rng(11)
         rho, sig = sample_state(d, d, rng), sample_state(d, d, rng)
         calls.clear()
@@ -907,10 +908,10 @@ def test_center_solver_decomposes_each_iterate_once(monkeypatch):
     rng = np.random.default_rng(5)
     rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    # one eigh of H per line-search candidate and one per um/bs
-    # decomposition, shared by that term's value and gradient, plus the
-    # setup (172 and 91 calls)
-    for kinds, iters, bound in ((BS, 25, 180), ((Umegaki(), BelavkinStaszewski()), 12, 100)):
+    # one eigh of H per line-search candidate (which also gives log omega)
+    # and one per bs decomposition, shared by that term's value and
+    # gradient, plus the setup (164 and 58 calls)
+    for kinds, iters, bound in ((BS, 25, 164), ((Umegaki(), BelavkinStaszewski()), 12, 58)):
         calls.clear()
         res = barycentric_renyi_full(0.5, kinds, rho, sig, SolverOptions(restarts=0))
         assert res["iterations"] == iters and res["converged"]
@@ -945,3 +946,48 @@ def test_divided_diff_matches_scalar_definition(m):
         (np.exp, np.exp),
     ):
         assert np.array_equal(_divided_diff(w, f, fprime), _divided_diff_loop(w, f, fprime))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_alpha_inf_reads_generators(d, gamma):
+    # geom over BS is BS, so um,geom:bs takes um,bs's 1-D dual and
+    # geom:bs,geom:bs is D_max; both had run the solver to its cap
+    from qrdiv.renyi import max_relative_entropy
+
+    rho, sig = sample_state(d, d, 1), sample_state(d, d, 2)
+    gbs = GeomWeighted(BelavkinStaszewski(), gamma)
+    res = barycentric_renyi_full(INF, (Umegaki(), gbs), rho, sig)
+    ref = barycentric_renyi_full(INF, UM_BS, rho, sig)
+    assert res["converged"] and ref["converged"]
+    assert (res["value"], res["gap"]) == (ref["value"], ref["gap"])
+    assert np.array_equal(res["center"], ref["center"])
+    res = barycentric_renyi_full(INF, (gbs, GeomWeighted(BelavkinStaszewski(), 0.6)), rho, sig)
+    assert res["value"] == max_relative_entropy(rho, sig)
+    assert res["converged"] and res["iterations"] == 0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_umegaki_mixture_takes_closed_form(alpha):
+    # a mixture of um generators is all Umegaki: no solver iteration
+    rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    mix = Mixture(((0.5, Umegaki()), (0.5, Umegaki())))
+    res = barycentric_renyi_full(alpha, (mix, Umegaki()), rho, sig)
+    assert res["iterations"] == 0 and res["converged"]
+    assert abs(res["value"] - barycentric_renyi(alpha, UM, rho, sig)) < 1e-12
+
+
+def test_um_gradient_exact_at_near_pure_iterate():
+    # log omega = H - log Tr exp(H) exactly, also where omega's eigenvalues
+    # (down to e^-40) sit below the rounding of an eigh of omega
+    from qrdiv.barycentric import _Iterate, _Term
+
+    rng = np.random.default_rng(40)
+    d = 4
+    w_op = sample_state(d, d, rng)
+    term = _Term(1.0, Umegaki(), w_op, np.eye(d, dtype=complex))
+    v = sample_unitary(d, rng)
+    h = v @ np.diag([0.0, 12.0, 25.0, 40.0]) @ v.conj().T
+    diff = term.grad_omega(_Iterate(h)) - (h - term.logw)
+    diff = diff - (np.trace(diff) / d) * np.eye(d)
+    assert np.max(np.abs(diff)) < 1e-9

@@ -92,13 +92,33 @@ def test_eval_parse_error_exit_2(mats, capsys):
         ["sweep", "--kind", "um", "--alpha-grid", "0:1"],
         ["eval", "--kind", "meas:r2:i-3"],
         ["eval", "--kind", "meas:r-1:i5"],
+        ["eval", "--kind", "bary:um,bs", "--alpha", "1e999"],
+        ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1e999:3"],
+        ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1:100000000000000000000"],
     ],
     ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid",
-         "meas-negative-iters", "meas-negative-restarts"],
+         "meas-negative-iters", "meas-negative-restarts", "alpha-overflow",
+         "grid-overflow", "grid-count-too-large"],
 )
 def test_malformed_input_exit_2(mats, capsys, argv):
     assert main([*argv, "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_non_psd_matrix_exit_2(mats, tmp_path, capsys):
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps(matrix_to_json(np.diag([0.6, -0.4]))))
+    assert main(["eval", "--kind", "um", "--rho", str(p), "--sigma", mats["sigma"]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_um_geom_bs_alpha_inf_exact(mats, capsys):
+    # geom over BS is BS: the pure-state dual of um,bs, not a capped solve
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"], "--alpha", "inf"]
+    assert main(["eval", "--kind", "bary:um,geom:bs:0.5", *rs]) == 0
+    out = capsys.readouterr().out
+    assert main(["eval", "--kind", "bary:um,bs", *rs]) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_eval_exponent_weight(mats, capsys):

@@ -43,6 +43,13 @@ from qrdiv.hermitian import (
     support_projection,
     tensor,
 )
+from qrdiv.supports import (
+    abs_cont_part,
+    kubo_ando_mean,
+    kubo_ando_mean_real,
+    perspective,
+    x_log_x,
+)
 
 
 def test_spectral_diag():
@@ -308,6 +315,11 @@ def test_matrix_json_roundtrip(tmp_path):
     bad["re"][0][1] += 1.0  # break hermiticity
     with pytest.raises(NonHermitian):
         matrix_from_json(bad)
+    # rank-deficient states load: kernel eigenvalues of about +-1e-17 lie
+    # within the support cutoff of the PSD check
+    for dim, rank in ((2, 1), (3, 1), (4, 2)):
+        low = sample_state(dim, rank, dim + rank)
+        np.testing.assert_allclose(matrix_from_json(matrix_to_json(low)), low, atol=1e-15)
 
 
 @pytest.mark.parametrize("part, entry", [("re", float("nan")), ("im", float("inf")),
@@ -329,9 +341,25 @@ def test_matrix_json_rejects_non_finite(part, entry):
         ({"dim": 2, "re": [[0.5, 0.0], [0.0]], "im": [[0, 0], [0, 0]]}, BadParameter),
         ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, 0, 0]]}, DimensionMismatch),
         ([[0.5, 0.0], [0.0, 0.5]], BadParameter),
+        ({"dim": 2, "re": [[0.6, 0.0], [0.0, -0.4]], "im": [[0, 0], [0, 0]]}, BadParameter),
     ],
-    ids=["missing-im", "ragged", "im-shape", "not-an-object"],
+    ids=["missing-im", "ragged", "im-shape", "not-an-object", "not-psd"],
 )
 def test_matrix_json_rejects_malformed(bad, error):
     with pytest.raises(error):
         matrix_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [umegaki, bs_rel_entropy, lambda r, s: rel_entropy(Umegaki(), r, s),
+     lambda r, s: measured_lower_bound(r, s, restarts=0, iters=1), abs_cont_part,
+     lambda r, s: perspective(x_log_x(), r, s), lambda r, s: kubo_ando_mean(0.5, r, s),
+     lambda r, s: kubo_ando_mean_real(0.5, r, s),
+     lambda r, s: barycentric_renyi_full(0.5, (Umegaki(), BelavkinStaszewski()), r, s)],
+    ids=["umegaki", "bs", "rel_entropy", "measured", "abs_cont_part", "perspective",
+         "kubo_ando_mean", "kubo_ando_mean_real", "barycentric"],
+)
+def test_operand_shapes_checked(fn):
+    with pytest.raises(DimensionMismatch):
+        fn(sample_state(2, 2, 1), sample_state(3, 3, 2))

@@ -91,13 +91,16 @@ def test_number_rule():
     assert parse_kind("max:inf") == MaxRenyi(math.inf)
     assert parse_alpha("inf") == math.inf and parse_alpha("2.5e-1") == 0.25
     assert parse_grid("0:1e0:3") == [0.0, 0.5, 1.0]
-    for bad in ("-1", "+inf", "nan", "1_0", "0.5x"):
+    # a FLOAT beyond the float range is no number; only the token is inf
+    for bad in ("-1", "+inf", "nan", "1_0", "0.5x", "1e999", "1.8e308"):
         with pytest.raises(BadParameter):
             parse_alpha(bad)
-    for bad in ("0:1", "0:1:2.5", "0:1:-2", "0:inf:3"):
+    # a count numpy cannot build (rejected before any allocation)
+    for bad in ("0:1", "0:1:2.5", "0:1:-2", "0:inf:3", "0:1e999:3", "0:1:100000000000000000000"):
         with pytest.raises(BadParameter):
             parse_grid(bad)
     for bad in ("meas:r2:i-3", "meas:r-1:i5", "meas:r2.5:i5", "geom:um:inf", "mix:inf*um",
+                "mix:1e999*um", "az:1e999:1",
                 "mix:-0.5*um+1.5*bs", "bary:um", "az:0.5", "max:", "um:0.3", "meas-lb:3"):
         with pytest.raises(BadParameter):
             parse_kind(bad)
