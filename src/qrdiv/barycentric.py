@@ -51,6 +51,8 @@ INF = float("inf")
 _FD_STEP = 1e-5
 # stop when the descent direction's norm falls below this
 _GRAD_TOL = 1e-6
+# largest Frobenius norm of a Barzilai-Borwein trial step in H
+_MAX_BB_STEP = 10.0
 
 
 @dataclass(frozen=True)
@@ -380,6 +382,8 @@ def center_solver(
         starts.append(h0)
     for _ in range(opts.restarts):
         starts.append(sample_hermitian(m, rng))
+    if not starts:
+        raise BadParameter("the solver needs warm_start or restarts >= 1")
 
     def direction_at(pt: _Iterate) -> np.ndarray:
         g = np.zeros((m, m), dtype=complex)
@@ -406,13 +410,30 @@ def center_solver(
         converged = False
         it = 0
         t_prev = 1.0
+        h_prev = grad_prev = None
         for it in range(1, opts.iters + 1):
-            grad = direction_at(cur)
-            gn = float(np.linalg.norm(grad))
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = direction_at(cur)
+                gn = float(np.linalg.norm(grad))
+            if not math.isfinite(gn):
+                # a gradient overflows at the boundary: this start ends here
+                break
             if gn < _GRAD_TOL:
                 converged = True
                 break
             t_step, accepted = min(2.0 * t_prev, 4.0), False
+            if h_prev is not None:
+                # Barzilai-Borwein trial step from s = H_k - H_{k-1} and
+                # y = D_k - D_{k-1}: BB1 <s,s>/<s,y> on even iterations,
+                # BB2 <s,y>/<y,y> on odd ones, capped in norm; the Armijo
+                # test below still decides
+                s, y = cur.h - h_prev, grad - grad_prev
+                sy = float(np.vdot(s, y).real)
+                if sy > 0:
+                    bb = (float(np.vdot(s, s).real) / sy if it % 2 == 0
+                          else sy / float(np.vdot(y, y).real))
+                    t_step = min(bb, _MAX_BB_STEP / gn)
+            h_prev, grad_prev = cur.h, grad
             for _ in range(60):
                 h_new = cur.h - t_step * grad
                 h_new = h_new - (np.trace(h_new).real / m) * np.eye(m)
@@ -534,7 +555,12 @@ def barycentric_renyi(
     and ``use_closed_form=False``, runs the solver, whose value is only a
     lower bound on the supremum (it may be unattained, and the solver can
     stall well below it). A rho below the support cutoff (an empty meet)
-    gives -inf above alpha = 1 and +inf below it.
+    gives -inf above alpha = 1 and +inf below it. At alpha = 0 with
+    supp sigma <= supp rho the radius is -log Tr sigma for every kind, with
+    center sigma / Tr sigma: D^{q1} is monotone under the trace map, so
+    D^{q1}(omega || sigma) >= D(Tr omega || Tr sigma) = -log Tr sigma for
+    every state omega, with equality at omega = sigma / Tr sigma, which lies
+    in the meet.
     """
     res = barycentric_renyi_full(alpha, kinds, rho, sigma, options)
     return res["value"]
@@ -576,6 +602,14 @@ def barycentric_renyi_full(
         out["value"] = -INF
         return out
     opts = options or SolverOptions()
+    if alpha == 0 and opts.use_closed_form and basis.shape[1] == ss.basis.shape[1]:
+        # the meet is supp sigma: sigma / Tr sigma is feasible and attains
+        # the bound -log Tr sigma (see barycentric_renyi)
+        w = ss.w[ss.w > ss.cut]
+        tr_sig = float(np.sum(w))
+        out.update(value=math.log(tr_rho) - math.log(tr_sig),
+                   center=(ss.basis * w) @ ss.basis.conj().T / tr_sig)
+        return out
 
     if alpha == INF:
         # q0's generators all um and q1's um or bs, q1 = t bs + u um: a pure

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qrdiv.barycentric import (
     dual_renyi,
 )
 from qrdiv.classical import classical_renyi
-from qrdiv.errors import UnsupportedWeights
+from qrdiv.errors import BadParameter, UnsupportedWeights
 from qrdiv.hermitian import (
     matrix_from_json,
     partial_trace,
@@ -220,6 +221,39 @@ def test_alpha_monotone_and_psi_convex():
     assert all(above[i + 1] >= above[i] - 1e-7 for i in range(len(above) - 1))
 
 
+_A0_KINDS = [
+    (GeomWeighted(Umegaki(), 0.5), GeomWeighted(Umegaki(), 0.5)),
+    (Umegaki(), GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))), 0.4)),
+]
+
+
+@pytest.mark.parametrize("kinds", _A0_KINDS, ids=["geom,geom", "um,geom:mix"])
+def test_alpha_zero_exact_when_sigma_inside_rho(kinds):
+    # supp sigma <= supp rho: the radius is -log Tr sigma, attained at
+    # sigma / Tr sigma, for every kind, and the solver agrees
+    rng = np.random.default_rng(21)
+    rho = sample_state(3, 3, 1)
+    for sig in (sample_state(3, 3, 2), 0.6 * sample_state(3, 2, rng)):
+        tr_sig = np.trace(sig).real
+        res = barycentric_renyi_full(0.0, kinds, rho, sig)
+        assert (res["iterations"], res["gap"], res["converged"]) == (0, 0.0, True)
+        assert abs(res["value"] + math.log(tr_sig)) < 1e-14
+        np.testing.assert_allclose(res["center"], sig / tr_sig, atol=1e-14)
+        solved = barycentric_renyi_full(
+            0.0, kinds, rho, sig, SolverOptions(restarts=0, use_closed_form=False))
+        assert solved["iterations"] > 0 and abs(solved["value"] - res["value"]) < 1e-7
+
+
+@pytest.mark.parametrize("kinds", _A0_KINDS, ids=["geom,geom", "um,geom:mix"])
+def test_alpha_zero_proper_meet_runs_solver(kinds):
+    # rank(rho) = 2 < rank(sigma): sigma / Tr sigma lies outside the meet,
+    # so the solver runs and the radius stays above -log Tr sigma
+    rho, sig = sample_state(3, 2, 1), sample_state(3, 3, 2)
+    res = barycentric_renyi_full(0.0, kinds, rho, sig, SolverOptions(restarts=0))
+    assert res["iterations"] > 0 and res["converged"]
+    assert res["value"] > 1e-3
+
+
 def test_limits_at_zero_and_one():
     rng = np.random.default_rng(10)
     rho, sig = noncommuting_qubits(rng)
@@ -374,7 +408,7 @@ def test_geom_solver_eigh_count(monkeypatch):
 
     geom = GeomWeighted(Umegaki(), 0.5)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for d, iters, bound in ((2, 7, 68), (4, 192, 973)):
+    for d, iters, bound in ((2, 5, 38), (4, 15, 108)):
         rng = np.random.default_rng(11)
         rho, sig = sample_state(d, d, rng), sample_state(d, d, rng)
         calls.clear()
@@ -411,6 +445,9 @@ def test_geom_term_exact_gradient(d, gamma):
 
 _GEOM = GeomWeighted(Umegaki(), 0.5)
 _GEOM_MIX = GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))), 0.7)
+# every kind whose generators all have analytic gradients
+_ANALYTIC_KINDS = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
+                   _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -425,10 +462,22 @@ def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
     monkeypatch.setattr(bary, "_herm_basis", no_fd)
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
     opts = SolverOptions(restarts=0, iters=30, use_closed_form=False)
-    kinds = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
-             _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
-    for k in kinds:
+    for k in _ANALYTIC_KINDS:
         assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+def test_solver_raises_no_runtime_warning(alpha):
+    # the step-size cap keeps every trial iterate finite (an uncapped
+    # Barzilai-Borwein step overflowed in norm on these solves), and a geom
+    # gradient that overflows at the boundary (the mixture at 1.5) ends its
+    # start without a warning
+    rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
+    opts = SolverOptions(restarts=0, use_closed_form=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in _ANALYTIC_KINDS:
+            assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
 
 
 def test_center_solver_analytic_term_next_to_objective():
@@ -910,12 +959,43 @@ def test_center_solver_decomposes_each_iterate_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     # one eigh of H per line-search candidate (which also gives log omega)
     # and one per bs decomposition, shared by that term's value and
-    # gradient, plus the setup (164 and 58 calls)
-    for kinds, iters, bound in ((BS, 25, 164), ((Umegaki(), BelavkinStaszewski()), 12, 58)):
+    # gradient, plus the setup (95 and 44 calls)
+    for kinds, iters, bound in ((BS, 18, 95), ((Umegaki(), BelavkinStaszewski()), 10, 44)):
         calls.clear()
         res = barycentric_renyi_full(0.5, kinds, rho, sig, SolverOptions(restarts=0))
         assert res["iterations"] == iters and res["converged"]
         assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_solver_iteration_budget(d):
+    # convex solves with the Barzilai-Borwein trial step: each converges
+    # within its pinned count; um,um (solved, from one random start) meets
+    # the log-Euclidean closed form and the qubit radii the Bloch-ball grid
+    rho, sig = sample_state(d, d, 1), sample_state(d, d, 2)
+    budget = {2: (5, 4, 4), 4: (44, 11, 4), 16: (68, 32, 4)}[d]
+    um, bs = Umegaki(), BelavkinStaszewski()
+    cases = [(0.75, (bs, bs), SolverOptions(restarts=0)),
+             (0.5, (um, bs), SolverOptions(restarts=0)),
+             (0.5, (um, um), SolverOptions(restarts=1, warm_start=False, use_closed_form=False))]
+    for (a, kinds, opts), iters in zip(cases, budget):
+        res = barycentric_renyi_full(a, kinds, rho, sig, opts)
+        assert res["converged"] and res["iterations"] == iters, (kinds, res["iterations"])
+        if kinds == (um, um):
+            assert abs(res["value"] - renyi_alpha_z(a, INF, rho, sig)) < 1e-9
+        elif d == 2:
+            terms = [(w, (batch_umegaki_term if k == um else batch_bs_term)(op))
+                     for w, k, op in ((a, kinds[0], rho), (1 - a, kinds[1], sig))]
+            _, oracle_val = bloch_grid_min(
+                None, resolution=(60, 120, 30), batch_objective=make_batch_objective(terms))
+            assert abs((1 - a) * res["value"] - oracle_val) < 2e-4
+
+
+def test_solver_needs_a_start():
+    # no warm start and no restarts leaves the solver nothing to descend from
+    rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
+    with pytest.raises(BadParameter):
+        barycentric_renyi_full(0.5, BS, rho, sig, SolverOptions(restarts=0, warm_start=False))
 
 
 def _divided_diff_loop(w, f, fprime):
