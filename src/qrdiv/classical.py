@@ -8,7 +8,6 @@ iff it is > 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +95,44 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _q_alpha_rows(alpha, p, q) -> np.ndarray:
+    """sum p^alpha q^(1-alpha) over the common support, along the last
+    axis; +inf for alpha > 1 where supp p is not inside supp q. Unchecked."""
+    both = (p > 0) & (q > 0)
+    terms = np.where(both, p, 1.0) ** alpha * np.where(both, q, 1.0) ** (1.0 - alpha)
+    qa = np.sum(np.where(both, terms, 0.0), axis=-1)
+    if alpha > 1:
+        qa = np.where(np.any((p > 0) & (q == 0.0), axis=-1), INF, qa)
+    return qa
+
+
+def _renyi_rows(alpha, p, q) -> np.ndarray:
+    """Renyi alpha-divergence along the last axis of nonnegative arrays;
+    alpha = None is the relative entropy sum p (log p - log q), alpha = 1
+    that normalized by sum p. +inf encodes the support violations. Rows p
+    must be nonzero unless alpha is None (D(0||q) = 0). Unchecked: the
+    checked forms are classical_rel_entropy and classical_renyi."""
+    sp = p > 0
+    with np.errstate(divide="ignore"):
+        if alpha is None or alpha == 1:
+            kl = np.sum(p * (np.log(np.where(sp, p, 1.0)) - np.log(np.where(sp, q, 1.0))),
+                        axis=-1)
+            return kl if alpha is None else kl / np.sum(p, axis=-1)
+        if alpha == INF:
+            # p / 0 = +inf flags a support violation
+            return np.log(np.max(np.where(sp, p / np.where(sp, q, 1.0), -INF), axis=-1))
+        log_mass = np.log(np.sum(p, axis=-1))
+        if alpha == 0:
+            return log_mass - np.log(np.sum(np.where(sp, q, 0.0), axis=-1))
+        qa = _q_alpha_rows(alpha, p, q)
+        return np.where(qa == 0.0, INF, (np.log(qa) - log_mass) / (alpha - 1.0))
+
+
 def classical_rel_entropy(p, q) -> float:
     """Kullback-Leibler divergence sum p (log p - log q); +inf unless
     supp p is contained in supp q. D(0||q) = 0 and D(p||0) = +inf."""
     p, q = _check_pair(p, q)
-    if p.sum() == 0.0:
-        return 0.0
-    if q.sum() == 0.0:
-        return INF
-    sp = p > 0
-    if np.any(q[sp] == 0.0):
-        return INF
-    return float(np.sum(p[sp] * (np.log(p[sp]) - np.log(q[sp]))))
+    return float(_renyi_rows(None, p, q))
 
 
 def classical_q_alpha(alpha: float, p, q) -> float:
@@ -116,10 +141,7 @@ def classical_q_alpha(alpha: float, p, q) -> float:
     p, q = _check_pair(p, q)
     if alpha <= 0 or alpha == 1:
         raise BadParameter("classical_q_alpha needs alpha in (0,1) or (1,inf)")
-    both = (p > 0) & (q > 0)
-    if alpha > 1 and np.any((p > 0) & (q == 0.0)):
-        return INF
-    return float(np.sum(p[both] ** alpha * q[both] ** (1.0 - alpha)))
+    return float(_q_alpha_rows(alpha, p, q))
 
 
 def classical_renyi(alpha, p, q) -> float:
@@ -130,26 +152,7 @@ def classical_renyi(alpha, p, q) -> float:
         raise BadParameter(f"alpha {alpha} out of range")
     if p.sum() == 0.0:
         raise BadParameter("first argument must be nonzero")
-    if q.sum() == 0.0:
-        return INF
-    if alpha == 1:
-        return classical_rel_entropy(p, q) / float(p.sum())
-    if alpha == INF:
-        sp = p > 0
-        if np.any(q[sp] == 0.0):
-            return INF
-        return float(np.log(np.max(p[sp] / q[sp])))
-    if alpha == 0:
-        q0 = float(np.sum(q[p > 0]))
-        if q0 == 0.0:
-            return INF
-        return float(-np.log(q0) + np.log(p.sum()))
-    qa = classical_q_alpha(alpha, p, q)
-    if qa == INF:
-        return INF
-    if qa == 0.0:
-        return INF
-    return (math.log(qa) - math.log(p.sum())) / (alpha - 1.0)
+    return float(_renyi_rows(alpha, p, q))
 
 
 def multivariate_q(family: WeightedFamily) -> float:

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .classical import classical_rel_entropy, classical_renyi
+from .classical import _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
 from .hermitian import _check_shapes, sample_unitary, spectral_decompose, spectrum, support_leq
 from .supports import kubo_ando_mean
@@ -41,22 +41,27 @@ class BelavkinStaszewski:
         return "bs"
 
 
+def _ascent_counts(restarts, iters) -> tuple[int, int]:
+    """The measured ascent's counts as ints; BadParameter unless both are
+    whole and >= 0 (0 is legal: no random starts, no ascent steps)."""
+    try:
+        counts = [operator.index(n) for n in (restarts, iters)]
+    except TypeError:
+        counts = [-1]
+    if min(counts) < 0:
+        raise BadParameter(f"meas counts must be whole and >= 0, got {restarts!r}, {iters!r}")
+    return counts[0], counts[1]
+
+
 @dataclass(frozen=True)
 class MeasuredProjective:
     restarts: int = 8
     iters: int = 200
 
     def __post_init__(self):
-        # whole counts; 0 is legal (no random starts, no ascent steps)
-        try:
-            counts = [operator.index(n) for n in (self.restarts, self.iters)]
-        except TypeError:
-            counts = [-1]
-        if min(counts) < 0:
-            raise BadParameter(f"meas counts must be whole and >= 0, got "
-                               f"{self.restarts!r}, {self.iters!r}")
-        object.__setattr__(self, "restarts", counts[0])
-        object.__setattr__(self, "iters", counts[1])
+        restarts, iters = _ascent_counts(self.restarts, self.iters)
+        object.__setattr__(self, "restarts", restarts)
+        object.__setattr__(self, "iters", iters)
 
     def __str__(self):
         return f"meas:r{self.restarts}:i{self.iters}"
@@ -299,8 +304,10 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return 0.0
     if _is_zero(sigma):
         return INF
-    ss = spectrum(sigma)
-    if not support_leq(rho, ss):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if not sr.basis.size:
+        return 0.0  # every eigenvalue of rho is below the support cutoff
+    if not support_leq(sr, ss):
         return INF
     b = ss.basis
     rc = b.conj().T @ rho @ b
@@ -310,14 +317,18 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(rc @ spectrum(x).log()).real)
 
 
-def _measured_objective(alpha, rho, sigma, u) -> float:
-    a = np.clip(np.real(np.einsum("ji,jk,ki->i", u.conj(), rho, u)), 0.0, None)
-    b = np.clip(np.real(np.einsum("ji,jk,ki->i", u.conj(), sigma, u)), 0.0, None)
-    if a.sum() <= 0:
-        return 0.0
-    if alpha is None:
-        return classical_rel_entropy(a, b)
-    return classical_renyi(alpha, a, b)
+def _measured_point(alpha, rho, sigma, u):
+    """The ascent's one kernel, on a stack of bases ``u`` of shape (k, d, d).
+
+    Returns (f, A, B, a, b): A = u* rho u and B = u* sigma u, their clipped
+    diagonals a and b, and the classical values f = f(a, b) of shape (k,).
+    ``_riemannian_gradient`` reads the gradient from the same A, B, a, b.
+    """
+    uh = u.conj().swapaxes(-1, -2)
+    am, bm = uh @ rho @ u, uh @ sigma @ u
+    a = np.maximum(am.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    b = np.maximum(bm.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    return _renyi_rows(alpha, a, b), am, bm, a, b
 
 
 def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -350,16 +361,13 @@ def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
     return da, db
 
 
-def _measured_gradient(alpha, rho, sigma, u) -> np.ndarray:
-    """Skew-Hermitian M with d/dt f(u e^{tK}) = Re Tr(M K) at t = 0.
+def _riemannian_gradient(alpha, am, bm, a, b) -> np.ndarray:
+    """Skew-Hermitian M with d/dt f(u e^{tK}) = Re Tr(M K) at t = 0, from
+    one basis's A = u* rho u, B = u* sigma u and diagonals a, b.
 
-    With A = u* rho u and B = u* sigma u, d/dt diag(A) = diag([A, K]), so
-    M = [D_a, A] + [D_b, B] for the diagonal slope matrices D_a, D_b.
+    d/dt diag(A) = diag([A, K]), so M = [D_a, A] + [D_b, B] for the
+    diagonal slope matrices D_a, D_b.
     """
-    am = u.conj().T @ rho @ u
-    bm = u.conj().T @ sigma @ u
-    a = np.clip(np.real(np.diagonal(am)), 0.0, None)
-    b = np.clip(np.real(np.diagonal(bm)), 0.0, None)
     da, db = _measured_slopes(alpha, a, b)
     return (da[:, None] - da[None, :]) * am + (db[:, None] - db[None, :]) * bm
 
@@ -379,25 +387,28 @@ def measured_lower_bound(
     Returns (value, best basis unitary). Multi-start reduction is the max,
     ties resolved toward the lowest start index.
     """
+    restarts, iters = _ascent_counts(restarts, iters)
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
     if _is_zero(rho):
         return 0.0, np.eye(d)
+    tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     if alpha is None or alpha >= 1:
         if not support_leq(rho, sigma):
             return INF, np.eye(d)
-    else:
-        if abs(np.trace(rho @ sigma).real) <= 1e-14:
-            return INF, np.eye(d)
+    elif abs(np.trace(rho @ sigma).real) <= 1e-14 * tr_r * tr_s:
+        return INF, np.eye(d)  # orthogonal supports, tested on the scale of the inputs
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
-    tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
         return _measured_ascent(rho, sigma, alpha, restarts, iters, seed)
     val, u = _measured_ascent(rho / tr_r, sigma / tr_s, alpha, restarts, iters, seed)
     if alpha is None:
         return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u
     return val + math.log(tr_r) - math.log(tr_s), u
+
+
+_CHUNK = 4  # trial steps scored per stacked kernel call
 
 
 def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
@@ -411,12 +422,13 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
     best_val, best_u = -INF, np.eye(d)
     for start in range(max(restarts, len(fixed_starts))):
         u = fixed_starts[start] if start < len(fixed_starts) else sample_unitary(d, rng)
-        val = _measured_objective(alpha, rho, sigma, u)
+        vals, *stack = _measured_point(alpha, rho, sigma, u[None])
+        val, point = float(vals[0]), [x[0] for x in stack]
         if not math.isfinite(val):
             continue
         step = 0.5
         for _ in range(iters):
-            m = _measured_gradient(alpha, rho, sigma, u)
+            m = _riemannian_gradient(alpha, *point)
             mn = float(np.linalg.norm(m))
             # sqrt(2)|M|_F is the norm of the slope vector along the skew
             # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
@@ -425,19 +437,21 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
             # ascent direction K = -sqrt(2) M / |M|_F; e^{tK} = V e^{itw} V*
             # with (w, V) = eigh(K / i), one decomposition per iteration
             w, v = np.linalg.eigh(1j * math.sqrt(2.0) * m / mn)
-            improved = False
-            t = step
-            for _ in range(25):
-                cand = u @ ((v * np.exp(1j * t * w)) @ v.conj().T)
-                v_cand = _measured_objective(alpha, rho, sigma, cand)
-                if math.isfinite(v_cand) and v_cand > val + 1e-14:
-                    u, val = cand, v_cand
-                    step = min(2 * t, 0.5)
-                    improved = True
+            # backtracking over the trial steps step / 2^j, j < 25, scored
+            # _CHUNK at a time; the first that improves the value is kept
+            trials = np.ldexp(step, -np.arange(25))
+            for lo in range(0, trials.size, _CHUNK):
+                t = trials[lo:lo + _CHUNK, None, None]
+                cands = u @ ((v * np.exp(1j * t * w)) @ v.conj().T)
+                vals, *stack = _measured_point(alpha, rho, sigma, cands)
+                better = np.flatnonzero(np.isfinite(vals) & (vals > val + 1e-14))
+                if better.size:
+                    i = better[0]
+                    u, val, point = cands[i], float(vals[i]), [x[i] for x in stack]
+                    step = min(2.0 * float(trials[lo + i]), 0.5)
                     break
-                t /= 2
-            if not improved:
-                break
+            else:
+                break  # no trial step improves the value
         if val > best_val:
             best_val, best_u = val, u
     return best_val, best_u

@@ -55,6 +55,11 @@ def test_renyi_support_rules():
     # alpha > 1: +inf iff supp p not inside supp q
     assert classical_renyi(2, [0.5, 0.5], [1, 0]) == INF
     assert classical_renyi(2, [1, 0], [0.5, 0.5]) < INF
+    # alpha = inf: +inf iff supp p not inside supp q; alpha = 0: +inf iff
+    # q vanishes on supp p
+    assert classical_renyi(INF, [0.5, 0.5], [1, 0]) == INF
+    assert classical_renyi(0, [1, 0], [0, 1]) == INF
+    assert abs(classical_renyi(0, [1, 0], [0.5, 0.5]) - math.log(2)) < 1e-15
     # zero second argument
     assert classical_renyi(0.5, [1, 0], [0, 0]) == INF
 

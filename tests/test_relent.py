@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qrdiv.relent import (
     rel_entropy,
     umegaki,
 )
-from qrdiv.relent import _measured_gradient, _measured_objective
+from qrdiv.relent import _measured_point, _riemannian_gradient
 from qrdiv.renyi import max_renyi, optimal_reverse_test, renyi_alpha_z
 
 INF = float("inf")
@@ -139,9 +140,12 @@ def test_kind_list():
 def test_measured_counts_validated():
     assert MeasuredProjective(0, 0).iters == 0
     assert MeasuredProjective(np.int64(3), 5) == MeasuredProjective(3, 5)
+    rho, sigma = sample_state(2, 2, 0), sample_state(2, 2, 1)
     for restarts, iters in ((2, -3), (-1, 5), (2.5, 5), (2, "5")):
         with pytest.raises(BadParameter):
             MeasuredProjective(restarts, iters)
+        with pytest.raises(BadParameter):
+            measured_lower_bound(rho, sigma, restarts=restarts, iters=iters)
 
 def test_geom_nesting_normalizes():
     inner = GeomWeighted(Umegaki(), 0.3)
@@ -182,6 +186,9 @@ def test_umegaki_and_bs_support_condition():
     z = np.zeros((3, 3))
     assert umegaki(z, full) == 0.0
     assert umegaki(full, z) == INF
+    # every eigenvalue below the support cutoff: rho counts as zero
+    tiny_r, tiny_s = 1e-9 * sample_state(3, 3, 1), 1e-9 * sample_state(3, 3, 2)
+    assert bs_rel_entropy(tiny_r, tiny_s) == umegaki(tiny_r, tiny_s) == 0.0
 
 
 def test_bs_equals_reverse_test_value():
@@ -321,6 +328,69 @@ def test_measured_infinite_cases():
     assert measured_lower_bound(rho, sigma, alpha=0.5)[0] == INF  # orthogonal
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+def test_measured_orthogonality_test_is_scale_invariant(scale):
+    rho, sigma = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    v, _ = measured_lower_bound(scale * rho, scale * sigma, alpha=0.5)
+    assert abs(v - 0.2044549) < 1e-6
+    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    assert measured_lower_bound(scale * e0, scale * e1, alpha=0.5)[0] == INF
+
+
+# measured_lower_bound(rho, sigma, alpha, restarts=2, iters=50, seed=1) on
+# sample_state pairs drawn from default_rng(80 + d), as a line search that
+# scores one trial step at a time returns them; scoring the trial steps in
+# stacks must keep them within 1e-12
+_PINNED_MEASURED = {
+    2: {None: 0.15217661063113788, 0: 0.0, 0.5: 0.08474140095273723,
+        1: 0.15217661063113927, 2: 0.24576332760075625, INF: 0.4911006744300362},
+    3: {None: 1.136681234155778, 0: 0.0, 0.5: 0.3662672040183882,
+        1: 1.136681234155779, 2: 2.8385720206356546, INF: 3.842969016011957},
+    4: {None: 0.5492958472338316, 0: 1.110223024625157e-16, 0.5: 0.3400264186621337,
+        1: 0.5492958472338373, 2: 0.8292259210334013, INF: 1.4485683024544496},
+    8: {None: 0.961535144815228, 0: 1.1102230246251565e-16, 0.5: 0.48955411269656546,
+        1: 0.9615351448152345, 2: 2.8916705874125297, INF: 5.737255032825517},
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("alpha", [None, 0, 0.5, 1, 2, INF])
+def test_measured_ascent_pinned_values(alpha, d):
+    rng = np.random.default_rng(80 + d)
+    rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+    v, _ = measured_lower_bound(rho, sigma, alpha=alpha, restarts=2, iters=50, seed=1)
+    assert abs(v - _PINNED_MEASURED[d][alpha]) < 1e-12
+
+
+def test_measured_line_search_chunks(monkeypatch):
+    # the pinned d = 2 relative-entropy case accepts a trial step past the
+    # first stack of four, and ends a start with all 25 trials failing
+    from qrdiv import relent
+
+    events = []
+
+    def spy(owner, name, tag):
+        f = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            events.append(tag(args))
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    spy(relent, "_measured_point", lambda args: str(len(args[3])))
+    spy(relent, "_riemannian_gradient", lambda args: "G")
+    spy(np.linalg, "eigh", lambda args: "E")
+    rng = np.random.default_rng(82)
+    rho, sigma = sample_state(2, 2, rng), sample_state(2, 2, rng)
+    v, _ = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=1)
+    assert abs(v - _PINNED_MEASURED[2][None]) < 1e-12
+    # after each eigh: the stack sizes scored, then the next iteration's
+    # gradient G, or the next start's first point 1 and its gradient
+    iterations = "".join(events).split("E")[1:]
+    assert any(re.fullmatch("4{2,5}G", s) for s in iterations)
+    assert any(re.fullmatch("4{6}1(1G)?", s) for s in iterations)
+
+
 def _expm_skew(k):
     w, v = np.linalg.eigh(k / 1j)
     return (v * np.exp(1j * w)) @ v.conj().T
@@ -331,10 +401,11 @@ def _gradient_vs_central_difference(alpha, rho, sigma, u, rng, h=1e-6):
     d = rho.shape[0]
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     k = (g - g.conj().T) / 2
-    m = _measured_gradient(alpha, rho, sigma, u)
+    _, *point = _measured_point(alpha, rho, sigma, u[None])
+    m = _riemannian_gradient(alpha, *(x[0] for x in point))
     assert np.allclose(m, -m.conj().T, atol=1e-12)
-    fp = _measured_objective(alpha, rho, sigma, u @ _expm_skew(h * k))
-    fm = _measured_objective(alpha, rho, sigma, u @ _expm_skew(-h * k))
+    (fp, fm), *_ = _measured_point(
+        alpha, rho, sigma, np.stack([u @ _expm_skew(h * k), u @ _expm_skew(-h * k)]))
     return np.trace(m @ k).real, (fp - fm) / (2 * h)
 
 
