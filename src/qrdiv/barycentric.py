@@ -20,6 +20,7 @@ BS second ones give a pure center from a 1-D convex dual
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -53,6 +54,8 @@ _FD_STEP = 1e-5
 _GRAD_TOL = 1e-6
 # largest Frobenius norm of a Barzilai-Borwein trial step in H
 _MAX_BB_STEP = 10.0
+# accepted values the nonmonotone (GLL) line search compares a trial against
+_NM_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -177,17 +180,19 @@ class _Term:
     def value(self, pt: _Iterate) -> float:
         if self.mode in ("um", "geom"):
             # geom: D^um(omega || M) / (1 - g) for the mean M = W #_g omega
+            # Tr(omega L) = <L, omega> for Hermitian L
             ent = float(np.exp(pt.logp) @ pt.logp)
             if self.mode == "um":
-                return ent - float(np.trace(pt.omega @ self.logw).real)
+                return ent - float(np.vdot(self.logw, pt.omega).real)
             logm = pt.mean_eig(self)[2]
-            return (ent - float(np.trace(pt.omega @ logm).real)) / (1.0 - self.kind.gamma)
+            return (ent - float(np.vdot(logm, pt.omega).real)) / (1.0 - self.kind.gamma)
         if self.mode == "bs":
+            # Tr(sig_eff U diag(eta) U*) = sum_i eta_i (U* sig_eff U)_ii
             w, u = pt.bs_eig(self)
             w = np.clip(w, 0.0, None)
             eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
-            f = (u * eta) @ u.conj().T
-            return float(np.trace(self.sig_eff @ f).real)
+            diag = np.sum(u.conj() * (self.sig_eff @ u), axis=0).real
+            return float(eta @ diag)
         omega_full = self.basis @ pt.omega @ self.basis.conj().T
         return rel_entropy(self.kind, omega_full, self.w_full).value
 
@@ -313,7 +318,7 @@ def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     dd = _divided_diff(pt.w - pt.shift, np.exp, np.exp)
     gv = v.conj().T @ g @ v
     t = v @ (dd * gv) @ v.conj().T
-    tr_og = float(np.trace(pt.eh / z @ g).real)
+    tr_og = float(np.vdot(g, pt.eh).real) / z
     return (t - tr_og * pt.eh) / z
 
 
@@ -402,14 +407,22 @@ def center_solver(
             grad = grad + ((vp - vm) / (2 * _FD_STEP)) * e
         return grad
 
+    # the nonmonotone test is for the convex problems: a negative weight
+    # keeps the monotone rule
+    convex = all(t.weight > 0 for t in terms)
+
     def descend(h: np.ndarray, bb_steps: bool, iters: int):
-        """(last iterate, value, iterations, converged) of a run of at most
-        ``iters`` iterations from H = h, or None where the start's value is
-        not finite. ``bb_steps`` tries the Barzilai-Borwein step first."""
+        """(lowest-value iterate, its value, iterations, converged) of a run
+        of at most ``iters`` iterations from H = h, or None where the start's
+        value is not finite. ``bb_steps`` tries the Barzilai-Borwein step
+        first and, on a convex problem, tests it against the largest of the
+        last ``_NM_WINDOW`` accepted values."""
         cur = _Iterate(h)
         val = f_of(cur)
         if not math.isfinite(val):
             return None
+        recent = deque([val], maxlen=_NM_WINDOW if bb_steps and convex else 1)
+        low, low_val = cur, val
         converged = False
         it = 0
         t_prev = 1.0
@@ -437,12 +450,18 @@ def center_solver(
                           else sy / float(np.vdot(y, y).real))
                     t_step = min(bb, _MAX_BB_STEP / gn)
             h_prev, grad_prev = cur.h, grad
+            # Grippo-Lampariello-Lucidi: a trial must fall below the largest
+            # recent value (the current one in a window of 1)
+            ref = max(recent)
             for _ in range(60):
                 h_new = cur.h - t_step * grad
                 h_new = h_new - (np.trace(h_new).real / m) * np.eye(m)
+                if np.array_equal(h_new, cur.h):
+                    # the step vanishes in rounding, as does every shorter one
+                    break
                 cand = _Iterate(h_new)
                 v_new = f_of(cand)
-                if math.isfinite(v_new) and v_new < val - 1e-6 * t_step * gn * gn:
+                if math.isfinite(v_new) and v_new < ref - 1e-6 * t_step * gn * gn:
                     accepted = True
                     break
                 t_step /= 2
@@ -453,10 +472,13 @@ def center_solver(
             # the accepted candidate keeps its decompositions for the next
             # direction
             cur, val, t_prev = cand, v_new, t_step
+            recent.append(val)
+            if val < low_val:
+                low, low_val = cur, val
             if decrease < opts.tol and gn < 10 * _GRAD_TOL:
                 converged = True
                 break
-        return cur, val, it, converged
+        return low, low_val, it, converged
 
     best_val, best, best_iters, best_conv = INF, None, 0, False
     for h in starts:

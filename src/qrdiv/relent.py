@@ -390,11 +390,12 @@ def measured_lower_bound(
     restarts, iters = _ascent_counts(restarts, iters)
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
-    if _is_zero(rho):
-        return 0.0, np.eye(d)
+    sr = spectrum(rho)
+    if _is_zero(rho) or not sr.basis.size:
+        return 0.0, np.eye(d)  # rho is zero or below the support cutoff
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     if alpha is None or alpha >= 1:
-        if not support_leq(rho, sigma):
+        if not support_leq(sr, sigma):
             return INF, np.eye(d)
     elif abs(np.trace(rho @ sigma).real) <= 1e-14 * tr_r * tr_s:
         return INF, np.eye(d)  # orthogonal supports, tested on the scale of the inputs
@@ -461,10 +462,12 @@ def geom_weighted_value(
     base: EntropyKind, gamma: float, rho: np.ndarray, sigma: np.ndarray, seed: int = 0
 ) -> DivergenceValue:
     """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); +inf when the mean
-    vanishes while rho does not."""
+    vanishes while rho has a support above the cutoff."""
     mean = kubo_ando_mean(gamma, rho, sigma)
     if _is_zero(mean):
-        return DivergenceValue(0.0 if _is_zero(rho) else INF)
+        # a rho below the support cutoff counts as zero, as in bs_rel_entropy
+        zero = _is_zero(rho) or not spectrum(rho).basis.size
+        return DivergenceValue(0.0 if zero else INF)
     inner = rel_entropy(base, rho, mean, seed=seed)
     scale = 1.0 / (1.0 - gamma)
     gap = None if inner.certificate_gap is None else scale * inner.certificate_gap

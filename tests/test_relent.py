@@ -191,6 +191,18 @@ def test_umegaki_and_bs_support_condition():
     assert bs_rel_entropy(tiny_r, tiny_s) == umegaki(tiny_r, tiny_s) == 0.0
 
 
+def test_below_cutoff_rho_is_zero_for_every_kind():
+    # rho counts as zero for every kind, so meas <= um <= geom <= bs holds:
+    # geom:um had given +inf (the mean vanishes under the cutoff) and meas
+    # 4.45e-10 (the ascent ran on the rescaled pair), above um's 0.0
+    tiny_r, tiny_s = 1e-9 * sample_state(3, 3, 1), 1e-9 * sample_state(3, 3, 2)
+    chain = [rel_entropy(parse_kind(k), tiny_r, tiny_s).value
+             for k in ("meas", "um", "geom:um:0.5", "bs")]
+    assert chain == [0.0] * 4
+    for alpha in (0.5, 2.0):
+        assert measured_lower_bound(tiny_r, tiny_s, alpha=alpha)[0] == 0.0
+
+
 def test_bs_equals_reverse_test_value():
     rng = np.random.default_rng(4)
     for _ in range(10):
