@@ -408,7 +408,7 @@ def center_solver(
         return grad
 
     # the nonmonotone test is for the convex problems: a negative weight
-    # keeps the monotone rule
+    # keeps the monotone rule, as the window doubles the iterations there
     convex = all(t.weight > 0 for t in terms)
 
     def descend(h: np.ndarray, bb_steps: bool, iters: int):
@@ -441,8 +441,8 @@ def center_solver(
             if bb_steps and h_prev is not None:
                 # Barzilai-Borwein trial step from s = H_k - H_{k-1} and
                 # y = D_k - D_{k-1}: BB1 <s,s>/<s,y> on even iterations,
-                # BB2 <s,y>/<y,y> on odd ones, capped in norm; the Armijo
-                # test below still decides
+                # BB2 <s,y>/<y,y> on odd ones, capped in norm; the
+                # nonmonotone test below decides
                 s, y = cur.h - h_prev, grad - grad_prev
                 sy = float(np.vdot(s, y).real)
                 if sy > 0:
@@ -468,14 +468,16 @@ def center_solver(
             if not accepted:
                 converged = gn < 10 * _GRAD_TOL
                 break
-            decrease = val - v_new
+            # progress counts from the lowest value so far: under the window
+            # an accepted step may rise, which is no sign of convergence
+            decrease = low_val - v_new
             # the accepted candidate keeps its decompositions for the next
             # direction
             cur, val, t_prev = cand, v_new, t_step
             recent.append(val)
             if val < low_val:
                 low, low_val = cur, val
-            if decrease < opts.tol and gn < 10 * _GRAD_TOL:
+            if 0 < decrease < opts.tol and gn < 10 * _GRAD_TOL:
                 converged = True
                 break
         return low, low_val, it, converged
