@@ -8,7 +8,6 @@ from .barycentric import (
     barycentric_q,
     barycentric_renyi,
     barycentric_renyi_full,
-    center_solver,
     dual_renyi,
 )
 from .classical import (

@@ -10,11 +10,11 @@ Umegaki, else descent in the exponential parametrization
 omega = exp(H) / Tr exp(H) on the compressed feasible subspace. Each iterate
 is decomposed once: H's eigh gives omega and log omega, and memoized
 decompositions serve every term's value and gradient (``_Iterate``).
-Umegaki, BS and geom:um terms have analytic gradients; central finite
-differences on the H coordinates serve only the measured kind and caller
-objectives. At alpha = inf, Umegaki first generators against Umegaki and
-BS second ones give a pure center from a 1-D convex dual
-(``renyi._um_first_top``), and all-BS generators D_max.
+Every generator has an analytic omega-gradient; the measured kind's is
+Danskin's at its ascent's best basis (``_Iterate.measured``). At
+alpha = inf, Umegaki first generators against Umegaki and BS second ones
+give a pure center from a 1-D convex dual (``renyi._um_first_top``), and
+all-BS generators D_max.
 """
 
 from __future__ import annotations
@@ -41,15 +41,16 @@ from .relent import (
     BelavkinStaszewski,
     EntropyKind,
     GeomWeighted,
+    MeasuredProjective,
     Mixture,
     Umegaki,
+    _measured_slopes,
+    measured_lower_bound,
     rel_entropy,
 )
 from .renyi import _dmax_top, _log_euclidean_h, _um_first_top
 
 INF = float("inf")
-# central finite-difference step on the H coordinates
-_FD_STEP = 1e-5
 # stop when the descent direction's norm falls below this
 _GRAD_TOL = 1e-6
 # largest Frobenius norm of a Barzilai-Borwein trial step in H
@@ -149,8 +150,8 @@ def _json_float(x: float):
 
 
 class _Term:
-    """One summand weight * D^kind(omega || W) on the compressed subspace;
-    only mode "gen" (not um, bs or geom:um) lacks an analytic gradient."""
+    """One summand weight * D^kind(omega || W) on the compressed subspace, in
+    mode um, bs, meas or geom (over um or meas; ``meas`` the measured kind)."""
 
     def __init__(self, weight: float, kind: EntropyKind, w_full: np.ndarray, basis: np.ndarray,
                  spec=None):
@@ -159,14 +160,15 @@ class _Term:
         self.kind = kind
         self.basis = basis
         self.w_full = w_full
-        self.mode = "gen"
+        base = kind.base if isinstance(kind, GeomWeighted) else kind
+        self.meas = base if isinstance(base, MeasuredProjective) else None
         spec = w_full if spec is None else spec
         if isinstance(kind, Umegaki):
             self.mode = "um"
             self.logw = basis.conj().T @ spectrum(spec).log() @ basis
-        elif isinstance(kind, BelavkinStaszewski) or (
-            isinstance(kind, GeomWeighted) and isinstance(kind.base, Umegaki)
-        ):
+        elif isinstance(kind, MeasuredProjective):
+            self.mode = "meas"
+        elif isinstance(kind, (BelavkinStaszewski, GeomWeighted)):
             # ran(basis) lies in supp W, so sig_eff is also W's compressed
             # part absolutely continuous there: all that W #_g omega sees
             self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
@@ -178,23 +180,24 @@ class _Term:
                 self.sig_sqrt = self.sig_spec.power(0.5)
 
     def value(self, pt: _Iterate) -> float:
+        if self.meas:
+            # geom: D^meas(omega || M) / (1 - g) for the mean M = W #_g omega
+            val = pt.measured(self)[0]
+            return val if self.mode == "meas" else val / (1.0 - self.kind.gamma)
         if self.mode in ("um", "geom"):
-            # geom: D^um(omega || M) / (1 - g) for the mean M = W #_g omega
+            # geom: D^um(omega || M) / (1 - g)
             # Tr(omega L) = <L, omega> for Hermitian L
             ent = float(np.exp(pt.logp) @ pt.logp)
             if self.mode == "um":
                 return ent - float(np.vdot(self.logw, pt.omega).real)
             logm = pt.mean_eig(self)[2]
             return (ent - float(np.vdot(logm, pt.omega).real)) / (1.0 - self.kind.gamma)
-        if self.mode == "bs":
-            # Tr(sig_eff U diag(eta) U*) = sum_i eta_i (U* sig_eff U)_ii
-            w, u = pt.bs_eig(self)
-            w = np.clip(w, 0.0, None)
-            eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
-            diag = np.sum(u.conj() * (self.sig_eff @ u), axis=0).real
-            return float(eta @ diag)
-        omega_full = self.basis @ pt.omega @ self.basis.conj().T
-        return rel_entropy(self.kind, omega_full, self.w_full).value
+        # bs: Tr(sig_eff U diag(eta) U*) = sum_i eta_i (U* sig_eff U)_ii
+        w, u = pt.bs_eig(self)
+        w = np.clip(w, 0.0, None)
+        eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
+        diag = np.sum(u.conj() * (self.sig_eff @ u), axis=0).real
+        return float(eta @ diag)
 
     def grad_omega(self, pt: _Iterate) -> np.ndarray:
         """Euclidean omega-gradient, up to a multiple of the identity."""
@@ -203,16 +206,26 @@ class _Term:
                                   self.sig_eff)
         if self.mode == "um":
             return pt.log_omega - self.logw
-        # geom: with M = S X^g S, d Tr(omega log M) = Tr(log M d omega)
-        # + Tr(Y dM) for Y = Dlog_M[omega], and Tr(Y dM) = Tr(Z dX^g)
-        # for Z = S Y S
+        # geom: D(omega || M) / (1 - g) with M = S X^g S has the gradient
+        # (d1 - S^{-1} D(X^g)_X[S Y S] S^{-1}) / (1 - g), for d1 and -Y the
+        # partial gradients of D(omega || M) in omega and in M
+        if self.meas:
+            # Danskin at the best basis U: d1 = U diag(log a/b) U*, Y = U diag(a/b) U*
+            _, ub, da, db = pt.measured(self)
+            d1 = (ub * da) @ ub.conj().T
+            if self.mode == "meas":
+                return d1
+            y = -(ub * db) @ ub.conj().T
+        else:
+            # um: d1 = log omega - log M and Y = Dlog_M[omega]
+            mu, q, logm, _ = pt.mean_eig(self)
+            dlog = _divided_diff(mu, np.log, lambda x: 1.0 / x)
+            y = q @ (dlog * (q.conj().T @ pt.omega @ q)) @ q.conj().T
+            d1 = pt.log_omega - logm
         g = self.kind.gamma
-        mu, q, logm = pt.mean_eig(self)
-        dlog = _divided_diff(mu, np.log, lambda x: 1.0 / x)
-        y = q @ (dlog * (q.conj().T @ pt.omega @ q)) @ q.conj().T
         z = self.sig_sqrt @ y @ self.sig_sqrt
         adj = self._pullback(pt, lambda x: x**g, lambda x: g * x ** (g - 1.0), z)
-        return (pt.log_omega - logm - adj) / (1.0 - g)
+        return (d1 - adj) / (1.0 - g)
 
     def _pullback(self, pt: _Iterate, f, fprime, z: np.ndarray) -> np.ndarray:
         """omega-gradient of Tr(z f(X)) for X = S^{-1} omega S^{-1}, S =
@@ -221,18 +234,6 @@ class _Term:
         w = np.clip(w, 1e-300, None)
         t = u @ (_divided_diff(w, f, fprime) * (u.conj().T @ z @ u)) @ u.conj().T
         return self.sig_isqrt @ t @ self.sig_isqrt
-
-
-class _ObjectiveTerm:
-    """A caller's objective on full-space states, as one generic term."""
-
-    mode, weight = "gen", 1.0
-
-    def __init__(self, objective, basis: np.ndarray):
-        self.objective, self.basis = objective, basis
-
-    def value(self, pt: _Iterate) -> float:
-        return self.objective(self.basis @ pt.omega @ self.basis.conj().T)
 
 
 def _generators(weight: float, kind: EntropyKind) -> list[tuple[float, EntropyKind]]:
@@ -269,8 +270,9 @@ class _Iterate:
     H's one eigh gives omega and log omega = U diag(log p) U*, with
     log p = w - log sum exp(w) read off H's eigenvalues w: exact where p
     underflows, so no floor is needed. eigh(sig_eff^{-1/2} omega
-    sig_eff^{-1/2}) (bs, geom) and eigh(W #_g omega) (geom) are taken on
-    first use and shared by each term's value and gradient.
+    sig_eff^{-1/2}) (bs, geom), eigh(W #_g omega) (geom) and the measured
+    ascent (meas) are taken on first use and shared by each term's value
+    and gradient.
     """
 
     def __init__(self, h: np.ndarray):
@@ -282,6 +284,7 @@ class _Iterate:
         self.omega = self.eh / np.trace(self.eh).real
         self._bs_eig: dict = {}
         self._mean_eig: dict = {}
+        self._measured: dict = {}
 
     @cached_property
     def logp(self) -> np.ndarray:
@@ -298,7 +301,7 @@ class _Iterate:
         return self._bs_eig[term]
 
     def mean_eig(self, term: _Term):
-        """(mu, Q, log M) for W #_g omega = M = S X^g S = Q diag(mu) Q*, with
+        """(mu, Q, log M, M) for W #_g omega = M = S X^g S = Q diag(mu) Q*, with
         S = sig_eff^{1/2} and X = S^{-1} omega S^{-1} from bs_eig."""
         if term not in self._mean_eig:
             x, v = self.bs_eig(term)
@@ -306,8 +309,24 @@ class _Iterate:
             m = (sv * np.clip(x, 1e-300, None) ** term.kind.gamma) @ sv.conj().T
             mu, q = np.linalg.eigh((m + m.conj().T) / 2)
             mu = np.clip(mu, 1e-300, None)
-            self._mean_eig[term] = mu, q, (q * np.log(mu)) @ q.conj().T
+            self._mean_eig[term] = mu, q, (q * np.log(mu)) @ q.conj().T, m
         return self._mean_eig[term]
+
+    def measured(self, term: _Term):
+        """(value, B*U, da, db): D^meas(B omega B* || T) for T = W (meas) or
+        B M B* (geom) by rel_entropy's ascent call, its best basis U and the
+        slopes in a = diag(U* B omega B* U) and b = diag(U* T U)."""
+        if term not in self._measured:
+            basis = term.basis
+            target = (term.w_full if term.mode == "meas"
+                      else basis @ self.mean_eig(term)[3] @ basis.conj().T)
+            omega = basis @ self.omega @ basis.conj().T
+            val, u = measured_lower_bound(omega, target, None, term.meas.restarts,
+                                          term.meas.iters, seed=0)
+            a = np.sum(u.conj() * (omega @ u), axis=0).real
+            b = np.sum(u.conj() * (target @ u), axis=0).real
+            self._measured[term] = (val, basis.conj().T @ u, *_measured_slopes(None, a, b))
+        return self._measured[term]
 
 
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
@@ -322,59 +341,25 @@ def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     return (t - tr_og * pt.eh) / z
 
 
-def _herm_basis(m: int) -> list[np.ndarray]:
-    """Orthonormal basis of the m x m Hermitian matrices: the FD directions."""
-    basis = []
-    for i in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / math.sqrt(2)
-            basis.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[i, j], e[j, i] = 1j / math.sqrt(2), -1j / math.sqrt(2)
-            basis.append(e)
-    return basis
-
-
-def center_solver(
-    objective,
-    s_plus: np.ndarray,
-    options: Optional[SolverOptions] = None,
-    terms: Optional[list[_Term]] = None,
-):
-    """Minimize the weighted-divergence objective over states supported in
-    ran(S_+) (``s_plus`` is the projection or its Spectrum).
-
-    ``objective`` maps a full-space state to a float; it is only used when
-    ``terms`` (the structured compressed form) is not supplied. Returns
-    (center, value, gap, iterations, converged); the iterations are those of
-    the returned start, both runs where it was redone.
+def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[SolverOptions] = None):
+    """Minimize sum of t.weight * D^{t.kind}(omega || W_t) over the terms t,
+    built on the support basis of S_+, over states supported in ran(S_+)
+    (``s_plus`` is the projection or its Spectrum). Returns (center, value,
+    gap, iterations, converged); the iterations are those of the returned
+    start, both runs where it was redone.
     """
     opts = options or SolverOptions()
     basis = support_basis(s_plus)
     m = basis.shape[1]
     if m == 0:
         return None, INF, 0.0, 0, True
-    if terms is None:
-        terms = [_ObjectiveTerm(objective, basis)]
 
     def f_of(pt: _Iterate) -> float:
         return sum(t.weight * t.value(pt) for t in terms)
 
-    analytic = [t for t in terms if t.mode != "gen"]
-    generic = [t for t in terms if t.mode == "gen"]
-    # geom terms step in H coordinates: mirror descent stalls on them at
-    # negative weight
+    # geom and meas terms step in H coordinates: mirror descent stalls on
+    # geom terms at negative weight
     mirror = all(t.mode in ("um", "bs") for t in terms)
-
-    def gen_value(pt: _Iterate) -> float:
-        return sum(t.weight * t.value(pt) for t in generic)
-
-    hbasis = _herm_basis(m) if generic else []
     rng = np.random.default_rng(opts.seed)
 
     starts: list[np.ndarray] = []
@@ -393,19 +378,14 @@ def center_solver(
 
     def direction_at(pt: _Iterate) -> np.ndarray:
         g = np.zeros((m, m), dtype=complex)
-        for t in analytic:
+        for t in terms:
             g = g + t.weight * t.grad_omega(pt)
         if mirror:
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
             # of the identity)
             return g - (np.trace(g).real / m) * np.eye(m)
-        grad = _dexp_push(pt, g)
-        for e in hbasis:
-            vp = gen_value(_Iterate(pt.h + _FD_STEP * e))
-            vm = gen_value(_Iterate(pt.h - _FD_STEP * e))
-            grad = grad + ((vp - vm) / (2 * _FD_STEP)) * e
-        return grad
+        return _dexp_push(pt, g)
 
     # the nonmonotone test is for the convex problems: a negative weight
     # keeps the monotone rule, as the window doubles the iterations there
@@ -528,7 +508,7 @@ def _center(weights, kinds, ops, spectra, meet, options: Optional[SolverOptions]
         center = basis @ ((u * np.exp(ww)) @ u.conj().T / q) @ basis.conj().T
         return center, -math.log(q), 0.0, 0, True
     terms = [_Term(w, q, op, basis, sp) for w, q, op, sp in gens]
-    return center_solver(None, meet, options, terms=terms)
+    return center_solver(terms, meet, options)
 
 
 def barycentric_q(

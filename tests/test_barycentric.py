@@ -37,6 +37,7 @@ from qrdiv.oracles import (
 from qrdiv.relent import (
     BelavkinStaszewski,
     GeomWeighted,
+    MeasuredProjective,
     Mixture,
     Umegaki,
     bs_rel_entropy,
@@ -442,23 +443,48 @@ def test_geom_term_exact_gradient(d, gamma):
         assert abs(fd - exact) <= 1e-7 * abs(exact)
 
 
+_MEAS = MeasuredProjective(4, 300)
+
+
+@pytest.mark.parametrize("kind", [_MEAS, GeomWeighted(_MEAS, 0.4)], ids=["meas", "geom:meas:0.4"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_measured_term_danskin_gradient(d, kind):
+    # on a square basis, the measured term's value is rel_entropy's on the
+    # full space, and its Danskin omega-gradient at the ascent's best basis,
+    # pushed to H, matches a Richardson central difference along random H
+    # directions. Both are exact only at the ascent's maximum: on a proper
+    # subspace omega is rank-deficient in the full space and the ascent
+    # converges slowly, and at d = 4 (geom:meas:0.4, default_rng(404)) 300
+    # ascent iterations stop 6e-4 below the 3000-iteration value, where the
+    # two disagree by up to 6e-2 relative (5e-7 at 3000 iterations)
+    from qrdiv.barycentric import _dexp_push, _Iterate, _Term
+
+    rng = np.random.default_rng(100 * d + (0 if kind == _MEAS else 4))
+    w_op = sample_state(d, d, rng)
+    basis = sample_unitary(d, rng)
+    term = _Term(1.0, kind, w_op, basis)
+    h = sample_hermitian(d, rng)
+    pt = _Iterate(h)
+    full = rel_entropy(kind, basis @ pt.omega @ basis.conj().T, w_op).value
+    assert abs(term.value(pt) - full) < 1e-10
+    grad = _dexp_push(pt, term.grad_omega(pt))
+    for _ in range(3):
+        e = sample_hermitian(d, rng)
+        fd = fd_derivative(lambda t: term.value(_Iterate(h + t * e)), 0.0)
+        exact = float(np.trace(grad @ e).real)
+        assert abs(fd - exact) <= 1e-5 * abs(exact)
+
+
 _GEOM = GeomWeighted(Umegaki(), 0.5)
 _GEOM_MIX = GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))), 0.7)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
-def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
-    # every closed-form generator solves on the analytic path: building the
-    # finite-difference basis fails the solve. Run to the default iteration
-    # count, the step-size cap keeps every trial iterate finite, and a geom
-    # gradient that overflows at the boundary (the mixture at 1.5) ends its
-    # start without a RuntimeWarning
-    import qrdiv.barycentric as bary
-
-    def no_fd(m):
-        raise AssertionError("finite-difference route taken")
-
-    monkeypatch.setattr(bary, "_herm_basis", no_fd)
+def test_closed_form_kinds_solve_finite_without_warnings(alpha):
+    # every closed-form generator solves to a finite value. Run to the
+    # default iteration count, the step-size cap keeps every trial iterate
+    # finite, and a geom gradient that overflows at the boundary (the
+    # mixture at 1.5) ends its start without a RuntimeWarning
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
     opts = SolverOptions(restarts=0, use_closed_form=False)
     kinds = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
@@ -467,20 +493,20 @@ def test_closed_form_kinds_skip_finite_differences(monkeypatch, alpha):
         assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
 
 
-def test_center_solver_analytic_term_next_to_objective():
-    # a um term (pushed through _dexp_push) next to a caller objective for
-    # the sigma half (finite differences) reaches the all-Umegaki closed form
-    from qrdiv.barycentric import _ObjectiveTerm, _Term, center_solver
+def test_center_solver_takes_terms():
+    # two um terms passed straight to the solver reach the all-Umegaki
+    # closed form
+    from qrdiv.barycentric import _Term, center_solver
 
     rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
     a = 0.5
     basis = support_basis(np.eye(3))
-    terms = [_Term(a, Umegaki(), rho, basis),
-             _ObjectiveTerm(lambda w: (1 - a) * umegaki(w, sig), basis)]
-    _, value, _, _, conv = center_solver(None, np.eye(3), SolverOptions(restarts=0), terms)
+    terms = [_Term(a, Umegaki(), rho, basis), _Term(1 - a, Umegaki(), sig, basis)]
+    center, value, _, _, conv = center_solver(terms, np.eye(3), SolverOptions(restarts=0))
     res = barycentric_renyi_full(a, UM, rho, sig)
     exact = a * umegaki(res["center"], rho) + (1 - a) * umegaki(res["center"], sig)
     assert conv and abs(value - exact) < 1e-6
+    np.testing.assert_allclose(center, res["center"], atol=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -896,41 +922,24 @@ def test_alpha_inf_um_um_unchanged_through_dual():
 
 
 def test_measured_kind_barycentric_generic_path():
-    # MeasuredProjective terms exercise the fully generic full-space
-    # evaluation with FD gradients; the result must stay between the
-    # all-measured lower bound's sandwich neighbours
-    from qrdiv.relent import MeasuredProjective
-
-    rng = np.random.default_rng(24)
-    rho, sig = noncommuting_qubits(rng)
-    meas = MeasuredProjective(restarts=1, iters=20)
-    a = 0.5
-    opts = SolverOptions(restarts=0, warm_start=True, iters=40)
-    v = barycentric_renyi(a, (meas, meas), rho, sig, opts)
-    assert math.isfinite(v)
-    # lower-bound generators cannot exceed the Umegaki-generated value by
-    # more than solver/ascent noise
-    assert v <= barycentric_renyi(a, UM, rho, sig) + 1e-3
-
-
-def test_center_solver_plain_objective_callable():
-    # the solver also accepts a bare full-space objective
-    from qrdiv.barycentric import center_solver
-
-    rng = np.random.default_rng(25)
-    rho, sig = noncommuting_qubits(rng)
-    a = 0.5
-
-    def objective(w):
-        return a * umegaki(w, rho) + (1 - a) * umegaki(w, sig)
-
-    center, value, gap, iters, conv = center_solver(
-        objective, np.eye(2, dtype=complex), SolverOptions(restarts=1)
-    )
-    res = barycentric_renyi_full(a, UM, rho, sig)
-    exact = a * umegaki(res["center"], rho) + (1 - a) * umegaki(res["center"], sig)
-    assert abs(value - exact) < 1e-6
-    np.testing.assert_allclose(center, res["center"], atol=1e-3)
+    # measured terms evaluate on the full space and step along Danskin
+    # gradients at the ascent's best basis; values pinned from central
+    # finite differences on the H coordinates, full rank (a) and on a
+    # proper support meet (b)
+    meas = MeasuredProjective(2, 200)
+    um, bs = Umegaki(), BelavkinStaszewski()
+    cases = [
+        ((3, 3, 3), (3, 3, 4), 300, [((meas, bs), 0.7666907910), ((um, meas), 0.7091368526),
+                                     ((meas, meas), 0.6798518634)]),
+        ((3, 2, 4), (3, 3, 5), 200, [((meas, bs), 1.6213651954), ((um, meas), 1.2316584620),
+                                     ((meas, meas), 1.2308053739),
+                                     ((um, GeomWeighted(meas, 0.5)), 1.6203113804)]),
+    ]
+    for r, s, iters, pins in cases:
+        rho, sig = sample_state(*r), sample_state(*s)
+        opts = SolverOptions(restarts=0, iters=iters)
+        for kinds, pin in pins:
+            assert abs(barycentric_renyi(0.5, kinds, rho, sig, opts) - pin) < 1e-8
 
 
 def test_center_solver_decomposes_each_iterate_once(monkeypatch):

@@ -214,6 +214,19 @@ def test_eval_um_bs_alpha_inf_dual(mats, tmp_path, capsys):
         assert float(payload["value"]) >= float(dmax)
 
 
+def test_eval_bary_measured_generator(mats, capsys):
+    # a measured generator solves through the CLI and prints the library's
+    # value to 12 significant digits
+    from qrdiv.barycentric import barycentric_renyi
+    from qrdiv.relent import BelavkinStaszewski, MeasuredProjective
+
+    code, out = _eval_line(capsys, "bary:meas:r2:i100,bs", mats["rho"], mats["sigma"],
+                           "--alpha", "0.5")
+    value = barycentric_renyi(0.5, (MeasuredProjective(2, 100), BelavkinStaszewski()),
+                              sample_state(2, 2, 1), sample_state(2, 2, 2))
+    assert code == 0 and out == f"{value:.12g}"
+
+
 def test_eval_alpha_only_for_bary(mats, capsys):
     # --alpha moves only bary: kinds; az: and max: carry their own alpha
     rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
@@ -355,8 +368,7 @@ def test_sweep_detects_violation(mats, capsys):
     assert code == 4
 
 
-def test_sweep_csv_file_and_threads(mats, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QDIV_THREADS", "2")
+def test_sweep_csv_file(mats, tmp_path, capsys):
     out = tmp_path / "table.csv"
     code = main(
         [
