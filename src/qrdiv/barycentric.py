@@ -121,7 +121,7 @@ class BarycenterResult:
     converged: bool = True
 
     def to_json(self) -> dict:
-        from .hermitian import matrix_to_json
+        from .hermitian import _json_float, matrix_to_json
 
         out = {
             "q_value": _json_float(self.q_value),
@@ -135,14 +135,6 @@ class BarycenterResult:
         if self.geo_mean is not None:
             out["geo_mean"] = matrix_to_json(self.geo_mean)
         return out
-
-
-def _json_float(x: float):
-    if x == INF:
-        return "+inf"
-    if x == -INF:
-        return "-inf"
-    return x
 
 
 # ---------------------------------------------------------------------------

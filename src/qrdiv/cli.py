@@ -15,23 +15,23 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .barycentric import _json_float, barycentric_renyi_full
+# numeric modules load inside the functions that compute, so a malformed
+# argument exits 2 before numpy is imported
 from .errors import QrdivError
-from .hermitian import load_matrix, matrix_to_json
-from .relent import (
+from .kinds import (
     Barycentric,
+    BelavkinStaszewski,
     EvalSpec,
+    GeomWeighted,
     MaxRenyi,
+    MeasuredProjective,
     RenyiAlphaZ,
+    Umegaki,
     parse_alpha,
     parse_grid,
     parse_kind,
     parse_kinds,
-    rel_entropy,
 )
-from .renyi import max_renyi, renyi_alpha_z
 
 INF = float("inf")
 
@@ -47,16 +47,22 @@ def fmt_value(x: float) -> str:
 def evaluate(spec: EvalSpec, alpha, rho, sigma, seed: int = 0):
     """Turn a parsed kind or eval spec into (value, gap, flags, center)."""
     if isinstance(spec, Barycentric):
-        if alpha is None:
-            raise QrdivError("bary kinds require --alpha")
+        from .barycentric import barycentric_renyi_full
+
         res = barycentric_renyi_full(alpha, spec.kinds, rho, sigma)
         flags = [] if res["converged"] else ["not_converged"]
         return res["value"], res["gap"], flags, res["center"]
     if isinstance(spec, RenyiAlphaZ):
+        from .renyi import renyi_alpha_z
+
         return renyi_alpha_z(spec.alpha, spec.z, rho, sigma), 0.0, [], None
     if isinstance(spec, MaxRenyi):
+        from .renyi import max_renyi
+
         mv = max_renyi(spec.alpha, rho, sigma)
         return mv.value, 0.0, ["upper_bound_only"] if mv.upper_bound_only else [], None
+    from .relent import rel_entropy
+
     dv = rel_entropy(spec, rho, sigma, seed=seed)
     if dv.certificate_gap is None:
         return dv.value, 0.0, [], None
@@ -64,12 +70,16 @@ def evaluate(spec: EvalSpec, alpha, rho, sigma, seed: int = 0):
 
 
 def cmd_eval(args) -> int:
-    rho = load_matrix(args.rho)
-    sigma = load_matrix(args.sigma)
     alpha = parse_alpha(args.alpha) if args.alpha is not None else None
     spec = parse_kind(args.kind)
+    if alpha is None and isinstance(spec, Barycentric):
+        raise QrdivError("bary kinds require --alpha")
     if alpha is not None and not isinstance(spec, Barycentric):
         raise QrdivError("--alpha applies only to bary: kinds (az: and max: carry their own)")
+    from .hermitian import _json_float, load_matrix, matrix_to_json
+
+    rho = load_matrix(args.rho)
+    sigma = load_matrix(args.sigma)
     value, gap, flags, center = evaluate(spec, alpha, rho, sigma, args.seed)
     if args.out == "json":
         payload = {
@@ -99,21 +109,30 @@ def _sweep_items(args, suffix: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    rho = load_matrix(args.rho)
-    sigma = load_matrix(args.sigma)
+    # every grid and item is read before a matrix is: plan[j] is grid point
+    # j as (g, alpha, items)
     if args.alpha_grid:
-        points = [(g, g, "") for g in parse_grid(args.alpha_grid)]
+        items = _sweep_items(args, "")
+        plan = [(g, g, items) for g in parse_grid(args.alpha_grid)]
+        for text, spec in items:
+            if not isinstance(spec, Barycentric):
+                print(f"warning: --alpha-grid does not move {text}: only bary: items take alpha",
+                      file=sys.stderr)
     elif args.gamma_grid:
         # a gamma sweep reads ":<gamma>" at the end of every item
-        points = [(g, None, f":{g:g}") for g in parse_grid(args.gamma_grid)]
+        plan = [(g, None, _sweep_items(args, f":{g:g}")) for g in parse_grid(args.gamma_grid)]
+        if any(isinstance(spec, Barycentric) for _, _, items in plan for _, spec in items):
+            raise QrdivError("bary kinds require --alpha-grid, not --gamma-grid")
     else:
         raise QrdivError("sweep needs --alpha-grid or --gamma-grid")
+    from .hermitian import load_matrix
 
+    rho = load_matrix(args.rho)
+    sigma = load_matrix(args.sigma)
     # table[j][i]: item i at grid point j as (text, g, value, gap, flags)
     table = [
-        [(text, g, *evaluate(spec, alpha, rho, sigma, args.seed)[:3])
-         for text, spec in _sweep_items(args, suffix)]
-        for g, alpha, suffix in points
+        [(text, g, *evaluate(spec, alpha, rho, sigma, args.seed)[:3]) for text, spec in items]
+        for g, alpha, items in plan
     ]
     columns = list(zip(*table))
 
@@ -153,8 +172,11 @@ def _suite_axioms(seed: int, samples: int) -> dict:
 
 
 def _suite_separation_dim2(seed: int, samples: int) -> dict:
+    import numpy as np
+
+    from .barycentric import barycentric_renyi_full
     from .hermitian import sample_state
-    from .relent import BelavkinStaszewski
+    from .renyi import max_renyi
 
     rng = np.random.default_rng(seed)
     worst = INF
@@ -182,8 +204,11 @@ def find_no_dpi_witness(seed: int = 0, trials: int = 5000):
     Candidates are prefiltered with the log-Euclidean closed form and
     confirmed through the barycentric evaluation itself.
     """
+    import numpy as np
+
+    from .barycentric import barycentric_renyi_full
     from .hermitian import pinch, sample_state, sample_unitary
-    from .relent import Umegaki
+    from .renyi import renyi_alpha_z
 
     rng = np.random.default_rng(seed)
     for n in range(trials):
@@ -221,14 +246,11 @@ def _suite_no_dpi(seed: int, samples: int) -> dict:
 
 
 def _suite_ordering(seed: int, samples: int) -> dict:
+    import numpy as np
+
+    from .barycentric import barycentric_renyi_full
     from .hermitian import sample_state
-    from .relent import (
-        BelavkinStaszewski,
-        GeomWeighted,
-        MeasuredProjective,
-        Umegaki,
-        rel_entropy,
-    )
+    from .relent import rel_entropy
 
     um, bs = Umegaki(), BelavkinStaszewski()
     rng = np.random.default_rng(seed)
@@ -283,6 +305,21 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 5
 
 
+def _whole(low: int):
+    """An argparse type: a whole number >= ``low``, else exit 2."""
+
+    def read(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected a whole number >= {low}, got {text!r}")
+        return n
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qrdiv", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -294,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--sigma", required=True)
     pe.add_argument("--out", default="text", choices=["text", "json"])
     pe.add_argument("--with-center", action="store_true")
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_whole(0), default=0)
     pe.set_defaults(func=cmd_eval)
 
     ps = sub.add_parser("sweep", help="sweep a grid to CSV")
@@ -306,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sigma", required=True)
     ps.add_argument("--out", default="-")
     ps.add_argument("--check-order", action="store_true")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_whole(0), default=0)
     ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--samples", type=int, default=20)
+    pv.add_argument("--seed", type=_whole(0), default=0)
+    pv.add_argument("--samples", type=_whole(1), default=20)
     pv.set_defaults(func=cmd_verify)
     return ap
 

@@ -296,6 +296,16 @@ def sample_cptp(dim_in: int, dim_out: int, env_dim: int, seed=0) -> CptpChannel:
 # shared matrix file format: {"dim": d, "re": [[...]], "im": [[...]]}
 
 
+def _json_float(x):
+    """A float for a JSON payload: +-inf as the strings "+inf" and "-inf"
+    (JSON has no infinity), anything else unchanged."""
+    if x == math.inf:
+        return "+inf"
+    if x == -math.inf:
+        return "-inf"
+    return x
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     return {

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrdiv
 from qrdiv.cli import main
 from qrdiv.hermitian import matrix_to_json, sample_state
 
@@ -95,10 +100,11 @@ def test_eval_parse_error_exit_2(mats, capsys):
         ["eval", "--kind", "bary:um,bs", "--alpha", "1e999"],
         ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1e999:3"],
         ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1:100000000000000000000"],
+        ["sweep", "--kind", "bary:geom:um,bs", "--gamma-grid", "0.2:0.8:2"],
     ],
     ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid",
          "meas-negative-iters", "meas-negative-restarts", "alpha-overflow",
-         "grid-overflow", "grid-count-too-large"],
+         "grid-overflow", "grid-count-too-large", "bary-gamma-grid"],
 )
 def test_malformed_input_exit_2(mats, capsys, argv):
     assert main([*argv, "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2
@@ -423,6 +429,77 @@ def test_verify_separation_dim2_suite(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "verify"])
+def test_negative_seed_exit_2(mats, capsys, command):
+    # numpy's generators take no negative seed: rejected as an argument
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
+    argv = {
+        "eval": ["eval", "--kind", "meas", *rs],
+        "sweep": ["sweep", "--kind", "meas", "--alpha-grid", "1:1:1", *rs],
+        "verify": ["verify", "--suite", "separation-dim2", "--samples", "1"],
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_exit_2(capsys, samples):
+    # a suite over no samples checks nothing, so it cannot pass
+    assert main(["verify", "--suite", "separation-dim2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples" in captured.err
+
+
+def test_alpha_grid_warns_per_item_it_does_not_move(mats, capsys):
+    # one stderr line per item other than bary:; stdout and the exit code
+    # are those of the sweep
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
+    assert main(["sweep", "--kinds", "um,bary:um,bs,max:0.5", "--alpha-grid", "0.25:0.75:3",
+                 *rs]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: --alpha-grid does not move {item}: only bary: items take alpha"
+        for item in ("um", "max:0.5")
+    ]
+    assert len(captured.out.splitlines()) == 1 + 3 * 3
+    assert main(["sweep", "--kind", "geom:um", "--gamma-grid", "0.25:0.75:3", *rs]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from qrdiv.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_argument_errors_exit_2_without_numpy(tmp_path):
+    # every string argument is read before a matrix or a numeric module is
+    # loaded; the matrix paths do not exist and are never opened
+    rs = ["--rho", str(tmp_path / "r.json"), "--sigma", str(tmp_path / "s.json")]
+    cases = [
+        (["eval", "--kind", "um", "--alpha", "abc", *rs], 2),
+        (["eval", "--kind", "mix:x*um+0.5*bs", *rs], 2),
+        (["eval", "--kind", "az:0.5", *rs], 2),
+        (["sweep", "--kind", "um", "--alpha-grid", "0:1", *rs], 2),
+        (["eval", "--kind", "nope", *rs], 2),
+        (["eval", "--kind", "bary:um,bs", *rs], 2),
+        (["verify", "--suite", "nope"], 2),
+        (["eval", "--kind", "meas", "--seed", "-1", *rs], 2),
+        (["verify", "--suite", "ordering", "--samples", "0"], 2),
+        (["--help"], 0),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(qrdiv.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in cases])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code for _, code in cases]
+    assert "Traceback" not in proc.stderr
 
 
 def test_golden_stdout_fixture(mats, capsys):

@@ -1,0 +1,58 @@
+"""The package namespace: lazy submodule loading and the export list."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qrdiv
+
+# the export list and, for each name, the module it was first exported from
+EXPORTS = {
+    "barycentric": ["BarycenterResult", "GcqChannel", "SolverOptions", "barycentric_q",
+                    "barycentric_renyi", "barycentric_renyi_full", "dual_renyi"],
+    "classical": ["WeightMeasure", "WeightedFamily", "classical_rel_entropy", "classical_renyi",
+                  "hellinger_arc_point", "multivariate_q"],
+    "relent": ["BelavkinStaszewski", "DivergenceValue", "GeomWeighted", "MeasuredProjective",
+               "Mixture", "Umegaki", "axioms_check", "bs_rel_entropy", "measured_lower_bound",
+               "parse_kind", "parse_kinds", "rel_entropy", "umegaki"],
+    "renyi": ["MaxRenyiValue", "ReverseTest", "max_fdivergence", "max_relative_entropy",
+              "max_renyi", "optimal_reverse_test", "reg_measured_renyi", "renyi_alpha_z"],
+    "supports": ["OpConvexFn", "abs_cont_part", "kubo_ando_mean", "kubo_ando_mean_real",
+                 "neg_log", "neg_power", "perspective", "power_fn", "x_log_x"],
+}
+SUBMODULES = ["barycentric", "classical", "errors", "hermitian", "relent", "renyi", "supports"]
+
+
+def test_import_loads_no_numeric_module():
+    # in a fresh interpreter, where nothing has imported numpy yet
+    env = {**os.environ, "PYTHONPATH": str(Path(qrdiv.__file__).parents[1])}
+    code = "import json, sys, qrdiv; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "numpy" not in loaded and "qrdiv.barycentric" not in loaded
+
+
+def test_export_list_unchanged():
+    names = [n for ns in EXPORTS.values() for n in ns]
+    assert qrdiv.__all__ == sorted(names + SUBMODULES)
+    assert set(qrdiv.__all__) <= set(dir(qrdiv))
+
+
+def test_every_export_resolves_to_its_module_object():
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"qrdiv.{module}")
+        for name in names:
+            assert getattr(qrdiv, name) is getattr(mod, name), name
+    for name in SUBMODULES:
+        assert getattr(qrdiv, name) is importlib.import_module(f"qrdiv.{name}")
+
+
+def test_star_import_binds_every_export():
+    ns: dict = {}
+    exec("from qrdiv import *", ns)
+    assert all(ns[name] is getattr(qrdiv, name) for name in qrdiv.__all__)
