@@ -102,6 +102,11 @@ class Spectrum:
         return self.u[:, self.w > self.cut].copy()
 
     @cached_property
+    def kernel(self) -> np.ndarray:
+        """d x (d - r) matrix of orthonormal columns spanning the kernel."""
+        return self.u[:, self.w <= self.cut].copy()
+
+    @cached_property
     def proj(self) -> np.ndarray:
         """Orthogonal projection onto the support."""
         v = self.u[:, self.w > self.cut]
@@ -145,11 +150,6 @@ def spectrum(a) -> Spectrum:
     return Spectrum(w, u, support_cutoff(w))
 
 
-def apply_function(a, f, on_support_only: bool = True) -> np.ndarray:
-    """U f(Lambda) U* for PSD ``a`` (see Spectrum.fn)."""
-    return spectrum(a).fn(f, on_support_only)
-
-
 def mpower(a, x: float) -> np.ndarray:
     """Real power on the support (A^x, generalized inverse for x < 0)."""
     return spectrum(a).power(x)
@@ -178,15 +178,10 @@ def support_leq(a, b, tol: float = 1e-7) -> bool:
     return float(np.max(np.abs(v - pb @ v))) <= tol if v.size else True
 
 
-def clip_psd(a: np.ndarray) -> np.ndarray:
-    """Clip the (small) negative tail of an almost-PSD Hermitian matrix."""
-    w, u = spectral_decompose(a)
-    w = np.maximum(w, 0.0)
-    return (u * w) @ u.conj().T
-
-
-def projection_meet(p: np.ndarray, q: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Projection onto ran(P) ∩ ran(Q).
+def meet_bases(p: np.ndarray, q: np.ndarray, tol: float = 1e-7
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (B, C) of ran(P) ∩ ran(Q) and of its orthogonal
+    complement, from one decomposition of P + Q.
 
     The intersection is the eigenvalue-2 eigenspace of P + Q (all other
     eigenvalues are 1 ± cos(theta) < 2 for nonzero principal angles).
@@ -196,8 +191,14 @@ def projection_meet(p: np.ndarray, q: np.ndarray, tol: float = 1e-7) -> np.ndarr
     if p.shape != q.shape:
         raise DimensionMismatch(f"projections of shapes {p.shape} and {q.shape}")
     w, u = spectral_decompose(p + q)
-    v = u[:, w > 2.0 - tol]
-    return v @ v.conj().T
+    top = w > 2.0 - tol
+    return u[:, top], u[:, ~top]
+
+
+def projection_meet(p: np.ndarray, q: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """Projection B B* onto ran(P) ∩ ran(Q) (see meet_bases)."""
+    b, _ = meet_bases(p, q, tol)
+    return b @ b.conj().T
 
 
 def pinch(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
@@ -335,8 +336,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
         return matrix_from_json(json.load(fh))
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(a), fh)

@@ -56,6 +56,16 @@ def _is_zero(a: np.ndarray) -> bool:
     return float(np.trace(a).real) <= 1e-14 * max(1, a.shape[0])
 
 
+def _empty_meet_renyi(alpha: Optional[float]) -> float:
+    """A Renyi alpha-divergence (alpha = None: the relative entropy) on an
+    empty support meet, as for a rho whose every eigenvalue is below the
+    support cutoff: log Q_alpha = -inf, so +inf below alpha = 1, 0.0 at
+    alpha = 1 and -inf above it."""
+    if alpha is None or alpha == 1:
+        return 0.0
+    return INF if alpha < 1 else -INF
+
+
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
     rho, sigma = _check_shapes(rho, sigma)
@@ -64,6 +74,8 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     if _is_zero(sigma):
         return INF
     sr, ss = spectrum(rho), spectrum(sigma)
+    if not sr.basis.size:
+        return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
         return INF
     return float(np.trace(rho @ (sr.log() - ss.log())).real)
@@ -159,14 +171,16 @@ def measured_lower_bound(
     over projective measurement bases.
 
     Returns (value, best basis unitary). Multi-start reduction is the max,
-    ties resolved toward the lowest start index.
+    ties resolved toward the lowest start index. A rho that is zero or below
+    the support cutoff gives 0.0 for the relative entropy and the
+    empty-meet value (+inf below alpha = 1, -inf above) for Renyi alpha.
     """
     restarts, iters = _ascent_counts(restarts, iters)
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
     sr = spectrum(rho)
-    if _is_zero(rho) or not sr.basis.size:
-        return 0.0, np.eye(d)  # rho is zero or below the support cutoff
+    if not sr.basis.size:
+        return _empty_meet_renyi(alpha), np.eye(d)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     if alpha is None or alpha >= 1:
         if not support_leq(sr, sigma):

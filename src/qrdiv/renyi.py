@@ -14,6 +14,7 @@ import numpy as np
 from .classical import classical_renyi
 from .errors import BadParameter, InfiniteLimit
 from .hermitian import (
+    SUPPORT_RTOL,
     _check_shapes,
     eig_clusters,
     projection_meet,
@@ -23,7 +24,7 @@ from .hermitian import (
     support_cutoff,
     support_leq,
 )
-from .relent import umegaki
+from .relent import _empty_meet_renyi, umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
 
 INF = float("inf")
@@ -156,16 +157,18 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
         w = w[w > support_cutoff(w)]
         q = float(np.sum(w**z))
     if q <= 0.0:
-        # log q = -inf, divided by alpha - 1
-        return -INF if alpha > 1 else INF
+        return _empty_meet_renyi(alpha)  # log q = -inf
     return (math.log(q) - math.log(tr_rho)) / (alpha - 1.0)
 
 
 def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D_inf: log of the smallest lambda with rho <= lambda sigma."""
+    """D_inf: log of the smallest lambda with rho <= lambda sigma; -inf
+    when rho is below the support cutoff."""
     rho, sigma = _check_shapes(rho, sigma)
-    ss = spectrum(sigma)
-    if not support_leq(rho, ss):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if not sr.basis.size:
+        return -INF
+    if not support_leq(sr, ss):
         return INF
     return _dmax_top(rho, ss)[0]
 
@@ -209,24 +212,21 @@ class ReverseTest:
         return out
 
 
-def optimal_reverse_test(
-    rho: np.ndarray, sigma: np.ndarray, tau0: np.ndarray | None = None
-) -> ReverseTest:
+def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     """Matsumoto's reverse test from the spectral decomposition of
-    sigma^{-1/2} rho_ac sigma^{-1/2}; optimal for every maximal Renyi
-    divergence with alpha in [0, 2] and at alpha = inf."""
+    sigma^{-1/2} rho_ac sigma^{-1/2}, taken in the eigenbasis B of supp
+    sigma; optimal for every maximal Renyi divergence with alpha in [0, 2]
+    and at alpha = inf."""
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
-    if tau0 is None:
-        tau0 = np.eye(d, dtype=complex) / d
+    tau0 = np.eye(d, dtype=complex) / d  # any state is admissible on a null index
     ss = spectrum(sigma)
-    rho_ac = _abs_cont(rho, ss.proj)
-    shi = ss.power(-0.5)
-    sh = ss.power(0.5)
-    m = shi @ rho_ac @ shi
-    w, u = spectral_decompose(m)
+    b = ss.basis
+    rho_ac = _abs_cont(rho, b, ss.kernel)
+    root = np.sqrt(ss.w[ss.w > ss.cut])
+    w, u = spectral_decompose(rho_ac / np.outer(root, root)) if root.size else (root, rho_ac)
     cut = support_cutoff(w)
-    missing = float(np.trace(rho - rho_ac).real)
+    missing = float(np.trace(rho).real - np.trace(rho_ac).real)
     sing = missing > 1e-12 * max(1.0, np.trace(rho).real)
 
     p, q, gammas = [], [], []
@@ -234,21 +234,14 @@ def optimal_reverse_test(
     for idx in eig_clusters(w):
         lam = float(np.mean(w[idx]))
         lam = 0.0 if lam <= cut else lam  # zero clusters snap to exact zero
-        e = u[:, idx] @ u[:, idx].conj().T
-        mass = max(float(np.trace(sigma @ e).real), 0.0)
+        v = b @ (root[:, None] * u[:, idx])  # sigma^{1/2} times the eigenvectors
+        mass = float(np.sum(np.abs(v) ** 2))
         p.append(lam * mass)
         q.append(mass)
-        if mass > mass_cut:
-            gammas.append(sh @ e @ sh / mass)
-        else:
-            gammas.append(tau0.copy())  # any state is admissible here
+        gammas.append(v @ v.conj().T / mass if mass > mass_cut else tau0)
     p.append(missing if sing else 0.0)
     q.append(0.0)
-    if sing:
-        tail = (rho - rho_ac) / missing
-    else:
-        tail = tau0.copy()
-    gammas.append(tail)
+    gammas.append((rho - b @ rho_ac @ b.conj().T) / missing if sing else tau0)
     return ReverseTest(np.array(p), np.array(q), gammas)
 
 
@@ -265,12 +258,17 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     reverse test is not optimal and the value is flagged as an upper bound.
     """
     rho, sigma = _check_shapes(rho, sigma)
-    if float(np.trace(rho).real) <= 0:
+    tr_rho = float(np.trace(rho).real)
+    if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
     if alpha == INF:
         return MaxRenyiValue(max_relative_entropy(rho, sigma))
     if alpha < 0:
         raise BadParameter(f"alpha must be >= 0, got {alpha}")
+    # lambda_max >= Tr rho / d, so only a trace at most d * SUPPORT_RTOL can
+    # leave every eigenvalue of rho below the support cutoff
+    if tr_rho <= rho.shape[0] * SUPPORT_RTOL and not spectrum(rho).basis.size:
+        return MaxRenyiValue(_empty_meet_renyi(alpha), upper_bound_only=alpha > 2)
     rt = optimal_reverse_test(rho, sigma)
     val = classical_renyi(alpha, rt.p, rt.q)
     return MaxRenyiValue(val, upper_bound_only=alpha > 2)

@@ -4,8 +4,11 @@ Kubo-Ando weighted geometric means.
 The gamma in {0, 1} endpoints of the geometric mean follow the continuity
 convention: ``sigma #_0 rho`` is the part of sigma absolutely continuous
 w.r.t. rho, and ``sigma #_1 rho`` the part of rho absolutely continuous
-w.r.t. sigma. Pass ``endpoint_convention="classical"`` for the plain
-sigma / rho endpoints instead.
+w.r.t. sigma.
+
+Absolutely continuous parts, perspectives and means are taken in the
+coordinates of one split of the space: an orthonormal basis B of the
+subspace (the support meet, or supp sigma) and C of its complement.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import numpy as np
 from .errors import BadParameter, InfiniteLimit, NotInvertible
 from .hermitian import (
     _check_shapes,
-    clip_psd,
+    herm_part,
+    meet_bases,
     mpower,
-    projection_meet,
     spectrum,
-    support_basis,
     support_cutoff,
     support_projection,
 )
@@ -91,15 +93,21 @@ def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Largest 0 <= C <= rho with ran(C) inside ran(sigma), via the Schur
     complement of rho with respect to the kernel of sigma."""
     rho, sigma = _check_shapes(rho, sigma)
-    return _abs_cont(rho, support_projection(sigma))
+    ss = spectrum(sigma)
+    b = ss.basis
+    return b @ _abs_cont(rho, b, ss.kernel) @ b.conj().T
 
 
-def _abs_cont(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """abs_cont_part against the support projection ``s``."""
-    sp = np.eye(rho.shape[0]) - s
-    block = sp @ rho @ sp
-    res = s @ rho @ s - s @ rho @ sp @ mpower(block, -1.0) @ sp @ rho @ s
-    return clip_psd(res)
+def _abs_cont(rho: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B* rho_ac B, the part of rho absolutely continuous w.r.t. ran(B) in
+    B's coordinates: the Schur complement
+    B* rho B - B* rho C (C* rho C)^+ C* rho B, for orthonormal bases B of a
+    subspace and C of its complement."""
+    top = b.conj().T @ rho @ b
+    if not (b.shape[1] and c.shape[1]):
+        return top
+    x = b.conj().T @ rho @ c
+    return top - x @ mpower(c.conj().T @ rho @ c, -1.0) @ x.conj().T
 
 
 def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -111,19 +119,11 @@ def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarr
     root = mpower(rho, 0.5)
     x = root @ sp @ root
     k = np.eye(rho.shape[0]) - support_projection(x)
-    return clip_psd(s @ root @ k @ root @ s)
+    return herm_part(s @ root @ k @ root @ s)
 
 
 # ---------------------------------------------------------------------------
 # operator perspective
-
-
-def _compress(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return basis.conj().T @ a @ basis
-
-
-def _expand(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return basis @ a @ basis.conj().T
 
 
 def _persp_core(fn: OpConvexFn, rc: np.ndarray, sc: np.ndarray) -> np.ndarray:
@@ -145,30 +145,26 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     """Operator perspective P_f(rho, sigma), the eps -> 0 limit of
     (sigma+eps)^{1/2} f((sigma+eps)^{-1/2}(rho+eps)(sigma+eps)^{-1/2}) (sigma+eps)^{1/2}.
 
-    Closed form: the core on the common-support compression plus
-    f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac). An infinite
-    boundary limit is tolerated only against a vanishing deficiency
-    (0 * inf = 0); otherwise the limit does not exist and InfiniteLimit
-    is raised.
+    Closed form: the core on the absolutely continuous parts w.r.t. the
+    support meet ran(B), in B's coordinates, plus
+    f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac). Both parts are
+    positive definite on ran(B) in exact arithmetic. An infinite boundary
+    limit is tolerated only against a vanishing deficiency (0 * inf = 0);
+    otherwise the limit does not exist and InfiniteLimit is raised.
     """
     rho, sigma = _check_shapes(rho, sigma)
-    meet = projection_meet(support_projection(rho), support_projection(sigma))
-    p = support_projection(meet)
-    rho_ac = _abs_cont(rho, p)
-    sigma_ac = _abs_cont(sigma, p)
-    rho_def = rho - rho_ac
-    sigma_def = sigma - sigma_ac
+    b, c = meet_bases(support_projection(rho), support_projection(sigma))
+    rho_ac, sigma_ac = _abs_cont(rho, b, c), _abs_cont(sigma, b, c)
     scale = max(1.0, np.trace(rho).real + np.trace(sigma).real)
 
     out = np.zeros_like(rho)
     if np.trace(sigma_ac).real > 1e-14 * scale:
-        basis = support_basis(sigma_ac)
-        core = _persp_core(fn, _compress(rho_ac, basis), _compress(sigma_ac, basis))
-        out = out + _expand(core, basis)
-    for limit, deficiency, side in (
-        (fn.transpose_at_zero_plus, rho_def, "rho"),
-        (fn.f_at_zero_plus, sigma_def, "sigma"),
+        out = b @ _persp_core(fn, rho_ac, sigma_ac) @ b.conj().T
+    for limit, op, ac, side in (
+        (fn.transpose_at_zero_plus, rho, rho_ac, "rho"),
+        (fn.f_at_zero_plus, sigma, sigma_ac, "sigma"),
     ):
+        deficiency = op - b @ ac @ b.conj().T
         if np.trace(deficiency).real <= 1e-10 * scale:
             continue  # 0 * (+-inf) := 0
         if not math.isfinite(limit):
@@ -176,7 +172,7 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
                 f"{fn.name}: infinite boundary limit against a nonzero {side} part"
             )
         out = out + limit * deficiency
-    return (out + out.conj().T) / 2.0
+    return herm_part(out)
 
 
 def perspective_smoothed(
@@ -196,25 +192,16 @@ def perspective_smoothed(
 # Kubo-Ando weighted geometric means
 
 
-def kubo_ando_mean(
-    gamma: float,
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    endpoint_convention: str = "paper",
-) -> np.ndarray:
+def kubo_ando_mean(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """sigma #_gamma rho for gamma in [0, 1] and arbitrary PSD inputs."""
     if not 0.0 <= gamma <= 1.0:
         raise BadParameter(f"gamma {gamma} outside [0, 1]")
     rho, sigma = _check_shapes(rho, sigma)
     if gamma == 0.0:
-        if endpoint_convention == "classical":
-            return sigma.copy()
         return abs_cont_part(sigma, rho)
     if gamma == 1.0:
-        if endpoint_convention == "classical":
-            return rho.copy()
         return abs_cont_part(rho, sigma)
-    return clip_psd(perspective(power_fn(gamma), rho, sigma))
+    return perspective(power_fn(gamma), rho, sigma)
 
 
 def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -189,6 +189,31 @@ def test_umegaki_and_bs_support_condition():
     # every eigenvalue below the support cutoff: rho counts as zero
     tiny_r, tiny_s = 1e-9 * sample_state(3, 3, 1), 1e-9 * sample_state(3, 3, 2)
     assert bs_rel_entropy(tiny_r, tiny_s) == umegaki(tiny_r, tiny_s) == 0.0
+    # a below-cutoff rho against a state still counts as zero
+    sigma = sample_state(3, 3, 2)
+    assert umegaki(tiny_r, sigma) == 0.0
+    chain = [rel_entropy(parse_kind(k), tiny_r, sigma).value
+             for k in ("meas", "um", "geom:um:0.5", "bs")]
+    assert chain == sorted(chain)
+
+
+def test_below_cutoff_rho_follows_the_empty_meet_rule():
+    # log Q_alpha = -inf: +inf below alpha = 1, 0.0 at alpha = 1, -inf above
+    # it, for every Renyi route
+    from qrdiv.barycentric import barycentric_renyi_full
+    from qrdiv.renyi import max_relative_entropy
+
+    tiny_r, um = 1e-9 * sample_state(3, 3, 1), Umegaki()
+    for sigma in (sample_state(3, 3, 2), 1e-9 * sample_state(3, 3, 2)):
+        for alpha, expect in ((0.5, INF), (1.0, 0.0), (2.0, -INF), (INF, -INF)):
+            values = [max_renyi(alpha, tiny_r, sigma).value,
+                      measured_lower_bound(tiny_r, sigma, alpha=alpha)[0],
+                      barycentric_renyi_full(alpha, (um, um), tiny_r, sigma)["value"]]
+            if alpha != INF:
+                values.append(renyi_alpha_z(alpha, 1.0, tiny_r, sigma))
+            values.append(renyi_alpha_z(alpha, INF, tiny_r, sigma))
+            assert values == [expect] * len(values), alpha
+        assert max_relative_entropy(tiny_r, sigma) == -INF
 
 
 def test_below_cutoff_rho_is_zero_for_every_kind():
@@ -199,8 +224,6 @@ def test_below_cutoff_rho_is_zero_for_every_kind():
     chain = [rel_entropy(parse_kind(k), tiny_r, tiny_s).value
              for k in ("meas", "um", "geom:um:0.5", "bs")]
     assert chain == [0.0] * 4
-    for alpha in (0.5, 2.0):
-        assert measured_lower_bound(tiny_r, tiny_s, alpha=alpha)[0] == 0.0
 
 
 def test_bs_equals_reverse_test_value():

@@ -7,6 +7,7 @@ from qrdiv.errors import InfiniteLimit, NotInvertible
 from qrdiv.hermitian import (
     sample_cptp,
     sample_state,
+    sample_unitary,
     spectral_decompose,
     support_projection,
     tensor,
@@ -129,6 +130,18 @@ def test_perspective_identity_function():
     np.testing.assert_allclose(perspective(power_fn(1.0), rho, sigma), rho, atol=1e-9)
 
 
+def _rotated_commuting_pairs(seed):
+    """(p, q, U) at d = 8, 16, 32 with Haar U: p vanishes on the first two
+    indices, q on the next two and both on the fifth, so the support meet
+    of U diag(p) U* and U diag(q) U* is a proper subspace."""
+    rng = np.random.default_rng(seed)
+    for d in (8, 16, 32):
+        p, q = rng.uniform(0.05, 1.0, d), rng.uniform(0.05, 1.0, d)
+        p[[0, 1, 4]] = 0.0
+        q[[2, 3, 4]] = 0.0
+        yield p / p.sum(), q / q.sum(), sample_unitary(d, rng)
+
+
 def test_perspective_commuting_is_classical_fdivergence():
     p = np.array([0.2, 0.5, 0.3])
     q = np.array([0.6, 0.4, 0.0])
@@ -136,6 +149,16 @@ def test_perspective_commuting_is_classical_fdivergence():
     out = perspective(fn, np.diag(p).astype(complex), np.diag(q).astype(complex))
     expect = [q[i] * fn.f(p[i] / q[i]) if p[i] * q[i] > 0 else 0.0 for i in range(3)]
     np.testing.assert_allclose(np.diag(out).real, expect, atol=1e-10)
+    # rotated: q f(p/q) on the meet, f(0+) q where p = 0, transpose(0+) p
+    # where q = 0 (x^0 has f(0+) = 1)
+    for p, q, u in _rotated_commuting_pairs(28):
+        for fn in (power_fn(0.5), power_fn(0.0)):
+            vals = [qi * fn.f(pi / qi) if pi * qi > 0
+                    else fn.f_at_zero_plus * qi if qi > 0
+                    else fn.transpose_at_zero_plus * pi for pi, qi in zip(p, q)]
+            rho, sig = (u @ np.diag(x) @ u.conj().T for x in (p, q))
+            np.testing.assert_allclose(perspective(fn, rho, sig),
+                                       u @ np.diag(vals) @ u.conj().T, atol=1e-10)
 
 
 def test_perspective_eps_ladder_certifies_closed_form():
@@ -215,6 +238,12 @@ def test_mean_commuting():
     m = kubo_ando_mean(g, np.diag(p).astype(complex), np.diag(q).astype(complex))
     expect = np.where(p * q > 0, q ** (1 - g) * p**g, 0.0)
     np.testing.assert_allclose(np.diag(m).real, expect, atol=1e-10)
+    # rotated, on a proper meet: the exact mean is U diag(q^{1-g} p^g) U*
+    for p, q, u in _rotated_commuting_pairs(29):
+        rho, sig = (u @ np.diag(x) @ u.conj().T for x in (p, q))
+        for g in (0.25, 0.5, 0.8):
+            np.testing.assert_allclose(kubo_ando_mean(g, rho, sig),
+                                       u @ np.diag(q ** (1 - g) * p**g) @ u.conj().T, atol=1e-10)
 
 
 def test_mean_support_and_symmetry():
@@ -242,12 +271,6 @@ def test_mean_endpoint_conventions():
     )
     np.testing.assert_allclose(
         kubo_ando_mean(1.0, rho, sigma), abs_cont_part(rho, sigma), atol=1e-10
-    )
-    np.testing.assert_allclose(
-        kubo_ando_mean(0.0, rho, sigma, endpoint_convention="classical"), sigma
-    )
-    np.testing.assert_allclose(
-        kubo_ando_mean(1.0, rho, sigma, endpoint_convention="classical"), rho
     )
 
 
