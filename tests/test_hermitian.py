@@ -31,6 +31,7 @@ from qrdiv.hermitian import (
     check_hermitian,
     matrix_from_json,
     matrix_to_json,
+    meet_bases,
     partial_trace,
     pinch,
     projection_meet,
@@ -140,6 +141,11 @@ def test_projection_meet_random_vs_kernel_oracle():
         np.testing.assert_allclose(m @ m, m, atol=1e-9)
         assert np.min(np.linalg.eigvalsh(p - m)) > -1e-9
         assert np.min(np.linalg.eigvalsh(q - m)) > -1e-9
+        # meet_bases: the meet's basis and its complement's form one unitary
+        b, c = meet_bases(p, q)
+        np.testing.assert_allclose(b @ b.conj().T, m, atol=1e-12)
+        bc = np.hstack([b, c])
+        np.testing.assert_allclose(bc.conj().T @ bc, np.eye(4), atol=1e-12)
 
 
 def test_projection_meet_dim_mismatch():
