@@ -37,6 +37,7 @@ from .hermitian import (
     support_basis,
     support_leq,
 )
+from .kinds import _whole_counts
 from .relent import (
     BelavkinStaszewski,
     EntropyKind,
@@ -55,6 +56,8 @@ INF = float("inf")
 _GRAD_TOL = 1e-6
 # largest Frobenius norm of a Barzilai-Borwein trial step in H
 _MAX_BB_STEP = 10.0
+# halvings before a line search gives up: past 12, only noise-level decreases passed
+_MAX_HALVINGS = 20
 # accepted values the nonmonotone (GLL) line search compares a trial against
 _NM_WINDOW = 10
 
@@ -108,6 +111,14 @@ class SolverOptions:
     seed: int = 0
     warm_start: bool = True
     use_closed_form: bool = True
+
+    def __post_init__(self):
+        self.iters, self.restarts, self.seed = _whole_counts(
+            "iters, restarts and seed", self.iters, self.restarts, self.seed)
+        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < INF):
+            raise BadParameter(f"tol must be finite and > 0, got {self.tol!r}")
+        if not (self.warm_start or self.restarts):
+            raise BadParameter("the solver needs warm_start or restarts >= 1")
 
 
 @dataclass
@@ -321,6 +332,11 @@ class _Iterate:
         return self._measured[term]
 
 
+def _trace_zero(h: np.ndarray) -> np.ndarray:
+    """h less its trace part, which omega = exp(H)/Tr exp(H) does not see."""
+    return h - (np.trace(h).real / len(h)) * np.eye(len(h))
+
+
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     """Pushforward of an omega-gradient to the H parametrization of
     omega = exp(H)/Tr exp(H)."""
@@ -354,19 +370,12 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
     mirror = all(t.mode in ("um", "bs") for t in terms)
     rng = np.random.default_rng(opts.seed)
 
-    starts: list[np.ndarray] = []
+    starts = [sample_hermitian(m, rng) for _ in range(opts.restarts)]
     if opts.warm_start:
-        h0 = np.zeros((m, m), dtype=complex)
-        for t in terms:
-            if t.mode == "um":
-                h0 = h0 + t.weight * t.logw
-            elif t.mode == "bs":
-                h0 = h0 + t.weight * t.sig_spec.log()
-        starts.append(h0)
-    for _ in range(opts.restarts):
-        starts.append(sample_hermitian(m, rng))
-    if not starts:
-        raise BadParameter("the solver needs warm_start or restarts >= 1")
+        # sum of weight * log W (log sig_eff for bs) over the um and bs terms
+        logs = [t.weight * (t.logw if t.mode == "um" else t.sig_spec.log())
+                for t in terms if t.mode in ("um", "bs")]
+        starts.insert(0, sum(logs, np.zeros((m, m), dtype=complex)))
 
     def direction_at(pt: _Iterate) -> np.ndarray:
         g = np.zeros((m, m), dtype=complex)
@@ -376,7 +385,7 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
             # of the identity)
-            return g - (np.trace(g).real / m) * np.eye(m)
+            return _trace_zero(g)
         return _dexp_push(pt, g)
 
     # the nonmonotone test is for the convex problems: a negative weight
@@ -389,7 +398,8 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
         value is not finite. ``bb_steps`` tries the Barzilai-Borwein step
         first and, on a convex problem, tests it against the largest of the
         last ``_NM_WINDOW`` accepted values."""
-        cur = _Iterate(h)
+        # at trace zero, as every trial is: a trace part inflates the first BB step
+        cur = _Iterate(_trace_zero(h))
         val = f_of(cur)
         if not math.isfinite(val):
             return None
@@ -425,9 +435,8 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
             # Grippo-Lampariello-Lucidi: a trial must fall below the largest
             # recent value (the current one in a window of 1)
             ref = max(recent)
-            for _ in range(60):
-                h_new = cur.h - t_step * grad
-                h_new = h_new - (np.trace(h_new).real / m) * np.eye(m)
+            for _ in range(_MAX_HALVINGS):
+                h_new = _trace_zero(cur.h - t_step * grad)
                 if np.array_equal(h_new, cur.h):
                     # the step vanishes in rounding, as does every shorter one
                     break

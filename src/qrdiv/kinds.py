@@ -34,16 +34,15 @@ class BelavkinStaszewski:
         return "bs"
 
 
-def _ascent_counts(restarts, iters) -> tuple[int, int]:
-    """The measured ascent's counts as ints; BadParameter unless both are
-    whole and >= 0 (0 is legal: no random starts, no ascent steps)."""
+def _whole_counts(what: str, *counts) -> tuple[int, ...]:
+    """Counts as ints; BadParameter unless each is whole and >= 0."""
     try:
-        counts = [operator.index(n) for n in (restarts, iters)]
+        out = tuple(operator.index(n) for n in counts)
     except TypeError:
-        counts = [-1]
-    if min(counts) < 0:
-        raise BadParameter(f"meas counts must be whole and >= 0, got {restarts!r}, {iters!r}")
-    return counts[0], counts[1]
+        out = (-1,)
+    if min(out) < 0:
+        raise BadParameter(f"{what} must be whole and >= 0, got {', '.join(map(repr, counts))}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class MeasuredProjective:
     iters: int = 200
 
     def __post_init__(self):
-        restarts, iters = _ascent_counts(self.restarts, self.iters)
+        restarts, iters = _whole_counts("meas counts", self.restarts, self.iters)
         object.__setattr__(self, "restarts", restarts)
         object.__setattr__(self, "iters", iters)
 

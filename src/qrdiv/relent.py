@@ -30,7 +30,7 @@ from .kinds import (  # noqa: F401
     Mixture,
     RenyiAlphaZ,
     Umegaki,
-    _ascent_counts,
+    _whole_counts,
     parse_alpha,
     parse_grid,
     parse_kind,
@@ -175,7 +175,7 @@ def measured_lower_bound(
     the support cutoff gives 0.0 for the relative entropy and the
     empty-meet value (+inf below alpha = 1, -inf above) for Renyi alpha.
     """
-    restarts, iters = _ascent_counts(restarts, iters)
+    restarts, iters = _whole_counts("meas counts", restarts, iters)
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
     sr = spectrum(rho)

@@ -955,8 +955,9 @@ def test_center_solver_decomposes_each_iterate_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     # one eigh of H per line-search candidate (which also gives log omega)
     # and one per bs decomposition, shared by that term's value and
-    # gradient, plus the setup (95 and 44 calls)
-    for kinds, iters, bound in ((BS, 17, 95), ((Umegaki(), BelavkinStaszewski()), 12, 44)):
+    # gradient, plus the setup (68 and 36 calls; 80 and 44 before the
+    # starts were put at trace zero)
+    for kinds, iters, bound in ((BS, 16, 68), ((Umegaki(), BelavkinStaszewski()), 13, 36)):
         calls.clear()
         res = barycentric_renyi_full(0.5, kinds, rho, sig, SolverOptions(restarts=0))
         assert res["iterations"] == iters and res["converged"]
@@ -969,7 +970,7 @@ def test_solver_iteration_budget(d):
     # within its pinned count; um,um (solved, from one random start) meets
     # the log-Euclidean closed form and the qubit radii the Bloch-ball grid
     rho, sig = sample_state(d, d, 1), sample_state(d, d, 2)
-    budget = {2: (6, 5, 4), 4: (35, 13, 4), 16: (61, 29, 4)}[d]
+    budget = {2: (6, 4, 3), 4: (36, 11, 3), 16: (66, 36, 4)}[d]
     um, bs = Umegaki(), BelavkinStaszewski()
     cases = [(0.75, (bs, bs), SolverOptions(restarts=0)),
              (0.5, (um, bs), SolverOptions(restarts=0)),
@@ -987,20 +988,25 @@ def test_solver_iteration_budget(d):
             assert abs((1 - a) * res["value"] - oracle_val) < 2e-4
 
 
-@pytest.mark.parametrize("rank, kinds, seed, alpha, iters, value", [
-    (2, BS, 19, 2.0, 40, 3.061329105354823),
-    (3, (Umegaki(), BelavkinStaszewski()), 13, 3.0, 59, 3.1861227520935516)],
-    ids=["bs,bs@2", "um,bs@3"])
-def test_unconverged_bb_run_is_redone_with_doubling_steps(rank, kinds, seed, alpha, iters, value):
-    # the Barzilai-Borwein run stops unconverged after 13 and 34 iterations,
+@pytest.mark.parametrize("rank, kinds, seed, alpha, bb_iters, iters, value", [
+    (2, BS, 8, 3.0, 10, 41, 3.7992354053345134),
+    (3, (Umegaki(), BelavkinStaszewski()), 13, 3.0, 3, 32, 3.1861227520936404)],
+    ids=["bs,bs@3", "um,bs@3"])
+def test_unconverged_bb_run_is_redone_with_doubling_steps(rank, kinds, seed, alpha, bb_iters,
+                                                          iters, value):
+    # the Barzilai-Borwein run stops unconverged after 10 and 3 iterations,
     # where no step lowers the value; the doubling trial step alone
-    # converges from the same start in 27 and 25 more, at the value it gives
-    # on its own. In the second the stopped run's objective is 3.0e-13
-    # lower, and the converged run is kept
+    # converges from the same start in 31 and 29 more. Capped at the BB
+    # run's iterations, no rerun is left and the stopped run is returned: in
+    # the second its objective is 0.015 higher, and the converged run is kept
     rho, sig = sample_state(3, rank, seed), sample_state(3, 3, seed + 100)
     res = barycentric_renyi_full(alpha, kinds, rho, sig, SolverOptions(restarts=0))
     assert res["converged"] and res["iterations"] == iters
     assert abs(res["value"] - value) < 1e-10
+    stopped = barycentric_renyi_full(alpha, kinds, rho, sig,
+                                     SolverOptions(restarts=0, iters=bb_iters))
+    assert not stopped["converged"] and stopped["iterations"] == bb_iters
+    assert stopped["value"] <= res["value"] + 1e-12
 
 
 def _window_pairs(count):
@@ -1091,6 +1097,102 @@ def test_solver_needs_a_start():
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
     with pytest.raises(BadParameter):
         barycentric_renyi_full(0.5, BS, rho, sig, SolverOptions(restarts=0, warm_start=False))
+
+
+@pytest.mark.parametrize("options", [
+    dict(iters=2.5), dict(restarts=1.5), dict(seed=0.5), dict(iters="10"),
+    dict(iters=-3), dict(restarts=-2), dict(seed=-1),
+    dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")), dict(tol=INF), dict(tol="1e-8"),
+    dict(restarts=0, warm_start=False)],
+    ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+def test_solver_options_validated_at_construction(options):
+    # counts whole and >= 0 (the measured kind's rule), tol finite and > 0,
+    # and at least one start: each fails when the options are built
+    with pytest.raises(BadParameter):
+        SolverOptions(**options)
+
+
+def test_solver_options_keep_legal_values():
+    opts = SolverOptions(iters=np.int64(0), restarts=0, seed=np.int64(3), tol=1e-300)
+    assert (opts.iters, opts.restarts, opts.seed) == (0, 0, 3)
+    assert all(type(n) is int for n in (opts.iters, opts.restarts, opts.seed))
+
+
+def _trial_counts(monkeypatch):
+    """Spy on the solver's iterates: returns a function listing, for each
+    iteration of the solves run since, how many trial iterates its line
+    search built. An iteration starts where the terms' gradients are taken;
+    a start (whose H is the first start's, on a rerun) is no trial."""
+    import qrdiv.barycentric as bary
+
+    events = []
+
+    class Spy(bary._Iterate):
+        def __init__(self, h):
+            super().__init__(h)
+            events.append(self)
+
+    grad = bary._Term.grad_omega
+    monkeypatch.setattr(bary, "_Iterate", Spy)
+    monkeypatch.setattr(bary._Term, "grad_omega",
+                        lambda self, pt: events.append(None) or grad(self, pt))
+
+    def counts():
+        out, in_grad = [], False
+        for e in events:
+            if e is None and not in_grad:
+                out.append(0)
+            elif e is not None and out and not np.array_equal(e.h, events[0].h):
+                out[-1] += 1
+            in_grad = e is None
+        return out
+
+    return counts
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_start_trace_does_not_move_the_solve(monkeypatch, d):
+    # omega = exp(H)/Tr exp(H) does not see the trace of H, and the solver
+    # puts every start at trace zero: a random start H and H + 3.7 I give
+    # the same run
+    import qrdiv.barycentric as bary
+
+    rho, sig = sample_state(d, d, 1), sample_state(d, d, 2)
+    h = sample_hermitian(d, np.random.default_rng(9))
+    um, bs, geom = Umegaki(), BelavkinStaszewski(), GeomWeighted(Umegaki(), 0.5)
+    for a, kinds in ((0.5, (um, bs)), (0.75, (bs, bs)), (0.5, (geom, geom))):
+        runs = []
+        for shift in (0.0, 3.7):
+            monkeypatch.setattr(bary, "sample_hermitian",
+                                lambda m, rng, shift=shift: h + shift * np.eye(m))
+            runs.append(barycentric_renyi_full(a, kinds, rho, sig,
+                                               SolverOptions(restarts=1, warm_start=False)))
+        assert runs[0]["converged"] and runs[1]["converged"]
+        assert runs[0]["iterations"] == runs[1]["iterations"], kinds
+        assert abs(runs[0]["value"] - runs[1]["value"]) < 1e-13
+
+
+def test_line_search_stops_after_20_halvings(monkeypatch):
+    # a qubit bs,bs solve at alpha = 1.5 on which line searches fail: none
+    # scores more than 20 trials (45 under the former cap of 60 halvings)
+    counts = _trial_counts(monkeypatch)
+    rho, sig = sample_state(2, 2, 25), sample_state(2, 2, 125)
+    res = barycentric_renyi_full(1.5, BS, rho, sig, SolverOptions(restarts=0))
+    assert not res["converged"]
+    assert max(counts()) == 20
+
+
+def test_warm_start_second_iteration_takes_the_bb_step(monkeypatch):
+    # the warm start at trace zero: the first Barzilai-Borwein step, on the
+    # second iteration, is accepted as it stands (it was halved four times
+    # when the start's trace entered <s,s>)
+    counts = _trial_counts(monkeypatch)
+    rng = np.random.default_rng(5)
+    rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
+    res = barycentric_renyi_full(0.5, (Umegaki(), BelavkinStaszewski()), rho, sig,
+                                 SolverOptions(restarts=0))
+    assert res["converged"]
+    assert counts()[1] == 1
 
 
 def _divided_diff_loop(w, f, fprime):
