@@ -30,11 +30,12 @@ import numpy as np
 from .classical import classify_weights, OTHER
 from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
+    CLUSTER_RTOL,
     _check_shapes,
+    meet_bases,
     projection_meet,
     sample_hermitian,
     spectrum,
-    support_basis,
     support_leq,
 )
 from .kinds import _whole_counts
@@ -92,9 +93,7 @@ class GcqChannel:
     def support_meets(self, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(S_+, S_-): meets of the supports over positive / negative weights
         (empty meets default to the identity)."""
-        d = self.dim
-        s_plus = np.eye(d, dtype=complex)
-        s_minus = np.eye(d, dtype=complex)
+        s_plus = s_minus = np.eye(self.dim, dtype=complex)
         for w, sp in zip(weights, self.spectra):
             if w > 0:
                 s_plus = projection_meet(s_plus, sp.proj)
@@ -115,8 +114,10 @@ class SolverOptions:
     def __post_init__(self):
         self.iters, self.restarts, self.seed = _whole_counts(
             "iters, restarts and seed", self.iters, self.restarts, self.seed)
-        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < INF):
+        real = (int, float, np.integer, np.floating)  # any but a bool, stored as a float
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, real) and 0 < self.tol < INF):
             raise BadParameter(f"tol must be finite and > 0, got {self.tol!r}")
+        self.tol = float(self.tol)
         if not (self.warm_start or self.restarts):
             raise BadParameter("the solver needs warm_start or restarts >= 1")
 
@@ -172,15 +173,15 @@ class _Term:
         elif isinstance(kind, MeasuredProjective):
             self.mode = "meas"
         elif isinstance(kind, (BelavkinStaszewski, GeomWeighted)):
-            # ran(basis) lies in supp W, so sig_eff is also W's compressed
-            # part absolutely continuous there: all that W #_g omega sees
+            # ran(basis) lies in supp W: sig_eff = g^{-1}, g = B* W^+ B, is W's part absolutely
+            # continuous there (all W #_g omega sees); g's one eigh gives its powers and -log g
             self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
-            g = basis.conj().T @ spectrum(spec).power(-1.0) @ basis
-            self.sig_eff = spectrum(g).power(-1.0)
-            self.sig_spec = spectrum(self.sig_eff)
-            self.sig_isqrt = self.sig_spec.power(-0.5)
-            if self.mode == "geom":
-                self.sig_sqrt = self.sig_spec.power(0.5)
+            self.g_spec = spectrum(basis.conj().T @ spectrum(spec).power(-1.0) @ basis)
+            self.sig_isqrt = self.g_spec.power(0.5)
+            if self.mode == "bs":
+                self.sig_eff = self.g_spec.power(-1.0)
+            else:
+                self.sig_sqrt = self.g_spec.power(-0.5)
 
     def value(self, pt: _Iterate) -> float:
         if self.meas:
@@ -190,23 +191,20 @@ class _Term:
         if self.mode in ("um", "geom"):
             # geom: D^um(omega || M) / (1 - g)
             # Tr(omega L) = <L, omega> for Hermitian L
-            ent = float(np.exp(pt.logp) @ pt.logp)
             if self.mode == "um":
-                return ent - float(np.vdot(self.logw, pt.omega).real)
+                return pt.ent - float(np.vdot(self.logw, pt.omega).real)
             logm = pt.mean_eig(self)[2]
-            return (ent - float(np.vdot(logm, pt.omega).real)) / (1.0 - self.kind.gamma)
-        # bs: Tr(sig_eff U diag(eta) U*) = sum_i eta_i (U* sig_eff U)_ii
-        w, u = pt.bs_eig(self)
-        w = np.clip(w, 0.0, None)
-        eta = np.where(w > 0, w * np.log(np.clip(w, 1e-300, None)), 0.0)
-        diag = np.sum(u.conj() * (self.sig_eff @ u), axis=0).real
-        return float(eta @ diag)
+            return (pt.ent - float(np.vdot(logm, pt.omega).real)) / (1.0 - self.kind.gamma)
+        # bs: Tr(sig_eff U diag(eta) U*) = sum_i eta_i C_ii, C = U* sig_eff U
+        w, _, c = pt.bs_eig(self)
+        w = np.maximum(w, 0.0)
+        eta = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
+        return float(eta @ c.diagonal().real)
 
     def grad_omega(self, pt: _Iterate) -> np.ndarray:
         """Euclidean omega-gradient, up to a multiple of the identity."""
         if self.mode == "bs":
-            return self._pullback(pt, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0,
-                                  self.sig_eff)
+            return self._pullback(pt, lambda x: x * np.log(x), lambda x: np.log(x) + 1.0)
         if self.mode == "um":
             return pt.log_omega - self.logw
         # geom: D(omega || M) / (1 - g) with M = S X^g S has the gradient
@@ -230,13 +228,14 @@ class _Term:
         adj = self._pullback(pt, lambda x: x**g, lambda x: g * x ** (g - 1.0), z)
         return (d1 - adj) / (1.0 - g)
 
-    def _pullback(self, pt: _Iterate, f, fprime, z: np.ndarray) -> np.ndarray:
-        """omega-gradient of Tr(z f(X)) for X = S^{-1} omega S^{-1}, S =
-        sig_eff^{1/2}: S^{-1} Df_X[z] S^{-1}, from X's memoized eigh."""
-        w, u = pt.bs_eig(self)
-        w = np.clip(w, 1e-300, None)
-        t = u @ (_divided_diff(w, f, fprime) * (u.conj().T @ z @ u)) @ u.conj().T
-        return self.sig_isqrt @ t @ self.sig_isqrt
+    def _pullback(self, pt: _Iterate, f, fprime, z: Optional[np.ndarray] = None) -> np.ndarray:
+        """omega-gradient of Tr(z f(X)) for X = S^{-1} omega S^{-1} = U diag(x) U*,
+        S = sig_eff^{1/2}, z = sig_eff where None: S^{-1} Df_X[z] S^{-1} =
+        A (f^[1](x) o U* z U) A* with A = S^{-1} U, from X's memoized eigh."""
+        x, u, c = pt.bs_eig(self)
+        zu = c if z is None else u.conj().T @ z @ u
+        a = self.sig_isqrt @ u
+        return a @ (_divided_diff(np.maximum(x, 1e-300), f, fprime) * zu) @ a.conj().T
 
 
 def _generators(weight: float, kind: EntropyKind) -> list[tuple[float, EntropyKind]]:
@@ -257,8 +256,6 @@ def _generators(weight: float, kind: EntropyKind) -> list[tuple[float, EntropyKi
 def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
     """First divided-difference matrix f^[1](w_i, w_j); eigenvalues closer
     than the clustering threshold use the derivative branch."""
-    from .hermitian import CLUSTER_RTOL
-
     n = len(w)
     tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
     fw = f(w)
@@ -272,10 +269,10 @@ class _Iterate:
 
     H's one eigh gives omega and log omega = U diag(log p) U*, with
     log p = w - log sum exp(w) read off H's eigenvalues w: exact where p
-    underflows, so no floor is needed. eigh(sig_eff^{-1/2} omega
-    sig_eff^{-1/2}) (bs, geom), eigh(W #_g omega) (geom) and the measured
-    ascent (meas) are taken on first use and shared by each term's value
-    and gradient.
+    underflows, so no floor is needed. Tr omega log omega, eigh(sig_eff^{-1/2}
+    omega sig_eff^{-1/2}) = U diag(x) U* with U* sig_eff U (bs, geom),
+    eigh(W #_g omega) (geom) and the measured ascent (meas) are taken on
+    first use and shared by each term's value and gradient.
     """
 
     def __init__(self, h: np.ndarray):
@@ -294,24 +291,31 @@ class _Iterate:
         return self.w - self.shift - math.log(np.sum(self.ew))
 
     @cached_property
+    def ent(self) -> float:  # Tr omega log omega
+        return float(np.exp(self.logp) @ self.logp)
+
+    @cached_property
     def log_omega(self) -> np.ndarray:
         return (self.u * self.logp) @ self.u.conj().T
 
     def bs_eig(self, term: _Term):
+        """(x, U, C) for X = U diag(x) U* and C = U* sig_eff U (None for geom)."""
         if term not in self._bs_eig:
             m = term.sig_isqrt @ self.omega @ term.sig_isqrt
-            self._bs_eig[term] = np.linalg.eigh((m + m.conj().T) / 2)
+            x, u = np.linalg.eigh((m + m.conj().T) / 2)
+            c = u.conj().T @ term.sig_eff @ u if term.mode == "bs" else None
+            self._bs_eig[term] = x, u, c
         return self._bs_eig[term]
 
     def mean_eig(self, term: _Term):
         """(mu, Q, log M, M) for W #_g omega = M = S X^g S = Q diag(mu) Q*, with
         S = sig_eff^{1/2} and X = S^{-1} omega S^{-1} from bs_eig."""
         if term not in self._mean_eig:
-            x, v = self.bs_eig(term)
+            x, v, _ = self.bs_eig(term)
             sv = term.sig_sqrt @ v
-            m = (sv * np.clip(x, 1e-300, None) ** term.kind.gamma) @ sv.conj().T
+            m = (sv * np.maximum(x, 1e-300) ** term.kind.gamma) @ sv.conj().T
             mu, q = np.linalg.eigh((m + m.conj().T) / 2)
-            mu = np.clip(mu, 1e-300, None)
+            mu = np.maximum(mu, 1e-300)
             self._mean_eig[term] = mu, q, (q * np.log(mu)) @ q.conj().T, m
         return self._mean_eig[term]
 
@@ -334,7 +338,9 @@ class _Iterate:
 
 def _trace_zero(h: np.ndarray) -> np.ndarray:
     """h less its trace part, which omega = exp(H)/Tr exp(H) does not see."""
-    return h - (np.trace(h).real / len(h)) * np.eye(len(h))
+    out = h.copy()
+    out.flat[::len(h) + 1] -= np.trace(h).real / len(h)
+    return out
 
 
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
@@ -349,18 +355,14 @@ def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     return (t - tr_og * pt.eh) / z
 
 
-def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[SolverOptions] = None):
+def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[SolverOptions] = None):
     """Minimize sum of t.weight * D^{t.kind}(omega || W_t) over the terms t,
-    built on the support basis of S_+, over states supported in ran(S_+)
-    (``s_plus`` is the projection or its Spectrum). Returns (center, value,
-    gap, iterations, converged); the iterations are those of the returned
-    start, both runs where it was redone.
+    built on ``basis`` (orthonormal, d x m, m >= 1), over states supported in
+    ran(basis). Returns (center, value, gap, iterations, converged); the
+    iterations are those of the returned start, both runs where it was redone.
     """
     opts = options or SolverOptions()
-    basis = support_basis(s_plus)
     m = basis.shape[1]
-    if m == 0:
-        return None, INF, 0.0, 0, True
 
     def f_of(pt: _Iterate) -> float:
         return sum(t.weight * t.value(pt) for t in terms)
@@ -368,18 +370,17 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
     # geom and meas terms step in H coordinates: mirror descent stalls on
     # geom terms at negative weight
     mirror = all(t.mode in ("um", "bs") for t in terms)
-    rng = np.random.default_rng(opts.seed)
-
+    rng = np.random.default_rng(opts.seed) if opts.restarts else None
     starts = [sample_hermitian(m, rng) for _ in range(opts.restarts)]
     if opts.warm_start:
-        # sum of weight * log W (log sig_eff for bs) over the um and bs terms
-        logs = [t.weight * (t.logw if t.mode == "um" else t.sig_spec.log())
+        # sum of weight * log W (log sig_eff = -log g for bs) over um and bs terms
+        logs = [t.weight * (t.logw if t.mode == "um" else -t.g_spec.log())
                 for t in terms if t.mode in ("um", "bs")]
         starts.insert(0, sum(logs, np.zeros((m, m), dtype=complex)))
 
     def direction_at(pt: _Iterate) -> np.ndarray:
-        g = np.zeros((m, m), dtype=complex)
-        for t in terms:
+        g = terms[0].weight * terms[0].grad_omega(pt)
+        for t in terms[1:]:
             g = g + t.weight * t.grad_omega(pt)
         if mirror:
             # mirror descent: step along the omega-space gradient, with the
@@ -412,7 +413,7 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
         for it in range(1, iters + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 grad = direction_at(cur)
-                gn = float(np.linalg.norm(grad))
+                gn = math.sqrt(float(np.vdot(grad, grad).real))
             if not math.isfinite(gn):
                 # a gradient overflows at the boundary: this run ends here
                 break
@@ -437,7 +438,7 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
             ref = max(recent)
             for _ in range(_MAX_HALVINGS):
                 h_new = _trace_zero(cur.h - t_step * grad)
-                if np.array_equal(h_new, cur.h):
+                if (h_new == cur.h).all():
                     # the step vanishes in rounding, as does every shorter one
                     break
                 cand = _Iterate(h_new)
@@ -491,13 +492,12 @@ def center_solver(terms: list[_Term], s_plus: np.ndarray, options: Optional[Solv
 # multi-variate barycentric Q
 
 
-def _center(weights, kinds, ops, spectra, meet, options: Optional[SolverOptions]):
+def _center(weights, kinds, ops, spectra, basis: np.ndarray, options: Optional[SolverOptions]):
     """(center, radius, gap, iterations, converged) for the radius
-    inf over states omega in ran(meet) of sum_x P(x) D^{q_x}(omega || W_x)
-    (``meet`` a Spectrum), with one term per generator of each q_x. All
-    Umegaki generators take the closed form: center exp(H)/Tr exp(H) and
-    radius -log Tr exp(H) for H = sum P(x) w log W_x compressed to ran(meet)."""
-    basis = meet.basis
+    inf over states omega in ran(basis) of sum_x P(x) D^{q_x}(omega || W_x)
+    (``basis`` orthonormal, d x m), with one term per generator of each q_x.
+    All Umegaki generators take the closed form: center exp(H)/Tr exp(H) and
+    radius -log Tr exp(H) for H = sum P(x) w log W_x compressed to ran(basis)."""
     if basis.shape[1] == 0:
         return None, INF, 0.0, 0, True
     gens = [(w, q, op, sp) for p, k, op, sp in zip(weights, kinds, ops, spectra)
@@ -509,7 +509,7 @@ def _center(weights, kinds, ops, spectra, meet, options: Optional[SolverOptions]
         center = basis @ ((u * np.exp(ww)) @ u.conj().T / q) @ basis.conj().T
         return center, -math.log(q), 0.0, 0, True
     terms = [_Term(w, q, op, basis, sp) for w, q, op, sp in gens]
-    return center_solver(terms, meet, options)
+    return center_solver(terms, basis, options)
 
 
 def barycentric_q(
@@ -540,7 +540,7 @@ def barycentric_q(
         return BarycenterResult(q_value=INF, radius=-INF)
 
     center, radius, gap, iters, conv = _center(
-        weights, kinds, channel.operators, channel.spectra, sp_plus, options)
+        weights, kinds, channel.operators, channel.spectra, sp_plus.basis, options)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
     return BarycenterResult(
@@ -613,19 +613,15 @@ def barycentric_renyi_full(
         return out
 
     # +inf from the supports alone: ran(rho) <= ran(sigma) above alpha = 1,
-    # a nonzero meet below it
+    # a nonzero meet ran(basis) below it
     sr, ss = spectrum(rho), spectrum(sigma)
     if alpha > 1 and not support_leq(sr, ss):
         return out
-    p = projection_meet(sr.proj, ss.proj)
-    if alpha < 1 and np.trace(p).real < 0.5:
-        return out
-    meet = spectrum(p)
-    basis = meet.basis
+    basis, _ = meet_bases(sr.proj, ss.proj)
     if basis.shape[1] == 0:
         # above alpha = 1, rho is below the support cutoff: every eigenvalue
         # counts as zero, log Q_alpha = -inf and so does the value
-        out["value"] = -INF
+        out["value"] = -INF if alpha > 1 else INF
         return out
     opts = options or SolverOptions()
     if alpha == 0 and opts.use_closed_form and basis.shape[1] == ss.basis.shape[1]:
@@ -663,7 +659,7 @@ def barycentric_renyi_full(
         weights = (1.0, -1.0)
     else:
         weights = (0.0, 1.0) if alpha == 0 else (alpha, 1.0 - alpha)
-    center, radius, gap, iters, conv = _center(weights, kinds, (rho, sigma), (sr, ss), meet,
+    center, radius, gap, iters, conv = _center(weights, kinds, (rho, sigma), (sr, ss), basis,
                                                options)
 
     # psi_alpha = -radius; D_alpha = (psi_alpha - log Tr rho)/(alpha - 1)

@@ -125,21 +125,31 @@ class Spectrum:
                 continue
             xi = max(x, 0.0) if not on_support_only else x
             try:
-                y = f(xi)
+                vals[i] = f(xi)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise DomainError(f"f({xi!r}) failed: {exc}") from exc
-            if not np.isfinite(y):
-                raise DomainError(f"f({xi!r}) = {y!r} is not finite")
-            vals[i] = y
+        return self._assemble(vals)
+
+    def _on_support(self, f) -> np.ndarray:
+        """``fn`` for a numpy ``f``, taken in one call over the support."""
+        vals = np.zeros_like(self.w)
+        with np.errstate(all="ignore"):
+            vals[self.w > self.cut] = f(self.w[self.w > self.cut])
+        return self._assemble(vals)
+
+    def _assemble(self, vals: np.ndarray) -> np.ndarray:
+        """U diag(vals) U*; DomainError where a value is not finite."""
+        if not np.isfinite(vals).all():
+            raise DomainError(f"f({self.w[~np.isfinite(vals)][0]!r}) is not finite")
         return (self.u * vals) @ self.u.conj().T
 
     def power(self, x: float) -> np.ndarray:
         """Real power on the support (generalized inverse for x < 0)."""
-        return self.fn(lambda t: t**x)
+        return self._on_support(lambda w: w**x)
 
     def log(self) -> np.ndarray:
         """Log on the support, 0 on the kernel."""
-        return self.fn(math.log)
+        return self._on_support(np.log)
 
 
 def spectrum(a) -> Spectrum:
@@ -163,11 +173,6 @@ def nlog_m(a) -> np.ndarray:
 def support_projection(a) -> np.ndarray:
     """Orthogonal projection A^0 onto the range of PSD ``a``."""
     return spectrum(a).proj
-
-
-def support_basis(a) -> np.ndarray:
-    """d x r matrix of orthonormal columns spanning the range of PSD ``a``."""
-    return spectrum(a).basis
 
 
 def support_leq(a, b, tol: float = 1e-7) -> bool:

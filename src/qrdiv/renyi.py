@@ -17,10 +17,9 @@ from .hermitian import (
     SUPPORT_RTOL,
     _check_shapes,
     eig_clusters,
-    projection_meet,
+    meet_bases,
     spectral_decompose,
     spectrum,
-    support_basis,
     support_cutoff,
     support_leq,
 )
@@ -142,7 +141,7 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     if alpha > 1 and not support_leq(sr, ss):
         return INF
     if z == INF:
-        b = support_basis(projection_meet(sr.proj, ss.proj))
+        b, _ = meet_bases(sr.proj, ss.proj)
         if b.shape[1] == 0:
             q = 0.0
         elif alpha == INF:
