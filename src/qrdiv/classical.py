@@ -106,33 +106,43 @@ def _q_alpha_rows(alpha, p, q) -> np.ndarray:
     return qa
 
 
+def _kl_rows(pq) -> tuple[np.ndarray, np.ndarray]:
+    """(sum p (log p - log q) along the last axis, log p - log q) for
+    nonnegative p, q stacked as pq = (p, q) along the first axis. The
+    log-ratio is 0 off supp p and +inf where q = 0 < p. Unchecked; the
+    caller ignores divide-by-zero warnings."""
+    lp, lq = np.log(np.where(pq[0] > 0, pq, 1.0))
+    diff = lp - lq
+    return (pq[0] * diff).sum(axis=-1), diff
+
+
 def _renyi_rows(alpha, p, q) -> np.ndarray:
     """Renyi alpha-divergence along the last axis of nonnegative arrays;
     alpha = None is the relative entropy sum p (log p - log q), alpha = 1
     that normalized by sum p. +inf encodes the support violations. Rows p
-    must be nonzero unless alpha is None (D(0||q) = 0). Unchecked: the
-    checked forms are classical_rel_entropy and classical_renyi."""
+    must be nonzero unless alpha is None (D(0||q) = 0). Unchecked, and the
+    caller ignores divide-by-zero warnings: the checked forms are
+    classical_rel_entropy and classical_renyi."""
+    if alpha is None or alpha == 1:
+        kl = _kl_rows(np.stack((p, q)))[0]
+        return kl if alpha is None else kl / np.sum(p, axis=-1)
     sp = p > 0
-    with np.errstate(divide="ignore"):
-        if alpha is None or alpha == 1:
-            kl = np.sum(p * (np.log(np.where(sp, p, 1.0)) - np.log(np.where(sp, q, 1.0))),
-                        axis=-1)
-            return kl if alpha is None else kl / np.sum(p, axis=-1)
-        if alpha == INF:
-            # p / 0 = +inf flags a support violation
-            return np.log(np.max(np.where(sp, p / np.where(sp, q, 1.0), -INF), axis=-1))
-        log_mass = np.log(np.sum(p, axis=-1))
-        if alpha == 0:
-            return log_mass - np.log(np.sum(np.where(sp, q, 0.0), axis=-1))
-        qa = _q_alpha_rows(alpha, p, q)
-        return np.where(qa == 0.0, INF, (np.log(qa) - log_mass) / (alpha - 1.0))
+    if alpha == INF:
+        # p / 0 = +inf flags a support violation
+        return np.log(np.max(np.where(sp, p / np.where(sp, q, 1.0), -INF), axis=-1))
+    log_mass = np.log(np.sum(p, axis=-1))
+    if alpha == 0:
+        return log_mass - np.log(np.sum(np.where(sp, q, 0.0), axis=-1))
+    qa = _q_alpha_rows(alpha, p, q)
+    return np.where(qa == 0.0, INF, (np.log(qa) - log_mass) / (alpha - 1.0))
 
 
 def classical_rel_entropy(p, q) -> float:
     """Kullback-Leibler divergence sum p (log p - log q); +inf unless
     supp p is contained in supp q. D(0||q) = 0 and D(p||0) = +inf."""
     p, q = _check_pair(p, q)
-    return float(_renyi_rows(None, p, q))
+    with np.errstate(divide="ignore"):
+        return float(_renyi_rows(None, p, q))
 
 
 def classical_q_alpha(alpha: float, p, q) -> float:
@@ -152,7 +162,8 @@ def classical_renyi(alpha, p, q) -> float:
         raise BadParameter(f"alpha {alpha} out of range")
     if p.sum() == 0.0:
         raise BadParameter("first argument must be nonzero")
-    return float(_renyi_rows(alpha, p, q))
+    with np.errstate(divide="ignore"):
+        return float(_renyi_rows(alpha, p, q))
 
 
 def multivariate_q(family: WeightedFamily) -> float:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classical import _renyi_rows, classical_rel_entropy
+from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
 from .hermitian import _check_shapes, sample_unitary, spectral_decompose, spectrum, support_leq
 # the grammar lives in .kinds; its names stay importable from here
@@ -103,18 +103,23 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(rc @ spectrum(x).log()).real)
 
 
-def _measured_point(alpha, rho, sigma, u):
-    """The ascent's one kernel, on a stack of bases ``u`` of shape (k, d, d).
+def _measured_point(alpha, pair, u):
+    """The ascent's one kernel, on a stack of bases ``u`` of shape (k, d, d)
+    and ``pair`` = (rho, sigma) stacked as shape (2, 1, d, d).
 
-    Returns (f, A, B, a, b): A = u* rho u and B = u* sigma u, their clipped
-    diagonals a and b, and the classical values f = f(a, b) of shape (k,).
-    ``_riemannian_gradient`` reads the gradient from the same A, B, a, b.
+    Returns (f, pu, ab, diff): pu = pair @ u, the clipped diagonals
+    ab = (a, b) of u* rho u and u* sigma u, each read from pu alone, the
+    classical values f = f(a, b) of shape (k,), and diff = log a - log b on
+    supp a for alpha = None and 1 (None for other alpha). The caller ignores
+    divide-by-zero warnings. ``_riemannian_gradient`` reads the gradient at
+    one basis of the stack from the same arrays.
     """
-    uh = u.conj().swapaxes(-1, -2)
-    am, bm = uh @ rho @ u, uh @ sigma @ u
-    a = np.maximum(am.diagonal(axis1=-2, axis2=-1).real, 0.0)
-    b = np.maximum(bm.diagonal(axis1=-2, axis2=-1).real, 0.0)
-    return _renyi_rows(alpha, a, b), am, bm, a, b
+    pu = pair @ u
+    ab = np.maximum((u.conj() * pu).sum(axis=-2).real, 0.0)
+    if alpha is None or alpha == 1:
+        f, diff = _kl_rows(ab)
+        return (f if alpha is None else f / ab[0].sum(axis=-1)), pu, ab, diff
+    return _renyi_rows(alpha, ab[0], ab[1]), pu, ab, None
 
 
 def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +152,26 @@ def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
     return da, db
 
 
-def _riemannian_gradient(alpha, am, bm, a, b) -> np.ndarray:
-    """Skew-Hermitian M with d/dt f(u e^{tK}) = Re Tr(M K) at t = 0, from
-    one basis's A = u* rho u, B = u* sigma u and diagonals a, b.
+def _riemannian_gradient(alpha, u, pu, ab, diff, i) -> np.ndarray:
+    """Skew-Hermitian M with d/dt f(u e^{tK}) = Re Tr(M K) at t = 0, for
+    the basis u at index i of a ``_measured_point`` stack (pu, ab, diff),
+    where f is finite.
 
-    d/dt diag(A) = diag([A, K]), so M = [D_a, A] + [D_b, B] for the
-    diagonal slope matrices D_a, D_b.
+    d/dt diag(A) = diag([A, K]) for A = u* rho u, so M = [D_a, A] + [D_b, B]
+    for B = u* sigma u and the diagonal slope matrices D_a, D_b. For
+    alpha = None and 1 the slopes are diff and -a/b: a finite f has b > 0
+    wherever a > 0, and diff = 0 where a = 0.
     """
-    da, db = _measured_slopes(alpha, a, b)
-    return (da[:, None] - da[None, :]) * am + (db[:, None] - db[None, :]) * bm
+    a, b = ab[:, i]
+    slopes = np.zeros((2, a.size))
+    if diff is None:
+        slopes[:] = _measured_slopes(alpha, a, b)
+    else:
+        slopes[0] = diff[i]
+        np.divide(-a, b, out=slopes[1], where=a > 0)
+        if alpha == 1:
+            slopes /= a.sum()
+    return ((slopes[:, :, None] - slopes[:, None, :]) * (u.conj().T @ pu[:, i])).sum(axis=0)
 
 
 def measured_lower_bound(
@@ -170,6 +186,10 @@ def measured_lower_bound(
     or measured Renyi alpha-divergence, from multi-start Riemannian ascent
     over projective measurement bases.
 
+    ``restarts`` counts all starts, with a floor of two: restarts = 0, 1
+    and 2 each run the identity start and the joint-diagonalizer start;
+    each further start is a Haar-random basis drawn from ``seed``.
+
     Returns (value, best basis unitary). Multi-start reduction is the max,
     ties resolved toward the lowest start index. A rho that is zero or below
     the support cutoff gives 0.0 for the relative entropy and the
@@ -180,13 +200,13 @@ def measured_lower_bound(
     d = rho.shape[0]
     sr = spectrum(rho)
     if not sr.basis.size:
-        return _empty_meet_renyi(alpha), np.eye(d)
+        return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     if alpha is None or alpha >= 1:
         if not support_leq(sr, sigma):
-            return INF, np.eye(d)
+            return INF, np.eye(d, dtype=complex)
     elif abs(np.trace(rho @ sigma).real) <= 1e-14 * tr_r * tr_s:
-        return INF, np.eye(d)  # orthogonal supports, tested on the scale of the inputs
+        return INF, np.eye(d, dtype=complex)  # orthogonal supports, tested on the scale of the inputs
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
     if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
@@ -200,44 +220,50 @@ def measured_lower_bound(
 _CHUNK = 4  # trial steps scored per stacked kernel call
 
 
+@np.errstate(divide="ignore")
 def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
-    """Multi-start ascent of measured_lower_bound on a pair of states."""
+    """Multi-start ascent of measured_lower_bound on a pair of states, under
+    one divide-by-zero errstate for all its kernel calls."""
     d = rho.shape[0]
     rng = np.random.default_rng(seed)
+    pair = np.stack((rho, sigma))[:, None]
+    # the trial steps step / 2^j, j < 25, as factors 2^-j in stacks of _CHUNK
+    halvings = np.ldexp(1.0, -np.arange(25))[:, None, None]
+    chunks = [halvings[lo:lo + _CHUNK] for lo in range(0, halvings.size, _CHUNK)]
     # deterministic starts: identity and a joint-diagonalizer candidate
     # (exact for commuting pairs), then random bases
     _, u_joint = spectral_decompose(rho + math.sqrt(2.0) * sigma)
     fixed_starts = [np.eye(d, dtype=complex), u_joint]
-    best_val, best_u = -INF, np.eye(d)
+    best_val, best_u = -INF, np.eye(d, dtype=complex)
     for start in range(max(restarts, len(fixed_starts))):
         u = fixed_starts[start] if start < len(fixed_starts) else sample_unitary(d, rng)
-        vals, *stack = _measured_point(alpha, rho, sigma, u[None])
-        val, point = float(vals[0]), [x[0] for x in stack]
+        vals, *stack = _measured_point(alpha, pair, u[None])
+        val, point = float(vals[0]), (*stack, 0)
         if not math.isfinite(val):
             continue
         step = 0.5
         for _ in range(iters):
-            m = _riemannian_gradient(alpha, *point)
-            mn = float(np.linalg.norm(m))
+            m = _riemannian_gradient(alpha, u, *point)
+            mn = math.sqrt(np.vdot(m, m).real)
             # sqrt(2)|M|_F is the norm of the slope vector along the skew
             # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
             if math.sqrt(2.0) * mn < 1e-10:
                 break
-            # ascent direction K = -sqrt(2) M / |M|_F; e^{tK} = V e^{itw} V*
+            # ascent direction K = -sqrt(2) M / |M|_F; u e^{tK} = (uV) e^{itw} V*
             # with (w, V) = eigh(K / i), one decomposition per iteration
-            w, v = np.linalg.eigh(1j * math.sqrt(2.0) * m / mn)
-            # backtracking over the trial steps step / 2^j, j < 25, scored
-            # _CHUNK at a time; the first that improves the value is kept
-            trials = np.ldexp(step, -np.arange(25))
-            for lo in range(0, trials.size, _CHUNK):
-                t = trials[lo:lo + _CHUNK, None, None]
-                cands = u @ ((v * np.exp(1j * t * w)) @ v.conj().T)
-                vals, *stack = _measured_point(alpha, rho, sigma, cands)
-                better = np.flatnonzero(np.isfinite(vals) & (vals > val + 1e-14))
-                if better.size:
-                    i = better[0]
-                    u, val, point = cands[i], float(vals[i]), [x[i] for x in stack]
-                    step = min(2.0 * float(trials[lo + i]), 0.5)
+            w, v = np.linalg.eigh(m * (1j * math.sqrt(2.0) / mn))
+            uv, vh, iw = u @ v, v.conj().T, 1j * w
+            # backtracking over the trial steps, scored _CHUNK at a time;
+            # the first that improves the value is kept
+            for chunk in chunks:
+                t = step * chunk
+                cands = (uv * np.exp(t * iw)) @ vh
+                vals, *stack = _measured_point(alpha, pair, cands)
+                ok = np.isfinite(vals) & (vals > val + 1e-14)
+                i = int(ok.argmax())
+                if ok[i]:
+                    u, val, point = cands[i], float(vals[i]), (*stack, i)
+                    step = min(2.0 * float(t[i, 0, 0]), 0.5)
                     break
             else:
                 break  # no trial step improves the value

@@ -363,6 +363,26 @@ def test_measured_infinite_cases():
     assert measured_lower_bound(rho, sigma, alpha=0.5)[0] == INF  # orthogonal
 
 
+def test_measured_restarts_count_all_starts_with_floor_two():
+    # restarts = 0, 1 and 2 all run the identity and joint-diagonalizer starts
+    rng = np.random.default_rng(71)
+    rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
+    (v0, u0), (v1, u1), (v2, u2) = (
+        measured_lower_bound(rho, sigma, restarts=r, iters=30) for r in (0, 1, 2))
+    assert v0 == v1 == v2 and np.array_equal(u0, u1) and np.array_equal(u0, u2)
+    assert measured_lower_bound(rho, sigma, restarts=3, iters=30)[0] >= v2
+
+
+def test_measured_early_exits_return_complex_identity():
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.diag([0.0, 1.0]).astype(complex)
+    # support violation, orthogonal supports, rho below the support cutoff
+    for r, s, alpha in ((rho, sigma, None), (rho, sigma, 0.5), (1e-12 * rho, sigma, None)):
+        _, u = measured_lower_bound(r, s, alpha=alpha)
+        assert u.dtype == complex
+        assert np.array_equal(u, np.eye(2))
+
+
 @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
 def test_measured_orthogonality_test_is_scale_invariant(scale):
     rho, sigma = sample_state(3, 3, 1), sample_state(3, 3, 2)
@@ -397,6 +417,44 @@ def test_measured_ascent_pinned_values(alpha, d):
     assert abs(v - _PINNED_MEASURED[d][alpha]) < 1e-12
 
 
+def _branch_pair(case):
+    """The pairs of _PINNED_MEASURED_BRANCHES and their restart counts."""
+    rng = np.random.default_rng({"zero-diagonal": 90, "unnormalized": 91, "restarts": 128}[case])
+    if case == "zero-diagonal":
+        # block-diagonal rho: a_2 = 0 exactly at the identity start
+        rho = np.zeros((3, 3), dtype=complex)
+        rho[:2, :2] = sample_state(2, 2, rng)
+        return rho, sample_state(3, 3, rng), 2
+    rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
+    if case == "unnormalized":
+        return 2 * rho, 3 * sigma, 2
+    # both random starts raise the alpha = None value, the second the alpha = 2 one
+    return rho, sigma, 4
+
+
+# measured_lower_bound(rho, sigma, alpha, restarts, iters=400, seed=1) on the
+# _branch_pair cases, as a kernel that forms u* rho u and u* sigma u in full
+# for every trial basis returns them; scoring trial bases on their diagonals
+# alone must keep them within 1e-12
+_PINNED_MEASURED_BRANCHES = {
+    "zero-diagonal": {None: 0.7660211129233705, 0.5: 0.49911173898857575,
+                      2: 1.3823294844922003, INF: 2.3252133784885},
+    "unnormalized": {None: 0.9649146559395287, 0.5: -0.02956626650005134,
+                     2: 1.5730705595120587, INF: 2.9212536516313996},
+    "restarts": {None: 0.5545242571305637, 0.5: 0.16384847831794047,
+                 2: 2.728434443721326, INF: 4.795164964621388},
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_MEASURED_BRANCHES))
+@pytest.mark.parametrize("alpha", [None, 0.5, 2, INF])
+def test_measured_ascent_pinned_branches(alpha, case):
+    rho, sigma, restarts = _branch_pair(case)
+    v, u = measured_lower_bound(rho, sigma, alpha=alpha, restarts=restarts, iters=400, seed=1)
+    assert abs(v - _PINNED_MEASURED_BRANCHES[case][alpha]) < 1e-12
+    assert u.dtype == complex
+
+
 def test_measured_line_search_chunks(monkeypatch):
     # the pinned d = 2 relative-entropy case accepts a trial step past the
     # first stack of four, and ends a start with all 25 trials failing
@@ -412,7 +470,7 @@ def test_measured_line_search_chunks(monkeypatch):
             return f(*args, **kwargs)
         monkeypatch.setattr(owner, name, call)
 
-    spy(relent, "_measured_point", lambda args: str(len(args[3])))
+    spy(relent, "_measured_point", lambda args: str(len(args[2])))
     spy(relent, "_riemannian_gradient", lambda args: "G")
     spy(np.linalg, "eigh", lambda args: "E")
     rng = np.random.default_rng(82)
@@ -436,11 +494,12 @@ def _gradient_vs_central_difference(alpha, rho, sigma, u, rng, h=1e-6):
     d = rho.shape[0]
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     k = (g - g.conj().T) / 2
-    _, *point = _measured_point(alpha, rho, sigma, u[None])
-    m = _riemannian_gradient(alpha, *(x[0] for x in point))
+    pair = np.stack((rho, sigma))[:, None]
+    _, *point = _measured_point(alpha, pair, u[None])
+    m = _riemannian_gradient(alpha, u, *point, 0)
     assert np.allclose(m, -m.conj().T, atol=1e-12)
     (fp, fm), *_ = _measured_point(
-        alpha, rho, sigma, np.stack([u @ _expm_skew(h * k), u @ _expm_skew(-h * k)]))
+        alpha, pair, np.stack([u @ _expm_skew(h * k), u @ _expm_skew(-h * k)]))
     return np.trace(m @ k).real, (fp - fm) / (2 * h)
 
 
