@@ -32,6 +32,7 @@ from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
     CLUSTER_RTOL,
     _check_shapes,
+    _derived_spectrum,
     meet_bases,
     projection_meet,
     sample_hermitian,
@@ -174,9 +175,11 @@ class _Term:
             self.mode = "meas"
         elif isinstance(kind, (BelavkinStaszewski, GeomWeighted)):
             # ran(basis) lies in supp W: sig_eff = g^{-1}, g = B* W^+ B, is W's part absolutely
-            # continuous there (all W #_g omega sees); g's one eigh gives its powers and -log g
+            # continuous there (all W #_g omega sees); g's one eigh gives its powers and -log g,
+            # and g has the full rank of the block
             self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
-            self.g_spec = spectrum(basis.conj().T @ spectrum(spec).power(-1.0) @ basis)
+            g = basis.conj().T @ spectrum(spec).power(-1.0) @ basis
+            self.g_spec = _derived_spectrum(g, basis.shape[1])
             self.sig_isqrt = self.g_spec.power(0.5)
             if self.mode == "bs":
                 self.sig_eff = self.g_spec.power(-1.0)
@@ -651,7 +654,7 @@ def barycentric_renyi_full(
                                                  tol=opts.tol)
             pure = basis @ v
         elif opts.use_closed_form and set(w0) == set(w1) == {bs}:
-            (value, pure), gap, iters = _dmax_top(rho, ss), 0.0, 0
+            (value, pure), gap, iters = _dmax_top(rho, ss, sr.basis.shape[1]), 0.0, 0
         if pure is not None:
             out.update(value=value, center=np.outer(pure, pure.conj()), gap=gap,
                        iterations=iters, converged=gap <= opts.tol)

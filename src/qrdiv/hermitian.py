@@ -2,9 +2,12 @@
 partial traces, and random instance generators.
 
 All matrices are dense complex ``numpy`` arrays. Real powers, logarithms and
-generalized inverses of PSD operators are always taken on the support; an
-eigenvalue counts as zero iff it is ``<= SUPPORT_RTOL * max(1, lambda_max)``.
-``spectrum(a)`` decomposes once; the support and function helpers read it.
+generalized inverses of PSD operators are always taken on the support. For
+an input (or its compression) an eigenvalue counts as zero iff it is
+``<= SUPPORT_RTOL * max(1, lambda_max)``; ``spectrum(a)`` decomposes once and
+the support and function helpers read it. An operator derived from inputs,
+such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
+instead (``_derived_spectrum``).
 """
 
 from __future__ import annotations
@@ -74,13 +77,15 @@ def support_cutoff(w: np.ndarray) -> float:
 
 
 def eig_clusters(w: np.ndarray) -> list[np.ndarray]:
-    """Group (sorted descending) eigenvalues closer than CLUSTER_RTOL * max(1, w_max)."""
+    """Group (sorted descending) eigenvalues: w_i joins the block of the next
+    larger w_j iff |w_i - w_j| <= CLUSTER_RTOL * |w_j|, relative to each
+    eigenvalue (exact zeros form one block)."""
     if w.size == 0:
         return []
-    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))))
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
-        if abs(w[i] - w[groups[-1][-1]]) <= tol:
+        j = groups[-1][-1]
+        if abs(w[i] - w[j]) <= CLUSTER_RTOL * abs(w[j]):
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -90,7 +95,8 @@ def eig_clusters(w: np.ndarray) -> list[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendata of a Hermitian operator, decomposed once and reused: ``w``
-    (descending), the unitary ``u`` and ``cut``, the support cutoff of ``w``."""
+    (descending), the unitary ``u`` and ``cut``, the zero threshold of ``w``
+    (the support cutoff for an input, 0 for a derived operator)."""
 
     w: np.ndarray
     u: np.ndarray
@@ -160,19 +166,16 @@ def spectrum(a) -> Spectrum:
     return Spectrum(w, u, support_cutoff(w))
 
 
-def mpower(a, x: float) -> np.ndarray:
-    """Real power on the support (A^x, generalized inverse for x < 0)."""
-    return spectrum(a).power(x)
-
-
-def nlog_m(a) -> np.ndarray:
-    """Matrix nlog: log on the support, 0 on the kernel."""
-    return spectrum(a).log()
-
-
-def support_projection(a) -> np.ndarray:
-    """Orthogonal projection A^0 onto the range of PSD ``a``."""
-    return spectrum(a).proj
+def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:
+    """The Spectrum of ``m``, a product of functions of inputs whose rank the
+    caller read off their decomposed supports: the top ``rank`` eigenvalues,
+    clamped at 0, are the support and the rest are exactly 0. No size cutoff
+    applies, since such a product's eigenvalues span about the product of
+    the inputs' condition numbers, and ``m`` is symmetrized, not checked."""
+    w, u = np.linalg.eigh(herm_part(m))
+    w = np.maximum(w[::-1], 0.0)
+    w[rank:] = 0.0
+    return Spectrum(w, u[:, ::-1].copy(), 0.0)
 
 
 def support_leq(a, b, tol: float = 1e-7) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter
-from .hermitian import nlog_m, spectrum
+from .hermitian import spectrum
 
 INF = float("inf")
 
@@ -53,7 +53,7 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
 
 def batch_umegaki_term(w_op: np.ndarray):
     """Vectorized omega -> D^Um(omega || W) on qubit state batches."""
-    lw = nlog_m(w_op)
+    lw = spectrum(w_op).log()
 
     def term(states: np.ndarray) -> np.ndarray:
         lp, lm, _ = _eig2(states)

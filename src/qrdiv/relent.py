@@ -17,7 +17,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import _check_shapes, sample_unitary, spectral_decompose, spectrum, support_leq
+from .hermitian import (_check_shapes, _derived_spectrum, sample_unitary, spectral_decompose,
+                        spectrum, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -83,8 +84,9 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Belavkin-Staszewski (= maximal) relative entropy
-    Tr rho nlog(rho^{1/2} sigma^{-1} rho^{1/2}), products taken inside the
-    support of sigma."""
+    Tr rho nlog(rho^{1/2} sigma^{-1} rho^{1/2}), taken in supp rho's
+    eigenbasis V as Tr rho_c log Y with rho_c = V* rho V and
+    Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2} of full rank."""
     rho, sigma = _check_shapes(rho, sigma)
     if _is_zero(rho):
         return 0.0
@@ -95,12 +97,11 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
         return INF
-    b = ss.basis
-    rc = b.conj().T @ rho @ b
-    sc = b.conj().T @ sigma @ b
-    rh = spectrum(rc).power(0.5)
-    x = rh @ spectrum(sc).power(-1.0) @ rh
-    return float(np.trace(rc @ spectrum(x).log()).real)
+    v = sr.basis
+    r = sr.w[:v.shape[1]]  # rho_c = diag(r)
+    rh = np.sqrt(r)
+    y = _derived_spectrum(rh[:, None] * (v.conj().T @ ss.power(-1.0) @ v) * rh, r.size)
+    return float(r @ y.log().diagonal().real)
 
 
 def _measured_point(alpha, pair, u):

@@ -16,6 +16,7 @@ from .errors import BadParameter, InfiniteLimit
 from .hermitian import (
     SUPPORT_RTOL,
     _check_shapes,
+    _derived_spectrum,
     eig_clusters,
     meet_bases,
     spectral_decompose,
@@ -150,10 +151,12 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
             w, _ = spectral_decompose(_log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b))
             q = float(np.sum(np.exp(w)))
     else:
+        # the product has the rank of P_rho P_sigma: rank rho when
+        # supp rho <= supp sigma, else that of rho compressed to supp sigma
+        rank = (sr.basis.shape[1] if support_leq(sr, ss)
+                else spectrum(ss.basis.conj().T @ rho @ ss.basis).basis.shape[1])
         a = sr.power(alpha / (2.0 * z))
-        m = a @ ss.power((1.0 - alpha) / z) @ a
-        w, _ = spectral_decompose(m)
-        w = w[w > support_cutoff(w)]
+        w = _derived_spectrum(a @ ss.power((1.0 - alpha) / z) @ a, rank).w
         q = float(np.sum(w**z))
     if q <= 0.0:
         return _empty_meet_renyi(alpha)  # log q = -inf
@@ -169,12 +172,12 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return -INF
     if not support_leq(sr, ss):
         return INF
-    return _dmax_top(rho, ss)[0]
+    return _dmax_top(rho, ss, sr.basis.shape[1])[0]
 
 
-def _dmax_top(rho: np.ndarray, sigma) -> tuple[float, np.ndarray | None]:
+def _dmax_top(rho: np.ndarray, sigma, rank: int) -> tuple[float, np.ndarray | None]:
     """(D_max(rho || sigma), psi) for ran(rho) <= ran(sigma) (``sigma`` a
-    matrix or its Spectrum).
+    matrix or its Spectrum) and ``rank`` the rank of rho.
 
     D_max is the log of the top eigenvalue lambda of
     sigma^{-1/2} rho sigma^{-1/2}, with top eigenvector x; y = sigma^{-1/2} x
@@ -184,11 +187,11 @@ def _dmax_top(rho: np.ndarray, sigma) -> tuple[float, np.ndarray | None]:
     when rho = 0 (D_max = -inf).
     """
     shi = spectrum(sigma).power(-0.5)
-    w, u = spectral_decompose(shi @ rho @ shi)
-    if w[0] <= 0:
+    x = _derived_spectrum(shi @ rho @ shi, rank)
+    if x.w[0] <= 0:
         return -INF, None
-    psi = rho @ (shi @ u[:, 0])
-    return float(np.log(w[0])), psi / np.linalg.norm(psi)
+    psi = rho @ (shi @ x.u[:, 0])
+    return float(np.log(x.w[0])), psi / np.linalg.norm(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +222,22 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     rho, sigma = _check_shapes(rho, sigma)
     d = rho.shape[0]
     tau0 = np.eye(d, dtype=complex) / d  # any state is admissible on a null index
-    ss = spectrum(sigma)
+    sr, ss = spectrum(rho), spectrum(sigma)
     b = ss.basis
-    rho_ac = _abs_cont(rho, b, ss.kernel)
-    root = np.sqrt(ss.w[ss.w > ss.cut])
-    w, u = spectral_decompose(rho_ac / np.outer(root, root)) if root.size else (root, rho_ac)
-    cut = support_cutoff(w)
+    rho_ac, outside = _abs_cont(rho, b, ss.kernel)
+    root = np.sqrt(ss.w[:b.shape[1]])
+    # X = sigma^{-1/2} rho_ac sigma^{-1/2} has rank rho_ac = rank rho - outside;
+    # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters
+    # groups them relative to each eigenvalue
+    x = _derived_spectrum(rho_ac / np.outer(root, root), sr.basis.shape[1] - outside)
     missing = float(np.trace(rho).real - np.trace(rho_ac).real)
     sing = missing > 1e-12 * max(1.0, np.trace(rho).real)
 
     p, q, gammas = [], [], []
     mass_cut = support_cutoff(np.array([np.trace(sigma).real]))
-    for idx in eig_clusters(w):
-        lam = float(np.mean(w[idx]))
-        lam = 0.0 if lam <= cut else lam  # zero clusters snap to exact zero
-        v = b @ (root[:, None] * u[:, idx])  # sigma^{1/2} times the eigenvectors
+    for idx in eig_clusters(x.w):
+        lam = float(np.mean(x.w[idx]))
+        v = b @ (root[:, None] * x.u[:, idx])  # sigma^{1/2} times the eigenvectors
         mass = float(np.sum(np.abs(v) ** 2))
         p.append(lam * mass)
         q.append(mass)
@@ -285,12 +289,12 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
         return float(np.trace(kubo_ando_mean(alpha, rho, sigma)).real)
     if not 1.0 < alpha <= 2.0:
         raise BadParameter(f"mean route needs alpha in [0, 2], got {alpha}")
-    ss = spectrum(sigma)
-    if not support_leq(rho, ss):
+    sr, ss = spectrum(rho), spectrum(sigma)
+    if not support_leq(sr, ss):
         return INF
     shi = ss.power(-0.5)
-    m = shi @ rho @ shi
-    return float(np.trace(sigma @ spectrum(m).power(alpha)).real)
+    x = _derived_spectrum(shi @ rho @ shi, sr.basis.shape[1])
+    return float(np.trace(sigma @ x.power(alpha)).real)
 
 
 def max_fdivergence(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -20,15 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InfiniteLimit, NotInvertible
-from .hermitian import (
-    _check_shapes,
-    herm_part,
-    meet_bases,
-    mpower,
-    spectrum,
-    support_cutoff,
-    support_projection,
-)
+from .hermitian import _check_shapes, _derived_spectrum, herm_part, meet_bases, spectrum
 
 INF = float("inf")
 
@@ -95,30 +87,33 @@ def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rho, sigma = _check_shapes(rho, sigma)
     ss = spectrum(sigma)
     b = ss.basis
-    return b @ _abs_cont(rho, b, ss.kernel) @ b.conj().T
+    return b @ _abs_cont(rho, b, ss.kernel)[0] @ b.conj().T
 
 
-def _abs_cont(rho: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """B* rho_ac B, the part of rho absolutely continuous w.r.t. ran(B) in
-    B's coordinates: the Schur complement
+def _abs_cont(rho: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(B* rho_ac B, k): the part of rho absolutely continuous w.r.t. ran(B)
+    in B's coordinates, the Schur complement
     B* rho B - B* rho C (C* rho C)^+ C* rho B, for orthonormal bases B of a
-    subspace and C of its complement."""
+    subspace and C of its complement, and the rank k of C* rho C, so that
+    rank rho_ac = rank rho - k."""
     top = b.conj().T @ rho @ b
     if not (b.shape[1] and c.shape[1]):
-        return top
+        return top, 0
     x = b.conj().T @ rho @ c
-    return top - x @ mpower(c.conj().T @ rho @ c, -1.0) @ x.conj().T
+    kc = spectrum(c.conj().T @ rho @ c)
+    return top - x @ kc.power(-1.0) @ x.conj().T, kc.basis.shape[1]
 
 
 def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Independent route: S rho^{1/2} K rho^{1/2} S with K the projection
-    onto the kernel of rho^{1/2} (I - S) rho^{1/2}."""
+    onto the kernel of rho^{1/2} (I - S) rho^{1/2}, whose rank is rank rho
+    less the dimension of the meet of the supports."""
     rho = np.asarray(rho, dtype=complex)
-    s = support_projection(sigma)
-    sp = np.eye(rho.shape[0]) - s
-    root = mpower(rho, 0.5)
-    x = root @ sp @ root
-    k = np.eye(rho.shape[0]) - support_projection(x)
+    sr, ss = spectrum(rho), spectrum(sigma)
+    s, eye = ss.proj, np.eye(rho.shape[0])
+    root = sr.power(0.5)
+    rank = sr.basis.shape[1] - meet_bases(sr.proj, s)[0].shape[1]
+    k = eye - _derived_spectrum(root @ (eye - s) @ root, rank).proj
     return herm_part(s @ root @ k @ root @ s)
 
 
@@ -126,40 +121,29 @@ def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarr
 # operator perspective
 
 
-def _persp_core(fn: OpConvexFn, rc: np.ndarray, sc: np.ndarray) -> np.ndarray:
-    """sc^{1/2} f(sc^{-1/2} rc sc^{-1/2}) sc^{1/2} for PD compressed blocks.
-
-    Eigenvalues are floored at the support cutoff before applying f; the
-    exact arguments are strictly positive and the floor only absorbs
-    rounding noise.
-    """
-    ssc = spectrum(sc)
-    sh = ssc.power(0.5)
-    shi = ssc.power(-0.5)
-    sm = spectrum(shi @ rc @ shi)
-    floor = support_cutoff(np.abs(sm.w))
-    return sh @ sm.fn(lambda x: fn.f(max(x, floor)), False) @ sh
-
-
 def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Operator perspective P_f(rho, sigma), the eps -> 0 limit of
     (sigma+eps)^{1/2} f((sigma+eps)^{-1/2}(rho+eps)(sigma+eps)^{-1/2}) (sigma+eps)^{1/2}.
 
-    Closed form: the core on the absolutely continuous parts w.r.t. the
-    support meet ran(B), in B's coordinates, plus
-    f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac). Both parts are
-    positive definite on ran(B) in exact arithmetic. An infinite boundary
+    Closed form: sc^{1/2} f(sc^{-1/2} rc sc^{-1/2}) sc^{1/2} on the
+    absolutely continuous parts rc, sc w.r.t. the support meet ran(B), in
+    B's coordinates, plus f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac).
+    Both parts are positive definite on ran(B) in exact arithmetic, so the
+    product keeps the full rank of the block. An infinite boundary
     limit is tolerated only against a vanishing deficiency (0 * inf = 0);
     otherwise the limit does not exist and InfiniteLimit is raised.
     """
     rho, sigma = _check_shapes(rho, sigma)
-    b, c = meet_bases(support_projection(rho), support_projection(sigma))
-    rho_ac, sigma_ac = _abs_cont(rho, b, c), _abs_cont(sigma, b, c)
+    b, c = meet_bases(spectrum(rho).proj, spectrum(sigma).proj)
+    (rho_ac, _), (sigma_ac, _) = _abs_cont(rho, b, c), _abs_cont(sigma, b, c)
     scale = max(1.0, np.trace(rho).real + np.trace(sigma).real)
 
     out = np.zeros_like(rho)
     if np.trace(sigma_ac).real > 1e-14 * scale:
-        out = b @ _persp_core(fn, rho_ac, sigma_ac) @ b.conj().T
+        ssc = spectrum(sigma_ac)
+        sh, shi = ssc.power(0.5), ssc.power(-0.5)
+        x = _derived_spectrum(shi @ rho_ac @ shi, b.shape[1])
+        out = b @ (sh @ x.fn(fn.f, False) @ sh) @ b.conj().T
     for limit, op, ac, side in (
         (fn.transpose_at_zero_plus, rho, rho_ac, "rho"),
         (fn.f_at_zero_plus, sigma, sigma_ac, "sigma"),
@@ -185,7 +169,7 @@ def perspective_smoothed(
     sse = spectrum(se)
     sh = sse.power(0.5)
     shi = sse.power(-0.5)
-    return sh @ spectrum(shi @ re @ shi).fn(fn.f, on_support_only=False) @ sh
+    return sh @ _derived_spectrum(shi @ re @ shi, d).fn(fn.f, on_support_only=False) @ sh
 
 
 # ---------------------------------------------------------------------------
@@ -213,4 +197,4 @@ def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.
             raise NotInvertible(f"{name} has an eigenvalue at or below the cutoff")
     sh = ss.power(0.5)
     shi = ss.power(-0.5)
-    return sh @ spectrum(shi @ rho @ shi).fn(lambda x: x**gamma, False) @ sh
+    return sh @ _derived_spectrum(shi @ rho @ shi, len(rho)).fn(lambda x: x**gamma, False) @ sh

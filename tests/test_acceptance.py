@@ -18,7 +18,6 @@ from qrdiv.barycentric import (
 )
 from qrdiv.classical import classical_rel_entropy, classical_renyi
 from qrdiv.hermitian import (
-    mpower,
     partial_trace,
     pinch,
     projection_meet,
@@ -26,7 +25,7 @@ from qrdiv.hermitian import (
     sample_state,
     sample_unitary,
     spectral_decompose,
-    support_projection,
+    spectrum,
     tensor,
 )
 from qrdiv.oracles import fd_derivative
@@ -296,9 +295,9 @@ def _lambda_factor(alpha, li, lj):
 
 def _center_derivative(alpha, rho, sig):
     d = rho.shape[0]
-    shi = mpower(sig, -0.5)
+    shi = spectrum(sig).power(-0.5)
     w, u = spectral_decompose(shi @ rho @ shi)
-    sinv = mpower(sig, -1.0)
+    sinv = spectrum(sig).power(-1.0)
     total = 0.0
     for i in range(d):
         for j in range(d):
@@ -334,7 +333,7 @@ def test_criterion_07_dim2_strict_separation(qubit_pairs_300):
             worst_fd = max(worst_fd, abs(fd_derivative(g, 0.0) - ana))
             if ana >= 0:
                 deriv_neg = False
-            w, _ = spectral_decompose(mpower(sig, -0.5) @ rho @ mpower(sig, -0.5))
+            w, _ = spectral_decompose(spectrum(sig).power(-0.5) @ rho @ spectrum(sig).power(-0.5))
             if _lambda_factor(a, w[0], w[1]) <= 1.0:
                 lambda_ok = False
     report(7, "dim-2 strict separation below the maximal Renyi divergence",
@@ -375,8 +374,8 @@ def test_criterion_09_variational_and_reverse_test():
         d = 2 + n % 3
         rho = sample_state(d, int(rng.integers(1, d + 1)), rng)
         sig = sample_state(d, int(rng.integers(1, d + 1)), rng)
-        if np.trace(projection_meet(support_projection(rho),
-                                    support_projection(sig))).real < 0.5:
+        if np.trace(projection_meet(spectrum(rho).proj,
+                                    spectrum(sig).proj)).real < 0.5:
             continue
         n += 1
         rt = optimal_reverse_test(rho, sig)
@@ -462,8 +461,8 @@ def test_criterion_11_support_infinity_table():
     table_ok = True
     for name, (rho, sig) in cases.items():
         meet_zero = (
-            np.trace(projection_meet(support_projection(rho),
-                                     support_projection(sig))).real < 0.5
+            np.trace(projection_meet(spectrum(rho).proj,
+                                     spectrum(sig).proj)).real < 0.5
         )
         if meet_zero != (name in expected_meet_zero):
             table_ok = False

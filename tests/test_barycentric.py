@@ -24,7 +24,6 @@ from qrdiv.hermitian import (
     sample_state,
     sample_unitary,
     spectrum,
-    support_projection,
     tensor,
 )
 from qrdiv.oracles import (
@@ -673,17 +672,17 @@ def _lambda_factor(alpha, li, lj):
 def analytic_center_derivative(alpha, rho, sig):
     """Directional derivative at the normalized alpha-mean toward the
     maximally mixed state of the weighted maximal-divergence objective."""
-    from qrdiv.hermitian import mpower, spectral_decompose
+    from qrdiv.hermitian import spectral_decompose, spectrum
 
     d = rho.shape[0]
-    shi = mpower(sig, -0.5)
+    shi = spectrum(sig).power(-0.5)
     w, u = spectral_decompose(shi @ rho @ shi)
     total = 0.0
     for i in range(d):
         for j in range(d):
             pi = np.outer(u[:, i], u[:, i].conj())
             pj = np.outer(u[:, j], u[:, j].conj())
-            s_ij = np.trace(pi @ sig @ pj @ mpower(sig, -1.0)).real
+            s_ij = np.trace(pi @ sig @ pj @ spectrum(sig).power(-1.0)).real
             total += s_ij * _lambda_factor(alpha, w[i], w[j])
     return -1.0 + total / d
 
@@ -708,9 +707,9 @@ def test_dmax_derivative_analytic_vs_fd_and_negative():
             assert abs(fd - ana) < 1e-5
             assert ana < 0.0
             # Lambda factors exceed 1 off the diagonal
-            from qrdiv.hermitian import mpower, spectral_decompose
+            from qrdiv.hermitian import spectral_decompose, spectrum
 
-            w, _ = spectral_decompose(mpower(sig, -0.5) @ rho @ mpower(sig, -0.5))
+            w, _ = spectral_decompose(spectrum(sig).power(-0.5) @ rho @ spectrum(sig).power(-0.5))
             assert _lambda_factor(a, w[0], w[1]) > 1.0
 
 
@@ -784,12 +783,12 @@ def test_alpha_inf_all_umegaki_closed_form():
     # sup of D^Um(w||sigma) - D^Um(w||rho) over states is the top
     # eigenvalue of log rho - log sigma, attained on the boundary; the
     # solver approaches it and reports non-convergence honestly
-    from qrdiv.hermitian import nlog_m, spectral_decompose
+    from qrdiv.hermitian import spectral_decompose, spectrum
 
     rng = np.random.default_rng(23)
     rho, sig = noncommuting_qubits(rng)
     res = barycentric_renyi_full(INF, UM, rho, sig, SolverOptions(use_closed_form=False))
-    w, _ = spectral_decompose(nlog_m(rho) - nlog_m(sig))
+    w, _ = spectral_decompose(spectrum(rho).log() - spectrum(sig).log())
     assert abs(res["value"] - w[0]) < 1e-4
     assert res["value"] <= w[0] + 1e-12
     assert not res["converged"]  # supremum sits on the state-space boundary
@@ -945,7 +944,7 @@ def test_alpha_inf_um_um_unchanged_through_dual():
 
     for d, case in ((2, "full"), (3, "deficient"), (4, "full-scaled"), (8, "deficient-scaled")):
         rho, sig = _inf_pair(d, case, np.random.default_rng(500 + d))
-        b = meet_bases(support_projection(rho), support_projection(sig))[0]
+        b = meet_bases(spectrum(rho).proj, spectrum(sig).proj)[0]
         h = _log_euclidean_h((1.0, -1.0), (rho, sig), b)
         top = float(np.linalg.eigh((h + h.conj().T) / 2)[0][-1])
         res = barycentric_renyi_full(INF, UM, rho, sig)

@@ -29,6 +29,7 @@ from qrdiv.errors import (
 )
 from qrdiv.hermitian import (
     Spectrum,
+    _derived_spectrum,
     check_hermitian,
     matrix_from_json,
     matrix_to_json,
@@ -41,7 +42,6 @@ from qrdiv.hermitian import (
     sample_unitary,
     spectral_decompose,
     spectrum,
-    support_projection,
     tensor,
 )
 from qrdiv.renyi import max_q_alpha_mean_route
@@ -93,7 +93,7 @@ def test_apply_function_generalized_inverse():
     a = np.diag([2.0, 0.0])
     inv = spectrum(a).fn(lambda x: 1.0 / x)
     np.testing.assert_allclose(inv, np.diag([0.5, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(a @ inv, support_projection(a), atol=1e-12)
+    np.testing.assert_allclose(a @ inv, spectrum(a).proj, atol=1e-12)
 
 
 def test_apply_function_nlog_convention():
@@ -131,8 +131,8 @@ def test_projection_meet_random_vs_kernel_oracle():
     # oracle: the meet is the kernel of (2I - P - Q)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        p = support_projection(sample_state(4, 2, rng))
-        q = support_projection(sample_state(4, 3, rng))
+        p = spectrum(sample_state(4, 2, rng)).proj
+        q = spectrum(sample_state(4, 3, rng)).proj
         m = projection_meet(p, q)
         w, u = spectral_decompose(2 * np.eye(4) - p - q)
         kernel = u[:, w < 1e-9]
@@ -184,7 +184,7 @@ def test_pinch_is_contraction_and_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(5):
         a = sample_state(4, 4, rng)
-        p = support_projection(sample_state(4, 2, rng))
+        p = spectrum(sample_state(4, 2, rng)).proj
         blocks = [p, np.eye(4) - p]
         out = pinch(a, blocks)
         np.testing.assert_allclose(pinch(out, blocks), out, atol=1e-10)
@@ -257,12 +257,28 @@ def test_spectrum():
     assert sp.basis.shape == (3, 2)
     np.testing.assert_allclose((sp.u * sp.w) @ sp.u.conj().T, rho, atol=1e-10)
     np.testing.assert_allclose(sp.proj @ sp.proj, sp.proj, atol=1e-12)
-    assert np.array_equal(sp.proj, support_projection(rho))
+    assert np.array_equal(sp.proj, spectrum(rho).proj)
     # f fails at the retained top eigenvalue: DomainError
     with pytest.raises(DomainError):
         sp.fn(lambda x: math.log(sp.w[0] - x))
     # f fails only at the kernel eigenvalue, which fn skips
     assert np.all(np.isfinite(sp.fn(lambda x: math.log(x - sp.w[-1]))))
+
+
+def test_derived_spectrum_takes_its_rank_from_the_caller():
+    # eigenvalues 1e8, 1, -1 and 0, with an asymmetry of 1e-6 that
+    # check_hermitian rejects: the support is the top `rank` of them,
+    # clamped at 0, whatever their size relative to the largest
+    u = sample_unitary(4, 3)
+    m = (u * np.array([1e8, 1.0, -1.0, 0.0])) @ u.conj().T
+    m[0, 1] += 1e-6
+    with pytest.raises(NonHermitian):
+        spectrum(m)
+    for rank, support in ((0, 0), (1, 1), (2, 2), (3, 2)):
+        sp = _derived_spectrum(m, rank)
+        assert sp.cut == 0.0 and np.all(sp.w[rank:] == 0.0) and np.all(sp.w >= 0.0)
+        assert sp.basis.shape == (4, support)
+    np.testing.assert_allclose(_derived_spectrum(m, 2).w[:2], [1e8, 1.0], rtol=1e-6)
 
 
 def _spectrum_cases():
@@ -319,12 +335,15 @@ def _q3(kind, r, s, options=None):
 
 
 # each operand is decomposed once per call; the count when every helper
-# re-decomposed its input is on the right
+# re-decomposed its input is on the right. bs_rel_entropy works in supp rho's
+# eigenbasis (rho, sigma and Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2}); the
+# reverse test behind max_renyi decomposes rho too, whose rank decides that
+# of rho_ac (2 when the cutoff decided it): the one bound that rose
 _EIGH_BOUNDS = [
     ("umegaki", lambda r, s: umegaki(r, s), 2),  # 4
-    ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s), 5),  # 6
+    ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s), 3),  # 6
     ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s), 4),  # 9
-    ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s), 2),  # 6
+    ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s), 3),  # 6
     ("max_q_alpha_mean_route(0.5)", lambda r, s: max_q_alpha_mean_route(0.5, r, s), 5),  # 12
     ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s), 7),  # 19
     ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 4),  # 10

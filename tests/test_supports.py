@@ -9,7 +9,7 @@ from qrdiv.hermitian import (
     sample_state,
     sample_unitary,
     spectral_decompose,
-    support_projection,
+    spectrum,
     tensor,
 )
 from qrdiv.oracles import eps_ladder_limit
@@ -82,7 +82,7 @@ def test_ac_two_routes_agree_and_maximality():
         # 0 <= C <= rho and supp C inside supp sigma
         assert np.min(np.linalg.eigvalsh(rho - a1)) > -1e-9
         assert np.min(np.linalg.eigvalsh(a1)) > -1e-10
-        s = support_projection(sigma)
+        s = spectrum(sigma).proj
         np.testing.assert_allclose(s @ a1 @ s, a1, atol=1e-9)
         # maximization oracle: any PSD C <= rho with supp in sigma has Tr C <= Tr a1
         for _ in range(20):
@@ -226,9 +226,7 @@ def test_mean_identity_base():
 
 
 def spectral_power(a, x):
-    from qrdiv.hermitian import mpower
-
-    return mpower(a, x)
+    return spectrum(a).power(x)
 
 
 def test_mean_commuting():
@@ -255,8 +253,8 @@ def test_mean_support_and_symmetry():
         m = kubo_ando_mean(g, rho, sigma)
         from qrdiv.hermitian import projection_meet
 
-        meet = projection_meet(support_projection(rho), support_projection(sigma))
-        np.testing.assert_allclose(support_projection(m), meet, atol=1e-7)
+        meet = projection_meet(spectrum(rho).proj, spectrum(sigma).proj)
+        np.testing.assert_allclose(spectrum(m).proj, meet, atol=1e-7)
         # sigma #_g rho = rho #_{1-g} sigma
         np.testing.assert_allclose(
             m, kubo_ando_mean(1 - g, sigma, rho), atol=1e-9
