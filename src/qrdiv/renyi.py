@@ -139,7 +139,8 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
         u = umegaki(rho, sigma)
         return u / tr_rho if math.isfinite(u) else INF
     sr, ss = spectrum(rho), spectrum(sigma)
-    if alpha > 1 and not support_leq(sr, ss):
+    leq = support_leq(sr, ss)
+    if alpha > 1 and not leq:
         return INF
     if z == INF:
         b, _ = meet_bases(sr.proj, ss.proj)
@@ -151,10 +152,10 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
             w, _ = spectral_decompose(_log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b))
             q = float(np.sum(np.exp(w)))
     else:
-        # the product has the rank of P_rho P_sigma: rank rho when
-        # supp rho <= supp sigma, else that of rho compressed to supp sigma
-        rank = (sr.basis.shape[1] if support_leq(sr, ss)
-                else spectrum(ss.basis.conj().T @ rho @ ss.basis).basis.shape[1])
+        # the product has the rank of P_rho P_sigma: rank rho when supp rho <= supp
+        # sigma, else that of rho compressed to supp sigma, cut with rho's cutoff
+        rank = (sr.basis.shape[1] if leq else int(np.sum(
+            np.linalg.eigvalsh(ss.basis.conj().T @ rho @ ss.basis) > sr.cut)))
         a = sr.power(alpha / (2.0 * z))
         w = _derived_spectrum(a @ ss.power((1.0 - alpha) / z) @ a, rank).w
         q = float(np.sum(w**z))
@@ -224,7 +225,7 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     tau0 = np.eye(d, dtype=complex) / d  # any state is admissible on a null index
     sr, ss = spectrum(rho), spectrum(sigma)
     b = ss.basis
-    rho_ac, outside = _abs_cont(rho, b, ss.kernel)
+    rho_ac, outside = _abs_cont(rho, sr.cut, b, ss.kernel)
     root = np.sqrt(ss.w[:b.shape[1]])
     # X = sigma^{-1/2} rho_ac sigma^{-1/2} has rank rho_ac = rank rho - outside;
     # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InfiniteLimit, NotInvertible
-from .hermitian import _check_shapes, _derived_spectrum, herm_part, meet_bases, spectrum
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, herm_part, meet_bases,
+                        spectral_decompose, spectrum)
 
 INF = float("inf")
 
@@ -86,21 +87,20 @@ def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     complement of rho with respect to the kernel of sigma."""
     rho, sigma = _check_shapes(rho, sigma)
     ss = spectrum(sigma)
-    b = ss.basis
-    return b @ _abs_cont(rho, b, ss.kernel)[0] @ b.conj().T
+    return ss.basis @ _abs_cont(rho, spectrum(rho).cut, ss.basis, ss.kernel)[0] @ ss.basis.conj().T
 
 
-def _abs_cont(rho: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """(B* rho_ac B, k): the part of rho absolutely continuous w.r.t. ran(B)
     in B's coordinates, the Schur complement
     B* rho B - B* rho C (C* rho C)^+ C* rho B, for orthonormal bases B of a
     subspace and C of its complement, and the rank k of C* rho C, so that
-    rank rho_ac = rank rho - k."""
+    rank rho_ac = rank rho - k; C* rho C is cut with ``cut``, rho's own."""
     top = b.conj().T @ rho @ b
     if not (b.shape[1] and c.shape[1]):
         return top, 0
     x = b.conj().T @ rho @ c
-    kc = spectrum(c.conj().T @ rho @ c)
+    kc = Spectrum(*spectral_decompose(c.conj().T @ rho @ c), cut)
     return top - x @ kc.power(-1.0) @ x.conj().T, kc.basis.shape[1]
 
 
@@ -128,14 +128,15 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     Closed form: sc^{1/2} f(sc^{-1/2} rc sc^{-1/2}) sc^{1/2} on the
     absolutely continuous parts rc, sc w.r.t. the support meet ran(B), in
     B's coordinates, plus f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac).
-    Both parts are positive definite on ran(B) in exact arithmetic, so the
-    product keeps the full rank of the block. An infinite boundary
-    limit is tolerated only against a vanishing deficiency (0 * inf = 0);
-    otherwise the limit does not exist and InfiniteLimit is raised.
+    Both parts are positive definite on ran(B) in exact arithmetic: the
+    product keeps the block's full rank, and an eigenvalue rounding to 0
+    takes f(0+). An infinite boundary limit needs a vanishing deficiency
+    (0 * inf = 0); otherwise the limit does not exist (InfiniteLimit).
     """
     rho, sigma = _check_shapes(rho, sigma)
-    b, c = meet_bases(spectrum(rho).proj, spectrum(sigma).proj)
-    (rho_ac, _), (sigma_ac, _) = _abs_cont(rho, b, c), _abs_cont(sigma, b, c)
+    sr, ss = spectrum(rho), spectrum(sigma)
+    b, c = meet_bases(sr.proj, ss.proj)
+    (rho_ac, _), (sigma_ac, _) = _abs_cont(rho, sr.cut, b, c), _abs_cont(sigma, ss.cut, b, c)
     scale = max(1.0, np.trace(rho).real + np.trace(sigma).real)
 
     out = np.zeros_like(rho)
@@ -143,7 +144,10 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
         ssc = spectrum(sigma_ac)
         sh, shi = ssc.power(0.5), ssc.power(-0.5)
         x = _derived_spectrum(shi @ rho_ac @ shi, b.shape[1])
-        out = b @ (sh @ x.fn(fn.f, False) @ sh) @ b.conj().T
+        if x.w[-1] <= 0.0 and not math.isfinite(fn.f_at_zero_plus):
+            raise InfiniteLimit(f"{fn.name}: infinite f(0+) at an eigenvalue that rounds to 0")
+        fx = x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False)
+        out = b @ (sh @ fx @ sh) @ b.conj().T
     for limit, op, ac, side in (
         (fn.transpose_at_zero_plus, rho, rho_ac, "rho"),
         (fn.f_at_zero_plus, sigma, sigma_ac, "sigma"),

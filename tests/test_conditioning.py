@@ -15,9 +15,11 @@ import pytest
 
 from qrdiv.barycentric import SolverOptions, barycentric_renyi
 from qrdiv.classical import classical_renyi
+from qrdiv.errors import InfiniteLimit
 from qrdiv.hermitian import sample_unitary, tensor
 from qrdiv.relent import BelavkinStaszewski, GeomWeighted, Umegaki, bs_rel_entropy, rel_entropy
-from qrdiv.renyi import max_relative_entropy, max_renyi, renyi_alpha_z
+from qrdiv.renyi import max_fdivergence, max_relative_entropy, max_renyi, renyi_alpha_z
+from qrdiv.supports import neg_log, perspective, x_log_x
 
 _GEOM = GeomWeighted(Umegaki(), 0.5)
 
@@ -107,3 +109,40 @@ def test_center_solver_on_commuting_kappa_1e8_pairs():
         # geom,geom is not asserted against the classical value: the stop
         # test leaves it up to about 2e-3 off on these pairs
         assert math.isfinite(barycentric_renyi(0.3, (_GEOM, _GEOM), rho, sig, opts))
+
+
+def test_max_fdivergence_where_the_product_rounds_to_zero():
+    # condition number 5e8 per input: X = sigma^{-1/2} rho sigma^{-1/2}
+    # spans about 1e-12 to 1e6, so its smallest eigenvalue can round to
+    # <= 0 (on 2 of these 6 pairs), where f takes f(0+)
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        u, v = sample_unitary(3, rng), sample_unitary(3, rng)
+        rho = (u * np.array([1.0, 0.3, 2e-9])) @ u.conj().T
+        sig = (v * np.array([1e3, 1.0, 2e-6])) @ v.conj().T
+        # the maximal f-divergence of x log x is the BS relative entropy
+        assert abs(max_fdivergence(x_log_x(), rho, sig) - float(mpr.bs(rho, sig))) <= 1e-5
+        try:
+            assert math.isfinite(np.trace(perspective(neg_log(), rho, sig)).real)
+        except InfiniteLimit:
+            pass  # -log has no finite f(0+)
+
+
+def test_ranks_of_unnormalized_pairs_use_the_input_cutoff():
+    # 5e-7 lies below rho's cutoff 1e-9 * 1e3 but above that of its
+    # compression to ker sigma, so a rank counted with the compression's own
+    # cutoff would drop the support of rho_ac (D_0.5^max = +inf) or go negative
+    dmax = math.log(1e3)
+    for p, q in (([1e3, 5e-7], [1.0, 0.0]), ([1e3, 0.0, 5e-7, 5e-7], [1.0, 1.0, 0.0, 0.0])):
+        rho, sig = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        assert max_relative_entropy(rho, sig) == pytest.approx(dmax, abs=1e-12)
+        # the trace of rho outside supp sigma, at most 1e-6, still enters
+        # D_0.5^max as 2 log(1 + 1e-9)
+        assert max_renyi(0.5, rho, sig).value <= dmax + 3e-9
+    # the same for the rank of P_rho P_sigma in the alpha-z product: a
+    # rounding eigenvalue near 1e-9 would enter as w^0.3
+    u = sample_unitary(3, np.random.default_rng(3))
+    rho = (u * np.array([1e3, 5e-7, 1.0])) @ u.conj().T
+    sig = (u * np.array([0.0, 1.0, 1.0])) @ u.conj().T
+    expected = math.log(np.trace(rho).real) / 0.3  # Q = 1 on the third direction
+    assert renyi_alpha_z(0.7, 0.3, rho, sig) == pytest.approx(expected, abs=1e-9)
