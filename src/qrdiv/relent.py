@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -175,6 +176,86 @@ def _riemannian_gradient(alpha, u, pu, ab, diff, i) -> np.ndarray:
     return ((slopes[:, :, None] - slopes[:, None, :]) * (u.conj().T @ pu[:, i])).sum(axis=0)
 
 
+@lru_cache(maxsize=None)
+def _generator_maps(d):
+    """Linear maps for the n = d(d-1) skew generators K_p, taken pair by
+    pair (j, k), j < k, in ``np.triu_indices`` order, each pair's
+    E_jk - E_kj before i(E_jk + E_kj).
+
+    Returns (pair_diff, lin, to_gen). ``pair_diff`` (d, n/2) maps a vector
+    f to 2 (f_k - f_j) on each pair. ``lin`` (d^2, n n/2 + n d) maps a
+    flattened d x d matrix X to the entries [X, K_p]_jk of every generator
+    p on every pair (j, k), followed by the diagonals diag([X, K_p]).
+    ``to_gen`` maps coordinates s to -i sum_p s_p K_p, flattened.
+    """
+    js, ks = np.triu_indices(d, 1)
+    pairs = js.size
+    pair_diff = np.zeros((d, pairs))
+    pair_diff[js, np.arange(pairs)], pair_diff[ks, np.arange(pairs)] = -2.0, 2.0
+    e = np.zeros((pairs, d, d), dtype=complex)
+    e[np.arange(pairs), js, ks] = 1.0
+    gens = np.stack((e - e.transpose(0, 2, 1), 1j * (e + e.transpose(0, 2, 1))), axis=1)
+    gens = gens.reshape(2 * pairs, d, d)
+    basis = np.eye(d * d).reshape(d * d, 1, d, d)
+    comm = basis @ gens - gens @ basis  # [E_rc, K_p], shape (d^2, n, d, d)
+    lin = np.concatenate((comm[:, :, js, ks].reshape(d * d, -1),
+                          comm.diagonal(axis1=2, axis2=3).reshape(d * d, -1)), axis=1)
+    maps = pair_diff, lin, (-1j * gens).reshape(2 * pairs, d * d).T
+    for m in maps:
+        m.flags.writeable = False  # shared by every caller through the cache
+    return maps
+
+
+def _newton_system(alpha, u, pu, ab, diff, i) -> tuple[np.ndarray, np.ndarray]:
+    """(g, H): the gradient and the Hessian of the relative-entropy objective
+    (alpha = None or 1) in the coordinates s of u exp(sum_p s_p K_p), at the
+    basis u at index i of a ``_measured_point`` stack whose diagonals a, b
+    are positive; the generators K_p are ordered as in ``_generator_maps``.
+
+    With f_A = log a - log b, f_B = -a/b and J_X the (d, n) matrix whose
+    column p is diag([X, K_p]) for X = A, B, g = J_A^T f_A + J_B^T f_B and
+    H = G^T diag(1/a) G + (T + T^T)/2, G = J_A - diag(a/b) J_B (the
+    objective's second derivatives in a and b have rank one), with
+    T_pq = sum_X Re Tr([K_q, diag(f_X)] [X, K_p]) from the second-order
+    term of e^{-K} X e^{K}.
+    """
+    a, b = ab[:, i]
+    d = a.size
+    n, pairs = d * (d - 1), d * (d - 1) // 2
+    pair_diff, lin, _ = _generator_maps(d)
+    y = (u.conj().T @ pu[:, i]).reshape(2, d * d) @ lin
+    f = np.stack((diff[i], -a / b))
+    # [K_q, diag(f_X)] is nonzero only at (j, k) and (k, j), so for Hermitian
+    # W = [X, K_p], Re Tr([K_q, diag(f_X)] W) = 2 (f_X,k - f_X,j) times Re W_jk
+    # (real K_q) or Im W_jk (imaginary K_q): T's columns (Re, Im) per pair
+    w = y[:, :n * pairs].reshape(2, n, pairs)
+    t = (w * (f @ pair_diff)[:, None, :]).sum(axis=0).view(float)
+    jac = y[:, n * pairs:].real.reshape(2, n, d)  # J_A^T, J_B^T
+    gm = jac[0] - jac[1] * (a / b)  # G^T
+    h = (gm / a) @ gm.T + 0.5 * (t + t.T)
+    g = jac[0] @ f[0] + jac[1] @ f[1]
+    if alpha == 1:
+        return g / a.sum(), h / a.sum()
+    return g, h
+
+
+def _newton_generator(alpha, u, pu, ab, diff, i):
+    """-i K for the modified Newton step K = sum_p s_p K_p,
+    s = -(H - mu I)^{-1} g with mu = max(0, lambda_max + 1e-3 max(1, |lambda|_max))
+    over H's eigenvalues, so that H - mu I is negative definite; None where a
+    diagonal entry is zero or g^T s <= 0, where the gradient step is taken."""
+    a, b = ab[:, i]
+    if not (a.all() and b.all()):
+        return None  # the clipped diagonals are nonnegative
+    g, h = _newton_system(alpha, u, pu, ab, diff, i)
+    lam, q = np.linalg.eigh(h)
+    mu = max(0.0, lam[-1] + 1e-3 * max(1.0, lam[-1], -lam[0]))
+    s = q @ ((q.T @ g) / (mu - lam))
+    if not g @ s > 0:
+        return None
+    return (_generator_maps(a.size)[2] @ s).reshape(a.size, a.size)
+
+
 def measured_lower_bound(
     rho: np.ndarray,
     sigma: np.ndarray,
@@ -219,6 +300,7 @@ def measured_lower_bound(
 
 
 _CHUNK = 4  # trial steps scored per stacked kernel call
+_NEWTON_MAX_D = 4  # largest d whose relative-entropy ascent takes Newton steps
 
 
 @np.errstate(divide="ignore")
@@ -236,6 +318,7 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
     _, u_joint = spectral_decompose(rho + math.sqrt(2.0) * sigma)
     fixed_starts = [np.eye(d, dtype=complex), u_joint]
     best_val, best_u = -INF, np.eye(d, dtype=complex)
+    newton = (alpha is None or alpha == 1) and d <= _NEWTON_MAX_D
     for start in range(max(restarts, len(fixed_starts))):
         u = fixed_starts[start] if start < len(fixed_starts) else sample_unitary(d, rng)
         vals, *stack = _measured_point(alpha, pair, u[None])
@@ -250,21 +333,29 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
             # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
             if math.sqrt(2.0) * mn < 1e-10:
                 break
-            # ascent direction K = -sqrt(2) M / |M|_F; u e^{tK} = (uV) e^{itw} V*
-            # with (w, V) = eigh(K / i), one decomposition per iteration
-            w, v = np.linalg.eigh(m * (1j * math.sqrt(2.0) / mn))
+            # u e^{tK} = (uV) e^{itw} V* with (w, V) = eigh(K / i): the Newton
+            # step walks t = 1, 1/2, ... from at most 1 rad per eigenvalue;
+            # the gradient step walks K = -sqrt(2) M / |M|_F from t = step
+            gen = _newton_generator(alpha, u, *point) if newton else None
+            if gen is None:
+                w, v = np.linalg.eigh(m * (1j * math.sqrt(2.0) / mn))
+                first = step
+            else:
+                w, v = np.linalg.eigh(gen)
+                first = min(1.0, 1.0 / float(np.abs(w).max()))
             uv, vh, iw = u @ v, v.conj().T, 1j * w
             # backtracking over the trial steps, scored _CHUNK at a time;
             # the first that improves the value is kept
             for chunk in chunks:
-                t = step * chunk
+                t = first * chunk
                 cands = (uv * np.exp(t * iw)) @ vh
                 vals, *stack = _measured_point(alpha, pair, cands)
                 ok = np.isfinite(vals) & (vals > val + 1e-14)
                 i = int(ok.argmax())
                 if ok[i]:
                     u, val, point = cands[i], float(vals[i]), (*stack, i)
-                    step = min(2.0 * float(t[i, 0, 0]), 0.5)
+                    if gen is None:
+                        step = min(2.0 * float(t[i, 0, 0]), 0.5)
                     break
             else:
                 break  # no trial step improves the value

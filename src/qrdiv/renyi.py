@@ -231,8 +231,10 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters
     # groups them relative to each eigenvalue
     x = _derived_spectrum(rho_ac / np.outer(root, root), sr.basis.shape[1] - outside)
+    # rho has a part outside supp sigma iff C* rho C has rank against rho's
+    # own cutoff, the rule D_max's support test uses
     missing = float(np.trace(rho).real - np.trace(rho_ac).real)
-    sing = missing > 1e-12 * max(1.0, np.trace(rho).real)
+    sing = outside > 0
 
     p, q, gammas = [], [], []
     mass_cut = support_cutoff(np.array([np.trace(sigma).real]))

@@ -27,7 +27,7 @@ from qrdiv.relent import (
     rel_entropy,
     umegaki,
 )
-from qrdiv.relent import _measured_point, _riemannian_gradient
+from qrdiv.relent import _measured_point, _newton_system, _riemannian_gradient
 from qrdiv.renyi import max_renyi, optimal_reverse_test, renyi_alpha_z
 
 INF = float("inf")
@@ -392,29 +392,41 @@ def test_measured_orthogonality_test_is_scale_invariant(scale):
     assert measured_lower_bound(scale * e0, scale * e1, alpha=0.5)[0] == INF
 
 
+def _pinned_pair(d):
+    rng = np.random.default_rng(80 + d)
+    return sample_state(d, d, rng), sample_state(d, d, rng)
+
+
 # measured_lower_bound(rho, sigma, alpha, restarts=2, iters=50, seed=1) on
 # sample_state pairs drawn from default_rng(80 + d), as a line search that
 # scores one trial step at a time returns them; scoring the trial steps in
-# stacks must keep them within 1e-12
+# stacks must keep them within 1e-12. The relative entropy (alpha = None
+# and 1) at d = 3 and 4 comes from Newton steps, which stop at the local
+# maximum that 50 gradient steps fell short of: _PINNED_MEASURED_FLOORS
+# holds the gradient steps' values, which the Newton values must not fall below
 _PINNED_MEASURED = {
     2: {None: 0.15217661063113788, 0: 0.0, 0.5: 0.08474140095273723,
         1: 0.15217661063113927, 2: 0.24576332760075625, INF: 0.4911006744300362},
-    3: {None: 1.136681234155778, 0: 0.0, 0.5: 0.3662672040183882,
-        1: 1.136681234155779, 2: 2.8385720206356546, INF: 3.842969016011957},
-    4: {None: 0.5492958472338316, 0: 1.110223024625157e-16, 0.5: 0.3400264186621337,
-        1: 0.5492958472338373, 2: 0.8292259210334013, INF: 1.4485683024544496},
+    3: {None: 1.1505360769291508, 0: 0.0, 0.5: 0.3662672040183882,
+        1: 1.1505360769291488, 2: 2.8385720206356546, INF: 3.842969016011957},
+    4: {None: 0.5505710546249643, 0: 1.110223024625157e-16, 0.5: 0.3400264186621337,
+        1: 0.5505710546249639, 2: 0.8292259210334013, INF: 1.4485683024544496},
     8: {None: 0.961535144815228, 0: 1.1102230246251565e-16, 0.5: 0.48955411269656546,
         1: 0.9615351448152345, 2: 2.8916705874125297, INF: 5.737255032825517},
+}
+_PINNED_MEASURED_FLOORS = {
+    (3, None): 1.136681234155778, (3, 1): 1.136681234155779,
+    (4, None): 0.5492958472338316, (4, 1): 0.5492958472338373,
 }
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 @pytest.mark.parametrize("alpha", [None, 0, 0.5, 1, 2, INF])
 def test_measured_ascent_pinned_values(alpha, d):
-    rng = np.random.default_rng(80 + d)
-    rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+    rho, sigma = _pinned_pair(d)
     v, _ = measured_lower_bound(rho, sigma, alpha=alpha, restarts=2, iters=50, seed=1)
     assert abs(v - _PINNED_MEASURED[d][alpha]) < 1e-12
+    assert v >= _PINNED_MEASURED_FLOORS.get((d, alpha), -INF) - 1e-12
 
 
 def _branch_pair(case):
@@ -435,15 +447,18 @@ def _branch_pair(case):
 # measured_lower_bound(rho, sigma, alpha, restarts, iters=400, seed=1) on the
 # _branch_pair cases, as a kernel that forms u* rho u and u* sigma u in full
 # for every trial basis returns them; scoring trial bases on their diagonals
-# alone must keep them within 1e-12
+# alone must keep them within 1e-12. The "restarts" relative entropy comes
+# from Newton steps, and must not fall below the gradient steps' value in
+# _PINNED_MEASURED_BRANCH_FLOORS
 _PINNED_MEASURED_BRANCHES = {
     "zero-diagonal": {None: 0.7660211129233705, 0.5: 0.49911173898857575,
                       2: 1.3823294844922003, INF: 2.3252133784885},
     "unnormalized": {None: 0.9649146559395287, 0.5: -0.02956626650005134,
                      2: 1.5730705595120587, INF: 2.9212536516313996},
-    "restarts": {None: 0.5545242571305637, 0.5: 0.16384847831794047,
+    "restarts": {None: 0.5545489633149858, 0.5: 0.16384847831794047,
                  2: 2.728434443721326, INF: 4.795164964621388},
 }
+_PINNED_MEASURED_BRANCH_FLOORS = {("restarts", None): 0.5545242571305637}
 
 
 @pytest.mark.parametrize("case", list(_PINNED_MEASURED_BRANCHES))
@@ -452,12 +467,14 @@ def test_measured_ascent_pinned_branches(alpha, case):
     rho, sigma, restarts = _branch_pair(case)
     v, u = measured_lower_bound(rho, sigma, alpha=alpha, restarts=restarts, iters=400, seed=1)
     assert abs(v - _PINNED_MEASURED_BRANCHES[case][alpha]) < 1e-12
+    assert v >= _PINNED_MEASURED_BRANCH_FLOORS.get((case, alpha), -INF) - 1e-12
     assert u.dtype == complex
 
 
 def test_measured_line_search_chunks(monkeypatch):
-    # the pinned d = 2 relative-entropy case accepts a trial step past the
-    # first stack of four, and ends a start with all 25 trials failing
+    # the pinned d = 2, alpha = 0.5 case, on the gradient path, accepts a
+    # trial step past the first stack of four, and ends a start with all 25
+    # trials failing
     from qrdiv import relent
 
     events = []
@@ -473,10 +490,9 @@ def test_measured_line_search_chunks(monkeypatch):
     spy(relent, "_measured_point", lambda args: str(len(args[2])))
     spy(relent, "_riemannian_gradient", lambda args: "G")
     spy(np.linalg, "eigh", lambda args: "E")
-    rng = np.random.default_rng(82)
-    rho, sigma = sample_state(2, 2, rng), sample_state(2, 2, rng)
-    v, _ = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=1)
-    assert abs(v - _PINNED_MEASURED[2][None]) < 1e-12
+    rho, sigma = _pinned_pair(2)
+    v, _ = measured_lower_bound(rho, sigma, alpha=0.5, restarts=2, iters=50, seed=1)
+    assert abs(v - _PINNED_MEASURED[2][0.5]) < 1e-12
     # after each eigh: the stack sizes scored, then the next iteration's
     # gradient G, or the next start's first point 1 and its gradient
     iterations = "".join(events).split("E")[1:]
@@ -489,14 +505,78 @@ def _expm_skew(k):
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def _point(alpha, rho, sigma, u):
+    """The (pu, ab, diff, 0) of a one-basis ``_measured_point`` stack."""
+    _, *point = _measured_point(alpha, np.stack((rho, sigma))[:, None], u[None])
+    return (*point, 0)
+
+
+def _skew_generators(d):
+    """E_jk - E_kj and i(E_jk + E_kj) for j < k, in ``_newton_system``'s order."""
+    out = []
+    for j, k in zip(*np.triu_indices(d, 1)):
+        e = np.zeros((d, d), dtype=complex)
+        e[j, k] = 1.0
+        out += [e - e.T, 1j * (e + e.T)]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [None, 1])
+def test_newton_hessian_matches_central_difference(alpha, d):
+    # column p of the central difference F of g along K_p is H's column plus
+    # the antisymmetric term g([K_p, K_q]) / 2 from e^{hK_p} e^{tK_q}, so H
+    # is compared with (F + F^T) / 2; g itself is Re Tr(M K_p)
+    rng = np.random.default_rng(30 + d)
+    gens, h = _skew_generators(d), 1e-5
+    for _ in range(3):
+        rho, sigma, u = sample_state(d, d, rng), sample_state(d, d, rng), sample_unitary(d, rng)
+
+        def system(v):
+            return _newton_system(alpha, v, *_point(alpha, rho, sigma, v))
+
+        g, hess = system(u)
+        m = _riemannian_gradient(alpha, u, *_point(alpha, rho, sigma, u))
+        assert np.allclose(g, [np.trace(m @ k).real for k in gens], rtol=0, atol=1e-12)
+        fd = np.array([(system(u @ _expm_skew(h * k))[0] - system(u @ _expm_skew(-h * k))[0]) / (2 * h)
+                       for k in gens]).T
+        assert np.abs(hess - (fd + fd.T) / 2).max() < 1e-6 * max(1.0, np.abs(hess).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [None, 1])
+def test_newton_ascent_ends_stationary(alpha, d):
+    # a Newton step from slope norm |g| gains about |g|^2 / (2 |lambda|),
+    # which the 1e-14 acceptance margin no longer sees below |g| ~ 1e-7:
+    # the d = 2 pair stops at 2.2e-8, the d = 3 and 4 pairs below 1e-10
+    rho, sigma = _pinned_pair(d)
+    _, u = measured_lower_bound(rho, sigma, alpha=alpha, restarts=2, iters=50, seed=1)
+    m = _riemannian_gradient(alpha, u, *_point(alpha, rho, sigma, u))
+    assert math.sqrt(2.0) * np.linalg.norm(m) <= 1e-7
+
+
+def test_measured_ascent_on_pure_rho_is_stable():
+    # on a pure rho the gradient steps crept along a flat ridge, and a
+    # rounding-level change of rho moved their 50-iteration values by 6e-5;
+    # pair 17 reaches 0.767791 only after 10 000 gradient steps
+    rng = np.random.default_rng(5)
+    for n in range(60):
+        d = 2 + n % 3
+        rho, sigma = sample_state(d, 1, rng), sample_state(d, d, rng)
+        v, _ = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=n)
+        w, _ = measured_lower_bound(rho * (1 + 4e-16), sigma, restarts=2, iters=50, seed=n)
+        assert abs(v - w) <= 1e-10
+        if n == 17:
+            assert v >= 0.767790
+
+
 def _gradient_vs_central_difference(alpha, rho, sigma, u, rng, h=1e-6):
     """(Re Tr(M K), central difference of f(u e^{tK})) along a random skew K."""
     d = rho.shape[0]
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     k = (g - g.conj().T) / 2
     pair = np.stack((rho, sigma))[:, None]
-    _, *point = _measured_point(alpha, pair, u[None])
-    m = _riemannian_gradient(alpha, u, *point, 0)
+    m = _riemannian_gradient(alpha, u, *_point(alpha, rho, sigma, u))
     assert np.allclose(m, -m.conj().T, atol=1e-12)
     (fp, fm), *_ = _measured_point(
         alpha, pair, np.stack([u @ _expm_skew(h * k), u @ _expm_skew(-h * k)]))
@@ -546,20 +626,27 @@ def test_measured_lower_bound_larger_dims(d):
 
 
 def test_measured_ascent_one_eigh_per_iteration(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+    from qrdiv import relent
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    calls = {np.linalg: 0, relent: 0}
 
+    def counting(owner, name):
+        f = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[owner] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    counting(np.linalg, "eigh")
+    counting(relent, "_riemannian_gradient")
     rng = np.random.default_rng(70)
     rho, sigma = sample_state(4, 4, rng), sample_state(4, 4, rng)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     measured_lower_bound(rho, sigma, restarts=2, iters=50)
-    # one eigh per iteration of each start, plus the support check and the
-    # joint-diagonalizer start
-    assert 0 < len(calls) <= 2 * (50 + 1) + 5
+    # one gradient per iteration and one at each start's end; at most two
+    # eighs per iteration (a Newton step's Hessian and generator), plus the
+    # support check and the joint-diagonalizer start
+    assert 0 < calls[np.linalg] <= 2 * calls[relent] + 5
 
 
 def test_scaling_laws():
