@@ -113,8 +113,8 @@ def _measured_point(alpha, pair, u):
     ab = (a, b) of u* rho u and u* sigma u, each read from pu alone, the
     classical values f = f(a, b) of shape (k,), and diff = log a - log b on
     supp a for alpha = None and 1 (None for other alpha). The caller ignores
-    divide-by-zero warnings. ``_riemannian_gradient`` reads the gradient at
-    one basis of the stack from the same arrays.
+    divide-by-zero warnings. ``_riemannian_gradient`` and ``_newton_system``
+    read the gradient at one basis of the stack from the same arrays.
     """
     pu = pair @ u
     ab = np.maximum((u.conj() * pu).sum(axis=-2).real, 0.0)
@@ -239,21 +239,15 @@ def _newton_system(alpha, u, pu, ab, diff, i) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _newton_generator(alpha, u, pu, ab, diff, i):
-    """-i K for the modified Newton step K = sum_p s_p K_p,
-    s = -(H - mu I)^{-1} g with mu = max(0, lambda_max + 1e-3 max(1, |lambda|_max))
-    over H's eigenvalues, so that H - mu I is negative definite; None where a
-    diagonal entry is zero or g^T s <= 0, where the gradient step is taken."""
-    a, b = ab[:, i]
-    if not (a.all() and b.all()):
-        return None  # the clipped diagonals are nonnegative
-    g, h = _newton_system(alpha, u, pu, ab, diff, i)
+def _newton_step(g, h):
+    """The modified Newton direction s = -(H - mu I)^{-1} g from one eigh of
+    H, with mu = 0 where H is negative definite and
+    mu = lambda_max + 1e-3 max(1, |lambda|_max) otherwise, so that H - mu I
+    is negative definite; the 1 rad cap and the line search guard a nearly
+    singular H."""
     lam, q = np.linalg.eigh(h)
-    mu = max(0.0, lam[-1] + 1e-3 * max(1.0, lam[-1], -lam[0]))
-    s = q @ ((q.T @ g) / (mu - lam))
-    if not g @ s > 0:
-        return None
-    return (_generator_maps(a.size)[2] @ s).reshape(a.size, a.size)
+    mu = 0.0 if lam[-1] < 0 else lam[-1] + 1e-3 * max(1.0, lam[-1], -lam[0])
+    return q @ ((q.T @ g) / (mu - lam))
 
 
 def measured_lower_bound(
@@ -327,17 +321,30 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
             continue
         step = 0.5
         for _ in range(iters):
-            m = _riemannian_gradient(alpha, u, *point)
-            mn = math.sqrt(np.vdot(m, m).real)
-            # sqrt(2)|M|_F is the norm of the slope vector along the skew
-            # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
-            if math.sqrt(2.0) * mn < 1e-10:
-                break
+            gen = None
+            # a Newton iteration needs every clipped diagonal entry a, b > 0
+            if newton and point[1][:, point[3]].all():
+                # one (g, H) from the accepted basis's product; |g| is the
+                # gradient step's sqrt(2)|M|_F, so the stop test is the same
+                g, h = _newton_system(alpha, u, *point)
+                if math.sqrt(g @ g) < 1e-10:
+                    break
+                s = _newton_step(g, h)
+                gain = float(g @ s)
+                if 0 < gain < 1e-14:
+                    break  # the full step's model gain is below the acceptance margin
+                if gain > 0:
+                    gen = (_generator_maps(d)[2] @ s).reshape(d, d)
             # u e^{tK} = (uV) e^{itw} V* with (w, V) = eigh(K / i): the Newton
             # step walks t = 1, 1/2, ... from at most 1 rad per eigenvalue;
             # the gradient step walks K = -sqrt(2) M / |M|_F from t = step
-            gen = _newton_generator(alpha, u, *point) if newton else None
             if gen is None:
+                m = _riemannian_gradient(alpha, u, *point)
+                mn = math.sqrt(np.vdot(m, m).real)
+                # sqrt(2)|M|_F is the norm of the slope vector along the skew
+                # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
+                if math.sqrt(2.0) * mn < 1e-10:
+                    break
                 w, v = np.linalg.eigh(m * (1j * math.sqrt(2.0) / mn))
                 first = step
             else:

@@ -471,6 +471,21 @@ def test_measured_ascent_pinned_branches(alpha, case):
     assert u.dtype == complex
 
 
+def _spy(monkeypatch, events, owner, name, tag):
+    """Wrap ``owner.name`` so that each call first appends tag(args) to events."""
+    f = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        events.append(tag(args))
+        return f(*args, **kwargs)
+    monkeypatch.setattr(owner, name, call)
+
+
+def _stack_size(args):
+    """A ``_measured_point`` call's tag: the number of bases it scores."""
+    return str(len(args[2]))
+
+
 def test_measured_line_search_chunks(monkeypatch):
     # the pinned d = 2, alpha = 0.5 case, on the gradient path, accepts a
     # trial step past the first stack of four, and ends a start with all 25
@@ -478,18 +493,9 @@ def test_measured_line_search_chunks(monkeypatch):
     from qrdiv import relent
 
     events = []
-
-    def spy(owner, name, tag):
-        f = getattr(owner, name)
-
-        def call(*args, **kwargs):
-            events.append(tag(args))
-            return f(*args, **kwargs)
-        monkeypatch.setattr(owner, name, call)
-
-    spy(relent, "_measured_point", lambda args: str(len(args[2])))
-    spy(relent, "_riemannian_gradient", lambda args: "G")
-    spy(np.linalg, "eigh", lambda args: "E")
+    _spy(monkeypatch, events, relent, "_measured_point", _stack_size)
+    _spy(monkeypatch, events, relent, "_riemannian_gradient", lambda args: "G")
+    _spy(monkeypatch, events, np.linalg, "eigh", lambda args: "E")
     rho, sigma = _pinned_pair(2)
     v, _ = measured_lower_bound(rho, sigma, alpha=0.5, restarts=2, iters=50, seed=1)
     assert abs(v - _PINNED_MEASURED[2][0.5]) < 1e-12
@@ -548,11 +554,58 @@ def test_newton_hessian_matches_central_difference(alpha, d):
 def test_newton_ascent_ends_stationary(alpha, d):
     # a Newton step from slope norm |g| gains about |g|^2 / (2 |lambda|),
     # which the 1e-14 acceptance margin no longer sees below |g| ~ 1e-7:
-    # the d = 2 pair stops at 2.2e-8, the d = 3 and 4 pairs below 1e-10
+    # the d = 2 pair ends on the gain stop at 2.2e-8, the d = 3 and 4 pairs
+    # below 1e-10
     rho, sigma = _pinned_pair(d)
     _, u = measured_lower_bound(rho, sigma, alpha=alpha, restarts=2, iters=50, seed=1)
     m = _riemannian_gradient(alpha, u, *_point(alpha, rho, sigma, u))
     assert math.sqrt(2.0) * np.linalg.norm(m) <= 1e-7
+
+
+def test_newton_ascent_stops_before_a_hopeless_line_search(monkeypatch):
+    # the d = 2 pinned pair's last Newton step lands at |g| = 2.2e-8, where
+    # the next direction's model gain g.s is below the 1e-14 acceptance
+    # margin: each start ends on that gain stop, with no trial step scored
+    from qrdiv import relent
+
+    events = []
+    _spy(monkeypatch, events, relent, "_measured_point", _stack_size)
+    _spy(monkeypatch, events, relent, "_newton_system", lambda args: "N")
+    rho, sigma = _pinned_pair(2)
+    v, u = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=1)
+    assert abs(v - _PINNED_MEASURED[2][None]) < 1e-12
+    # each start: its first point 1, then Newton iterations N, each with a
+    # line search of stacks 4 and a last stack 1 that ends on an accepted
+    # step, and a last N that scores nothing; a failed search would end
+    # its start on scored stacks. The best start ends above the |g| stop.
+    assert re.fullmatch("(1(N(4{1,6}|4{6}1))*N){2}", "".join(events))
+    g, _ = _newton_system(None, u, *_point(None, rho, sigma, u))
+    assert np.linalg.norm(g) >= 1e-10
+    # over the first 60 pairs of criterion 08, the ascent took 1814 kernel
+    # calls when it scored hopeless line searches to their last trial step
+    # and shifted negative definite Hessians whose eigenvalues spread
+    events.clear()
+    rng = np.random.default_rng(8)
+    for n in range(60):
+        d = 2 + n % 3
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+        measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=n)
+    assert len(events) - events.count("N") < 1814
+
+
+def test_newton_ascent_converges_where_hessian_eigenvalues_spread():
+    # criterion 08's pair 542 (d = 4): a diagonal entry near 4.5e-4 puts the
+    # Hessian's eigenvalues in [-1.17e3, -0.07]; a shift of 1e-3 |lambda|_max
+    # there damped the flattest direction, and both starts ran to the
+    # 50-iteration cap at sqrt(2)|M|_F = 2.5e-3 and 2.7729806
+    rng = np.random.default_rng(8)
+    for n in range(543):
+        d = 2 + n % 3
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+    v, u = measured_lower_bound(rho, sigma, restarts=2, iters=50, seed=542)
+    m = _riemannian_gradient(None, u, *_point(None, rho, sigma, u))
+    assert math.sqrt(2.0) * np.linalg.norm(m) <= 1e-7
+    assert v >= 2.773021
 
 
 def test_measured_ascent_on_pure_rho_is_stable():
@@ -628,25 +681,19 @@ def test_measured_lower_bound_larger_dims(d):
 def test_measured_ascent_one_eigh_per_iteration(monkeypatch):
     from qrdiv import relent
 
-    calls = {np.linalg: 0, relent: 0}
-
-    def counting(owner, name):
-        f = getattr(owner, name)
-
-        def call(*args, **kwargs):
-            calls[owner] += 1
-            return f(*args, **kwargs)
-        monkeypatch.setattr(owner, name, call)
-
-    counting(np.linalg, "eigh")
-    counting(relent, "_riemannian_gradient")
+    events = []
+    for owner, name, tag in ((np.linalg, "eigh", "E"), (relent, "_newton_system", "N"),
+                             (relent, "_riemannian_gradient", "G"), (relent, "_measured_point", "P")):
+        _spy(monkeypatch, events, owner, name, lambda args, tag=tag: tag)
     rng = np.random.default_rng(70)
     rho, sigma = sample_state(4, 4, rng), sample_state(4, 4, rng)
     measured_lower_bound(rho, sigma, restarts=2, iters=50)
-    # one gradient per iteration and one at each start's end; at most two
-    # eighs per iteration (a Newton step's Hessian and generator), plus the
+    # an iteration forms the Newton system N, the gradient G, or both when
+    # its Newton direction falls back to the gradient step; at most two
+    # eighs per iteration (the Hessian's and the step generator's), plus the
     # support check and the joint-diagonalizer start
-    assert 0 < calls[np.linalg] <= 2 * calls[relent] + 5
+    iterations = len(re.findall("NG?|G", "".join(e for e in events if e != "E")))
+    assert 0 < events.count("E") <= 2 * iterations + 5
 
 
 def test_scaling_laws():
