@@ -7,9 +7,12 @@ geom over a mixture split by linearity, geom over BS is BS) and reaches the
 center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) through one
 function, ``_center``: the closed-form center when every generator is
 Umegaki, else descent in the exponential parametrization
-omega = exp(H) / Tr exp(H) on the compressed feasible subspace. Each iterate
-is decomposed once: H's eigh gives omega and log omega, and memoized
-decompositions serve every term's value and gradient (``_Iterate``).
+omega = exp(H) / Tr exp(H) on the compressed feasible subspace: mirror
+descent on the convex problems (every weight positive) and on um and bs
+terms at any weight, steps in H where a measured term, or a geom term at a
+negative weight, is present. Each iterate is decomposed once: H's eigh
+gives omega and log omega, and memoized decompositions serve every term's
+value and gradient (``_Iterate``).
 Every generator has an analytic omega-gradient; the measured kind's is
 Danskin's at its ascent's best basis (``_Iterate.measured``). At
 alpha = inf, Umegaki first generators against Umegaki and BS second ones
@@ -199,10 +202,10 @@ class _Term:
             logm = pt.mean_eig(self)[2]
             return (pt.ent - float(np.vdot(logm, pt.omega).real)) / (1.0 - self.kind.gamma)
         # bs: Tr(sig_eff U diag(eta) U*) = sum_i eta_i C_ii, C = U* sig_eff U
+        # eta = w log w, 0 at w = 0 (where the floor makes it 0 * log 1e-300)
         w, _, c = pt.bs_eig(self)
         w = np.maximum(w, 0.0)
-        eta = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-        return float(eta @ c.diagonal().real)
+        return float((w * np.log(np.maximum(w, 1e-300))) @ c.diagonal().real)
 
     def grad_omega(self, pt: _Iterate) -> np.ndarray:
         """Euclidean omega-gradient, up to a multiple of the identity."""
@@ -257,10 +260,11 @@ def _generators(weight: float, kind: EntropyKind) -> list[tuple[float, EntropyKi
 
 
 def _divided_diff(w: np.ndarray, f, fprime) -> np.ndarray:
-    """First divided-difference matrix f^[1](w_i, w_j); eigenvalues closer
-    than the clustering threshold use the derivative branch."""
-    n = len(w)
-    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
+    """First divided-difference matrix f^[1](w_i, w_j) of ascending w;
+    eigenvalues closer than the clustering threshold use the derivative
+    branch."""
+    # the ends of an ascending w hold its largest magnitude
+    tol = CLUSTER_RTOL * max(1.0, abs(float(w[0])), abs(float(w[-1])))
     fw = f(w)
     dw = w[:, None] - w[None, :]
     out = fprime(0.5 * (w[:, None] + w[None, :]))
@@ -281,17 +285,18 @@ class _Iterate:
     def __init__(self, h: np.ndarray):
         self.h = h
         self.w, self.u = np.linalg.eigh((h + h.conj().T) / 2)
-        self.shift = np.max(self.w)
-        self.ew = np.exp(self.w - self.shift)
-        self.eh = (self.u * self.ew) @ self.u.conj().T  # exp(H - shift)
-        self.omega = self.eh / np.trace(self.eh).real
+        self.uh = self.u.conj().T
+        # eigh's w ascends: w[-1] is the largest, and z normalises exp(w - w[-1])
+        self.ew = np.exp(self.w - self.w[-1])
+        self.z = float(np.sum(self.ew))
+        self.omega = (self.u * (self.ew / self.z)) @ self.uh
         self._bs_eig: dict = {}
         self._mean_eig: dict = {}
         self._measured: dict = {}
 
     @cached_property
     def logp(self) -> np.ndarray:
-        return self.w - self.shift - math.log(np.sum(self.ew))
+        return self.w - self.w[-1] - math.log(self.z)
 
     @cached_property
     def ent(self) -> float:  # Tr omega log omega
@@ -299,7 +304,11 @@ class _Iterate:
 
     @cached_property
     def log_omega(self) -> np.ndarray:
-        return (self.u * self.logp) @ self.u.conj().T
+        return (self.u * self.logp) @ self.uh
+
+    @cached_property
+    def eh(self) -> np.ndarray:  # exp(H - w_max), for _dexp_push
+        return (self.u * self.ew) @ self.uh
 
     def bs_eig(self, term: _Term):
         """(x, U, C) for X = U diag(x) U* and C = U* sig_eff U (None for geom)."""
@@ -342,20 +351,17 @@ class _Iterate:
 def _trace_zero(h: np.ndarray) -> np.ndarray:
     """h less its trace part, which omega = exp(H)/Tr exp(H) does not see."""
     out = h.copy()
-    out.flat[::len(h) + 1] -= np.trace(h).real / len(h)
+    out.flat[::len(h) + 1] -= h.trace().real / len(h)
     return out
 
 
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     """Pushforward of an omega-gradient to the H parametrization of
     omega = exp(H)/Tr exp(H)."""
-    v = pt.u
-    z = float(np.sum(pt.ew))
-    dd = _divided_diff(pt.w - pt.shift, np.exp, np.exp)
-    gv = v.conj().T @ g @ v
-    t = v @ (dd * gv) @ v.conj().T
-    tr_og = float(np.vdot(g, pt.eh).real) / z
-    return (t - tr_og * pt.eh) / z
+    dd = _divided_diff(pt.w - pt.w[-1], np.exp, np.exp)
+    t = pt.u @ (dd * (pt.uh @ g @ pt.u)) @ pt.uh
+    tr_og = float(np.vdot(g, pt.eh).real) / pt.z
+    return (t - tr_og * pt.eh) / pt.z
 
 
 def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[SolverOptions] = None):
@@ -370,9 +376,15 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
     def f_of(pt: _Iterate) -> float:
         return sum(t.weight * t.value(pt) for t in terms)
 
-    # geom and meas terms step in H coordinates: mirror descent stalls on
-    # geom terms at negative weight
-    mirror = all(t.mode in ("um", "bs") for t in terms)
+    # every weight positive: the problem is convex, and the line search takes
+    # the nonmonotone test (a negative weight keeps the monotone rule, as the
+    # window doubles the iterations there)
+    convex = all(t.weight > 0 for t in terms)
+    # mirror descent on the convex problems, and on um and bs terms at any
+    # weight; measured terms, and geom terms where a weight is negative (mirror
+    # descent stalls there), step in H coordinates
+    mirror = not any(t.meas for t in terms) and (
+        convex or all(t.mode in ("um", "bs") for t in terms))
     rng = np.random.default_rng(opts.seed) if opts.restarts else None
     starts = [sample_hermitian(m, rng) for _ in range(opts.restarts)]
     if opts.warm_start:
@@ -392,10 +404,6 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
             return _trace_zero(g)
         return _dexp_push(pt, g)
 
-    # the nonmonotone test is for the convex problems: a negative weight
-    # keeps the monotone rule, as the window doubles the iterations there
-    convex = all(t.weight > 0 for t in terms)
-
     def descend(h: np.ndarray, bb_steps: bool, iters: int):
         """(lowest-value iterate, its value, iterations, converged) of a run
         of at most ``iters`` iterations from H = h, or None where the start's
@@ -411,7 +419,10 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
         low, low_val = cur, val
         converged = False
         it = 0
-        t_prev = 1.0
+        # the first trial step, 2 t_prev, is 1 on a convex problem: the
+        # weights sum to 1, so on commuting inputs the unit mirror step
+        # lands on the optimum; 2 where a weight is negative
+        t_prev = 0.5 if convex else 1.0
         h_prev = grad_prev = None
         for it in range(1, iters + 1):
             with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,9 @@
-"""The hypothesis profile of the property tests: derandomized, so every run
-draws the same examples, with no example database and no deadline."""
+"""Shared fixtures, and the hypothesis profile of the property tests:
+derandomized, so every run draws the same examples, with no example
+database and no deadline."""
+
+import numpy as np
+import pytest
 
 try:
     from hypothesis import settings
@@ -9,3 +13,18 @@ else:
     settings.register_profile("qrdiv", derandomize=True, database=None, deadline=None,
                               max_examples=100)
     settings.load_profile("qrdiv")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one entry per ``np.linalg.eigh`` call for the
+    rest of the test; ``clear()`` it to start a count."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls

@@ -366,19 +366,12 @@ _EIGH_BOUNDS = [
 
 
 @pytest.mark.parametrize("name, call, bound", _EIGH_BOUNDS, ids=[b[0] for b in _EIGH_BOUNDS])
-def test_eigh_count_per_call(monkeypatch, name, call, bound):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
+def test_eigh_count_per_call(eigh_calls, name, call, bound):
     rng = np.random.default_rng(11)
     rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    eigh_calls.clear()
     call(rho, sig)
-    assert 0 < len(calls) <= bound
+    assert 0 < len(eigh_calls) <= bound
 
 
 def test_matrix_json_roundtrip(tmp_path):
