@@ -37,7 +37,6 @@ from .hermitian import (
     _check_shapes,
     _derived_spectrum,
     meet_bases,
-    projection_meet,
     sample_hermitian,
     spectrum,
     support_leq,
@@ -81,9 +80,9 @@ class GcqChannel:
         d = ops[0].shape[0]
         if any(w.shape != (d, d) for w in ops):
             raise DimensionMismatch("operators must share one dimension")
-        if all(np.trace(w).real <= 1e-14 for w in ops):
-            raise BadParameter("at least one W_x must be nonzero")
         object.__setattr__(self, "operators", ops)
+        if not any(sp.basis.size for sp in self.spectra):
+            raise BadParameter("at least one W_x must have an eigenvalue above its support cutoff")
 
     @property
     def dim(self) -> int:
@@ -95,15 +94,14 @@ class GcqChannel:
         return tuple(spectrum(w) for w in self.operators)
 
     def support_meets(self, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """(S_+, S_-): meets of the supports over positive / negative weights
-        (empty meets default to the identity)."""
-        s_plus = s_minus = np.eye(self.dim, dtype=complex)
-        for w, sp in zip(weights, self.spectra):
-            if w > 0:
-                s_plus = projection_meet(s_plus, sp.proj)
-            elif w < 0:
-                s_minus = projection_meet(s_minus, sp.proj)
-        return s_plus, s_minus
+        """Orthonormal bases of S_+ and S_-, the meets of the supports over
+        positive / negative weights, each from one decomposition (the meet
+        of no support is the whole space)."""
+        def meet(sign):
+            projs = [sp.proj for w, sp in zip(weights, self.spectra) if sign * w > 0]
+            return meet_bases(*projs)[0] if projs else np.eye(self.dim, dtype=complex)
+
+        return meet(1), meet(-1)
 
 
 @dataclass
@@ -548,13 +546,13 @@ def barycentric_q(
             raise UnsupportedWeights(
                 "signed weights outside the admissible classes need equal supports"
             )
-    s_plus, s_minus = channel.support_meets(weights)
-    sp_plus = spectrum(s_plus)
-    if any(w < 0 for w in weights) and not support_leq(sp_plus, s_minus):
+    b_plus, b_minus = channel.support_meets(weights)
+    if any(w < 0 for w in weights) and not support_leq(b_plus @ b_plus.conj().T,
+                                                       b_minus @ b_minus.conj().T):
         return BarycenterResult(q_value=INF, radius=-INF)
 
     center, radius, gap, iters, conv = _center(
-        weights, kinds, channel.operators, channel.spectra, sp_plus.basis, options)
+        weights, kinds, channel.operators, channel.spectra, b_plus, options)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
     return BarycenterResult(

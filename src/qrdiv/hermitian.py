@@ -186,27 +186,20 @@ def support_leq(a, b, tol: float = 1e-7) -> bool:
     return float(np.max(np.abs(v - pb @ v))) <= tol if v.size else True
 
 
-def meet_bases(p: np.ndarray, q: np.ndarray, tol: float = 1e-7
+def meet_bases(*projections: np.ndarray, tol: float = 1e-7
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (B, C) of ran(P) ∩ ran(Q) and of its orthogonal
-    complement, from one decomposition of P + Q.
+    """Orthonormal bases (B, C) of the meet of the ranges of k projections
+    and of its orthogonal complement, from one decomposition of their sum.
 
-    The intersection is the eigenvalue-2 eigenspace of P + Q (all other
-    eigenvalues are 1 ± cos(theta) < 2 for nonzero principal angles).
+    The meet is the eigenvalue-k eigenspace of the sum: every other unit
+    vector leaves some range at a nonzero angle and scores below k.
     """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"projections of shapes {p.shape} and {q.shape}")
-    w, u = spectral_decompose(p + q)
-    top = w > 2.0 - tol
+    ps = [np.asarray(p, dtype=complex) for p in projections]
+    if any(p.shape != ps[0].shape for p in ps[1:]):
+        raise DimensionMismatch(f"projections of shapes {[p.shape for p in ps]}")
+    w, u = spectral_decompose(sum(ps))
+    top = w > len(ps) - tol
     return u[:, top], u[:, ~top]
-
-
-def projection_meet(p: np.ndarray, q: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Projection B B* onto ran(P) ∩ ran(Q) (see meet_bases)."""
-    b, _ = meet_bases(p, q, tol)
-    return b @ b.conj().T
 
 
 def pinch(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:

@@ -54,10 +54,6 @@ class DivergenceValue:
 # concrete relative entropies
 
 
-def _is_zero(a: np.ndarray) -> bool:
-    return float(np.trace(a).real) <= 1e-14 * max(1, a.shape[0])
-
-
 def _empty_meet_renyi(alpha: Optional[float]) -> float:
     """A Renyi alpha-divergence (alpha = None: the relative entropy) on an
     empty support meet, as for a rho whose every eigenvalue is below the
@@ -71,10 +67,6 @@ def _empty_meet_renyi(alpha: Optional[float]) -> float:
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
     rho, sigma = _check_shapes(rho, sigma)
-    if _is_zero(rho):
-        return 0.0
-    if _is_zero(sigma):
-        return INF
     sr, ss = spectrum(rho), spectrum(sigma)
     if not sr.basis.size:
         return 0.0  # every eigenvalue of rho is below the support cutoff
@@ -89,10 +81,6 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     eigenbasis V as Tr rho_c log Y with rho_c = V* rho V and
     Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2} of full rank."""
     rho, sigma = _check_shapes(rho, sigma)
-    if _is_zero(rho):
-        return 0.0
-    if _is_zero(sigma):
-        return INF
     sr, ss = spectrum(rho), spectrum(sigma)
     if not sr.basis.size:
         return 0.0  # every eigenvalue of rho is below the support cutoff
@@ -278,11 +266,13 @@ def measured_lower_bound(
     if not sr.basis.size:
         return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
+    ss = spectrum(sigma)
     if alpha is None or alpha >= 1:
-        if not support_leq(sr, sigma):
+        if not support_leq(sr, ss):
             return INF, np.eye(d, dtype=complex)
-    elif abs(np.trace(rho @ sigma).real) <= 1e-14 * tr_r * tr_s:
-        return INF, np.eye(d, dtype=complex)  # orthogonal supports, tested on the scale of the inputs
+    elif float(np.max(np.abs(ss.proj @ sr.basis))) <= 1e-7:
+        # orthogonal supports, by support_leq's rule: ran(rho) <= ker(sigma)
+        return INF, np.eye(d, dtype=complex)
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
     if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
@@ -374,13 +364,9 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
 def geom_weighted_value(
     base: EntropyKind, gamma: float, rho: np.ndarray, sigma: np.ndarray, seed: int = 0
 ) -> DivergenceValue:
-    """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); +inf when the mean
-    vanishes while rho has a support above the cutoff."""
+    """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); the base kind's
+    support rule gives +inf when rho has a support outside the mean's."""
     mean = kubo_ando_mean(gamma, rho, sigma)
-    if _is_zero(mean):
-        # a rho below the support cutoff counts as zero, as in bs_rel_entropy
-        zero = _is_zero(rho) or not spectrum(rho).basis.size
-        return DivergenceValue(0.0 if zero else INF)
     inner = rel_entropy(base, rho, mean, seed=seed)
     scale = 1.0 / (1.0 - gamma)
     gap = None if inner.certificate_gap is None else scale * inner.certificate_gap

@@ -21,7 +21,6 @@ from .hermitian import (
     meet_bases,
     spectral_decompose,
     spectrum,
-    support_cutoff,
     support_leq,
 )
 from .relent import _empty_meet_renyi, umegaki
@@ -237,14 +236,14 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     sing = outside > 0
 
     p, q, gammas = [], [], []
-    mass_cut = support_cutoff(np.array([np.trace(sigma).real]))
     for idx in eig_clusters(x.w):
         lam = float(np.mean(x.w[idx]))
-        v = b @ (root[:, None] * x.u[:, idx])  # sigma^{1/2} times the eigenvectors
+        # sigma^{1/2} times the eigenvectors: positive mass, as root > 0 on supp sigma
+        v = b @ (root[:, None] * x.u[:, idx])
         mass = float(np.sum(np.abs(v) ** 2))
         p.append(lam * mass)
         q.append(mass)
-        gammas.append(v @ v.conj().T / mass if mass > mass_cut else tau0)
+        gammas.append(v @ v.conj().T / mass)
     p.append(missing if sing else 0.0)
     q.append(0.0)
     gammas.append((rho - b @ rho_ac @ b.conj().T) / missing if sing else tau0)

@@ -97,7 +97,7 @@ def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tupl
     subspace and C of its complement, and the rank k of C* rho C, so that
     rank rho_ac = rank rho - k; C* rho C is cut with ``cut``, rho's own."""
     top = b.conj().T @ rho @ b
-    if not (b.shape[1] and c.shape[1]):
+    if not c.shape[1]:
         return top, 0
     x = b.conj().T @ rho @ c
     kc = Spectrum(*spectral_decompose(c.conj().T @ rho @ c), cut)
@@ -128,38 +128,40 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     Closed form: sc^{1/2} f(sc^{-1/2} rc sc^{-1/2}) sc^{1/2} on the
     absolutely continuous parts rc, sc w.r.t. the support meet ran(B), in
     B's coordinates, plus f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac).
-    Both parts are positive definite on ran(B) in exact arithmetic: the
-    product keeps the block's full rank, and an eigenvalue rounding to 0
-    takes f(0+). An infinite boundary limit needs a vanishing deficiency
-    (0 * inf = 0); otherwise the limit does not exist (InfiniteLimit).
+    Both parts are positive definite on ran(B) in exact arithmetic, so each
+    takes the block's full rank, and an eigenvalue of the product rounding
+    to 0 takes f(0+). A deficiency is zero iff the compression C* op C has
+    rank 0 against op's own cutoff, the rank ``_abs_cont`` returns; an
+    empty meet leaves only the deficiencies, which are then rho and sigma.
+    An infinite boundary limit needs a zero deficiency (0 * inf = 0);
+    otherwise the limit does not exist (InfiniteLimit).
     """
     rho, sigma = _check_shapes(rho, sigma)
     sr, ss = spectrum(rho), spectrum(sigma)
     b, c = meet_bases(sr.proj, ss.proj)
-    (rho_ac, _), (sigma_ac, _) = _abs_cont(rho, sr.cut, b, c), _abs_cont(sigma, ss.cut, b, c)
-    scale = max(1.0, np.trace(rho).real + np.trace(sigma).real)
+    m = b.shape[1]
+    (rho_ac, kr), (sigma_ac, ks) = _abs_cont(rho, sr.cut, b, c), _abs_cont(sigma, ss.cut, b, c)
 
     out = np.zeros_like(rho)
-    if np.trace(sigma_ac).real > 1e-14 * scale:
-        ssc = spectrum(sigma_ac)
+    if m:
+        ssc = _derived_spectrum(sigma_ac, m)
         sh, shi = ssc.power(0.5), ssc.power(-0.5)
-        x = _derived_spectrum(shi @ rho_ac @ shi, b.shape[1])
+        x = _derived_spectrum(shi @ rho_ac @ shi, m)
         if x.w[-1] <= 0.0 and not math.isfinite(fn.f_at_zero_plus):
             raise InfiniteLimit(f"{fn.name}: infinite f(0+) at an eigenvalue that rounds to 0")
         fx = x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False)
         out = b @ (sh @ fx @ sh) @ b.conj().T
-    for limit, op, ac, side in (
-        (fn.transpose_at_zero_plus, rho, rho_ac, "rho"),
-        (fn.f_at_zero_plus, sigma, sigma_ac, "sigma"),
+    for limit, op, ac, k, side in (
+        (fn.transpose_at_zero_plus, rho, rho_ac, kr, "rho"),
+        (fn.f_at_zero_plus, sigma, sigma_ac, ks, "sigma"),
     ):
-        deficiency = op - b @ ac @ b.conj().T
-        if np.trace(deficiency).real <= 1e-10 * scale:
+        if not k:
             continue  # 0 * (+-inf) := 0
         if not math.isfinite(limit):
             raise InfiniteLimit(
                 f"{fn.name}: infinite boundary limit against a nonzero {side} part"
             )
-        out = out + limit * deficiency
+        out = out + limit * (op - b @ ac @ b.conj().T)
     return herm_part(out)
 
 

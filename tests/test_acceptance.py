@@ -18,9 +18,9 @@ from qrdiv.barycentric import (
 )
 from qrdiv.classical import classical_rel_entropy, classical_renyi
 from qrdiv.hermitian import (
+    meet_bases,
     partial_trace,
     pinch,
-    projection_meet,
     sample_cptp,
     sample_state,
     sample_unitary,
@@ -374,8 +374,7 @@ def test_criterion_09_variational_and_reverse_test():
         d = 2 + n % 3
         rho = sample_state(d, int(rng.integers(1, d + 1)), rng)
         sig = sample_state(d, int(rng.integers(1, d + 1)), rng)
-        if np.trace(projection_meet(spectrum(rho).proj,
-                                    spectrum(sig).proj)).real < 0.5:
+        if not meet_bases(spectrum(rho).proj, spectrum(sig).proj)[0].size:
             continue
         n += 1
         rt = optimal_reverse_test(rho, sig)
@@ -460,10 +459,7 @@ def test_criterion_11_support_infinity_table():
     expected_dominated = {"equal", "rho_strictly_below"}
     table_ok = True
     for name, (rho, sig) in cases.items():
-        meet_zero = (
-            np.trace(projection_meet(spectrum(rho).proj,
-                                     spectrum(sig).proj)).real < 0.5
-        )
+        meet_zero = not meet_bases(spectrum(rho).proj, spectrum(sig).proj)[0].size
         if meet_zero != (name in expected_meet_zero):
             table_ok = False
         for a in (0.0, 0.5):

@@ -112,6 +112,12 @@ def test_result_invariants_and_json():
     np.testing.assert_allclose(matrix_from_json(back["center"]), res.center, atol=1e-12)
 
 
+def test_channel_below_every_cutoff_is_rejected():
+    # each W_x counts as zero: every eigenvalue is below its support cutoff
+    with pytest.raises(BadParameter):
+        GcqChannel(("a", "b"), (1e-12 * np.eye(2), np.diag([1e-13, 0.0])))
+
+
 def test_fast_paths_support_logic():
     # probability weights with S_+ = 0: Q = 0
     p0 = np.diag([1.0, 0.0]).astype(complex)

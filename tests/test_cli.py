@@ -427,6 +427,33 @@ def test_verify_separation_dim2_suite(capsys):
     assert report["min_margin"] > 0
 
 
+def test_verify_no_dpi_suite_reports_the_search(monkeypatch, capsys):
+    # the search takes thousands of trials; a stub stands in for it, first
+    # finding nothing, then a witness
+    import qrdiv.cli as cli
+
+    calls = []
+
+    def search(result):
+        def find(seed, trials):
+            calls.append((seed, trials))
+            return result
+        return find
+
+    monkeypatch.setattr(cli, "find_no_dpi_witness", search(None))
+    assert main(["verify", "--suite", "no-dpi-alpha-gt-1", "--seed", "3", "--samples", "7"]) == 5
+    assert json.loads(capsys.readouterr().out) == {
+        "suite": "no-dpi-alpha-gt-1", "passed": False, "witness_found": False, "trials": 5000}
+    half = np.eye(2) / 2
+    monkeypatch.setattr(cli, "find_no_dpi_witness",
+                        search((half, half, [half, half], 1.5, 0.25, 42)))
+    assert main(["verify", "--suite", "no-dpi-alpha-gt-1", "--samples", "6000"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "suite": "no-dpi-alpha-gt-1", "passed": True, "witness_found": True,
+        "alpha": 1.5, "trial": 42, "increase": 0.25}
+    assert calls == [(3, 5000), (0, 6000)]
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 

@@ -36,7 +36,6 @@ from qrdiv.hermitian import (
     meet_bases,
     partial_trace,
     pinch,
-    projection_meet,
     sample_cptp,
     sample_state,
     sample_unitary,
@@ -117,41 +116,47 @@ def test_apply_function_matches_polynomial():
 
 def test_projection_meet_identity():
     eye = np.eye(3, dtype=complex)
-    np.testing.assert_allclose(projection_meet(eye, eye), eye, atol=1e-12)
+    b, c = meet_bases(eye, eye)
+    np.testing.assert_allclose(b @ b.conj().T, eye, atol=1e-12)
+    assert c.shape == (3, 0)
 
 
 def test_projection_meet_distinct_lines():
     p = np.diag([1.0, 0.0]).astype(complex)
     v = np.array([1.0, 1.0]) / np.sqrt(2)
     q = np.outer(v, v).astype(complex)
-    np.testing.assert_allclose(projection_meet(p, q), np.zeros((2, 2)), atol=1e-9)
+    b, c = meet_bases(p, q)
+    assert b.shape == (2, 0) and c.shape == (2, 2)
 
 
 def test_projection_meet_random_vs_kernel_oracle():
-    # oracle: the meet is the kernel of (2I - P - Q)
+    # oracle: the meet of k projections is the kernel of (kI - sum P_i)
     rng = np.random.default_rng(2)
     for _ in range(10):
         p = spectrum(sample_state(4, 2, rng)).proj
         q = spectrum(sample_state(4, 3, rng)).proj
-        m = projection_meet(p, q)
-        w, u = spectral_decompose(2 * np.eye(4) - p - q)
-        kernel = u[:, w < 1e-9]
-        oracle = kernel @ kernel.conj().T
-        np.testing.assert_allclose(m, oracle, atol=1e-8)
-        # meet properties: commutes with idempotency, below both arguments
-        np.testing.assert_allclose(m @ m, m, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(p - m)) > -1e-9
-        assert np.min(np.linalg.eigvalsh(q - m)) > -1e-9
-        # meet_bases: the meet's basis and its complement's form one unitary
-        b, c = meet_bases(p, q)
-        np.testing.assert_allclose(b @ b.conj().T, m, atol=1e-12)
-        bc = np.hstack([b, c])
-        np.testing.assert_allclose(bc.conj().T @ bc, np.eye(4), atol=1e-12)
+        r = spectrum(sample_state(4, 3, rng)).proj
+        for projs in ((p, q), (q, r), (p, q, r), (q, r, q)):
+            b, c = meet_bases(*projs)
+            m = b @ b.conj().T
+            w, u = spectral_decompose(len(projs) * np.eye(4) - sum(projs))
+            kernel = u[:, w < 1e-9]
+            np.testing.assert_allclose(m, kernel @ kernel.conj().T, atol=1e-8)
+            # meet properties: below every argument
+            for x in projs:
+                assert np.min(np.linalg.eigvalsh(x - m)) > -1e-9
+            # the meet's basis and its complement's form one unitary
+            bc = np.hstack([b, c])
+            np.testing.assert_allclose(bc.conj().T @ bc, np.eye(4), atol=1e-12)
+        # generic ranks 2 and 3 in d = 4 meet in a line
+        assert meet_bases(p, q)[0].shape[1] == 1
 
 
 def test_projection_meet_dim_mismatch():
     with pytest.raises(DimensionMismatch):
-        projection_meet(np.eye(2), np.eye(3))
+        meet_bases(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        meet_bases(np.eye(2), np.eye(2), np.eye(3))
 
 
 def test_pinch_eigenbasis_gives_diagonal():

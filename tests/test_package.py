@@ -1,8 +1,10 @@
-"""The package namespace: lazy submodule loading and the export list."""
+"""The package namespace: lazy submodule loading and the export list; and
+one rule over the package source."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,13 @@ def test_star_import_binds_every_export():
     ns: dict = {}
     exec("from qrdiv import *", ns)
     assert all(ns[name] is getattr(qrdiv, name) for name in qrdiv.__all__)
+
+
+def test_no_trace_is_compared_to_a_literal_tolerance():
+    # a zero is decided from the inputs' decomposed supports, never by a
+    # trace against a constant of its own
+    pattern = re.compile(r"trace\(.*[<>]=?\s*\d[\d.]*e-\d")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(Path(qrdiv.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert not hits, hits

@@ -219,11 +219,13 @@ def test_below_cutoff_rho_follows_the_empty_meet_rule():
 def test_below_cutoff_rho_is_zero_for_every_kind():
     # rho counts as zero for every kind, so meas <= um <= geom <= bs holds:
     # geom:um had given +inf (the mean vanishes under the cutoff) and meas
-    # 4.45e-10 (the ascent ran on the rescaled pair), above um's 0.0
-    tiny_r, tiny_s = 1e-9 * sample_state(3, 3, 1), 1e-9 * sample_state(3, 3, 2)
-    chain = [rel_entropy(parse_kind(k), tiny_r, tiny_s).value
-             for k in ("meas", "um", "geom:um:0.5", "bs")]
-    assert chain == [0.0] * 4
+    # 4.45e-10 (the ascent ran on the rescaled pair), above um's 0.0; and
+    # against sigma = 0, um and bs had given +inf
+    tiny_r = 1e-9 * sample_state(3, 3, 1)
+    for sigma in (1e-9 * sample_state(3, 3, 2), np.zeros((3, 3))):
+        chain = [rel_entropy(parse_kind(k), tiny_r, sigma).value
+                 for k in ("meas", "um", "geom:um:0.5", "bs")]
+        assert chain == [0.0] * 4
 
 
 def test_bs_equals_reverse_test_value():
@@ -390,6 +392,8 @@ def test_measured_orthogonality_test_is_scale_invariant(scale):
     assert abs(v - 0.2044549) < 1e-6
     e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     assert measured_lower_bound(scale * e0, scale * e1, alpha=0.5)[0] == INF
+    # rho's 5e-10 is below its cutoff, so the supports are still orthogonal
+    assert measured_lower_bound(scale * (e0 + 5e-10 * e1), scale * e1, alpha=0.5)[0] == INF
 
 
 def _pinned_pair(d):
@@ -776,3 +780,12 @@ def test_kind_is_exact():
     assert not kind_is_exact(MeasuredProjective())
     assert not kind_is_exact(GeomWeighted(MeasuredProjective(), 0.5))
     assert kind_is_exact(Mixture(((1.0, BelavkinStaszewski()),)))
+
+
+def test_geom_on_scaled_identities_equals_bs():
+    # the mean 3.16e4 I is full rank: geom:um:0.5 of scalar pairs is BS
+    rho, sigma = 1e12 * np.eye(2), 1e-3 * np.eye(2)
+    bs = bs_rel_entropy(rho, sigma)
+    assert bs == pytest.approx(6.9077552789821e13, rel=1e-12)
+    geom = rel_entropy(GeomWeighted(Umegaki(), 0.5), rho, sigma).value
+    assert geom == pytest.approx(bs, rel=1e-12)

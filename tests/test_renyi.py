@@ -230,8 +230,13 @@ def test_max_renyi_variational_identity():
 
 def test_max_fdiv_xlogx_is_bs():
     rng = np.random.default_rng(20)
-    for _ in range(10):
-        rho, sig = sample_state(3, 3, rng), sample_state(3, 2, rng)
+    pairs = [(sample_state(3, 3, rng), sample_state(3, 2, rng)) for _ in range(10)]
+    # a deficiency is nonzero iff it has rank, whatever its trace: rho's
+    # part outside supp sigma has rank 1 (BS = +inf), and rho's 5e-10 is
+    # below its cutoff (BS = 0.0)
+    pairs += [(np.diag([1e-3, 1e-5]), np.diag([1e6, 0.0])),
+              (np.diag([1.0, 5e-10]), np.diag([1.0, 0.0]))]
+    for rho, sig in pairs:
         v = max_fdivergence(x_log_x(), rho, sig)
         assert (v == INF) == (bs_rel_entropy(rho, sig) == INF)
         if v != INF:
@@ -304,3 +309,20 @@ def test_measured_tensor_power_monotonicity_smoke():
         prev_meas, prev_max = lb, dm
         if n < 3:
             rn, sn = tensor(rn, rho), tensor(sn, sig)
+
+
+def test_reverse_test_keeps_an_index_of_small_mass():
+    # sigma's 1.5e-9 is above its cutoff; its index has mass near 1.5e-9,
+    # below 1e-9 Tr sigma, and must still map to its own state
+    rho = sample_state(4, 4, 5)
+    u = sample_unitary(4, 3)
+    sigma = u @ np.diag([1.0, 1.0, 1.0, 1.5e-9]) @ u.conj().T
+    rt = optimal_reverse_test(rho, sigma)
+    assert np.abs(rt.apply(rt.p) - rho).max() <= 1e-7
+    assert np.abs(rt.apply(rt.q) - sigma).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 2.0])
+def test_max_renyi_against_zero_sigma_is_infinite(alpha):
+    # the meet is empty and all of rho is the reverse test's singular index
+    assert max_renyi(alpha, np.eye(2), np.zeros((2, 2))).value == INF

@@ -5,6 +5,7 @@ import pytest
 
 from qrdiv.errors import InfiniteLimit, NotInvertible
 from qrdiv.hermitian import (
+    meet_bases,
     sample_cptp,
     sample_state,
     sample_unitary,
@@ -251,10 +252,8 @@ def test_mean_support_and_symmetry():
         sigma = sample_state(4, 2, rng)
         g = rng.uniform(0.1, 0.9)
         m = kubo_ando_mean(g, rho, sigma)
-        from qrdiv.hermitian import projection_meet
-
-        meet = projection_meet(spectrum(rho).proj, spectrum(sigma).proj)
-        np.testing.assert_allclose(spectrum(m).proj, meet, atol=1e-7)
+        b, _ = meet_bases(spectrum(rho).proj, spectrum(sigma).proj)
+        np.testing.assert_allclose(spectrum(m).proj, b @ b.conj().T, atol=1e-7)
         # sigma #_g rho = rho #_{1-g} sigma
         np.testing.assert_allclose(
             m, kubo_ando_mean(1 - g, sigma, rho), atol=1e-9
@@ -354,3 +353,10 @@ def test_mean_real_agrees_with_bounded_gamma():
             kubo_ando_mean(g, rho, sigma),
             atol=1e-9,
         )
+
+
+def test_mean_of_scaled_identities_keeps_the_main_term():
+    # sigma_ac's trace 2e-3 is far below that of rho; the meet is the whole
+    # space, so the main term is taken whatever the traces
+    m = kubo_ando_mean(0.5, 1e12 * np.eye(2), 1e-3 * np.eye(2))
+    np.testing.assert_allclose(m, 3.16227766016838e4 * np.eye(2), rtol=1e-12, atol=1e-8)
