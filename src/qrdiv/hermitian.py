@@ -7,7 +7,8 @@ an input (or its compression) an eigenvalue counts as zero iff it is
 ``<= SUPPORT_RTOL * max(1, lambda_max)``; ``spectrum(a)`` decomposes once and
 the support and function helpers read it. An operator derived from inputs,
 such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
-instead (``_derived_spectrum``).
+instead (``_derived_spectrum``); every such congruence is formed in sigma's
+eigenbasis (``Spectrum.graded``).
 """
 
 from __future__ import annotations
@@ -157,6 +158,32 @@ class Spectrum:
         """Log on the support, 0 on the kernel."""
         return self._on_support(np.log)
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """s^{1/2} for the support eigenvalues s, in the order of ``basis``."""
+        return np.sqrt(self.w[:self.basis.shape[1]])
+
+    def graded(self, r: np.ndarray, rank: int) -> "Spectrum":
+        """The derived Spectrum of X = S^{-1/2} A S^{-1/2} on supp S, with the
+        caller's ``rank``, formed in S's eigenbasis V (``basis``) from
+        r = V* A V: X = r / (s^{1/2} s^{1/2 T}), so each entry is scaled by
+        its own pair of eigenvalues and no scales mix in a product. A
+        function of X maps back with ``ungraded``; a vector x of X's
+        coordinates to S^{+-1/2} as V (s^{+-1/2} x).
+
+        X's entries grow toward its last row and column (s descends). eigh
+        keeps the small eigenvalues of a graded matrix whose large entries
+        come first, and loses them the other way round (at kappa = 1e8 the
+        geometric mean of ``tests/test_conditioning.py``'s pairs is off by
+        1e-2 against 4e-9), so X is decomposed in reversed order."""
+        x = _derived_spectrum((r / np.outer(self.root, self.root))[::-1, ::-1], rank)
+        return Spectrum(x.w, x.u[::-1].copy(), 0.0)
+
+    def ungraded(self, y: np.ndarray) -> np.ndarray:
+        """S^{1/2} Y S^{1/2} = V (Y o s^{1/2} s^{1/2 T}) V* for Y in the
+        coordinates of ``graded``."""
+        return self.basis @ (y * np.outer(self.root, self.root)) @ self.basis.conj().T
+
 
 def spectrum(a) -> Spectrum:
     """The Spectrum of Hermitian ``a``; a Spectrum is returned unchanged."""
@@ -180,10 +207,11 @@ def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:
 
 def support_leq(a, b, tol: float = 1e-7) -> bool:
     """Whether ran(a) is contained in ran(b), for PSD a, b (matrices or
-    spectra)."""
-    v = spectrum(a).basis
-    pb = spectrum(b).proj
-    return float(np.max(np.abs(v - pb @ v))) <= tol if v.size else True
+    spectra); True at once when b has full rank."""
+    v, sb = spectrum(a).basis, spectrum(b)
+    if not (v.size and sb.kernel.size):
+        return True
+    return float(np.max(np.abs(v - sb.proj @ v))) <= tol
 
 
 def meet_bases(*projections: np.ndarray, tol: float = 1e-7

@@ -18,8 +18,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (_check_shapes, _derived_spectrum, sample_unitary, spectral_decompose,
-                        spectrum, support_leq)
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, herm_part, sample_unitary,
+                        spectral_decompose, spectrum, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -38,7 +38,7 @@ from .kinds import (  # noqa: F401
     parse_kind,
     parse_kinds,
 )
-from .supports import kubo_ando_mean
+from .supports import _graded_perspective, power_fn
 
 INF = float("inf")
 
@@ -67,12 +67,24 @@ def _empty_meet_renyi(alpha: Optional[float]) -> float:
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
     rho, sigma = _check_shapes(rho, sigma)
-    sr, ss = spectrum(rho), spectrum(sigma)
+    return _umegaki(rho, spectrum(rho), spectrum(sigma))
+
+
+def _umegaki(rho: np.ndarray, sr: Spectrum, ss: Spectrum) -> float:
+    """``umegaki`` with its traces read off the spectra sr, ss of rho and
+    sigma (``_trace_log``); equal spectra give exactly 0."""
     if not sr.basis.size:
         return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
         return INF
-    return float(np.trace(rho @ (sr.log() - ss.log())).real)
+    return _trace_log(rho, sr) - _trace_log(rho, ss)
+
+
+def _trace_log(rho: np.ndarray, s: Spectrum) -> float:
+    """Tr rho log S on supp S, sum_j log s_j <v_j|rho|v_j> over S's support
+    eigenpairs; no log matrix is assembled."""
+    v = s.basis
+    return float(np.log(s.w[:v.shape[1]]) @ (v.conj() * (rho @ v)).sum(axis=0).real)
 
 
 def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -81,7 +93,11 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     eigenbasis V as Tr rho_c log Y with rho_c = V* rho V and
     Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2} of full rank."""
     rho, sigma = _check_shapes(rho, sigma)
-    sr, ss = spectrum(rho), spectrum(sigma)
+    return _bs_rel_entropy(spectrum(rho), spectrum(sigma))
+
+
+def _bs_rel_entropy(sr: Spectrum, ss: Spectrum) -> float:
+    """``bs_rel_entropy`` on the spectra of rho and sigma."""
     if not sr.basis.size:
         return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
@@ -261,12 +277,16 @@ def measured_lower_bound(
     """
     restarts, iters = _whole_counts("meas counts", restarts, iters)
     rho, sigma = _check_shapes(rho, sigma)
+    return _measured_lower_bound(rho, spectrum(rho), sigma, spectrum(sigma), alpha, restarts,
+                                 iters, seed)
+
+
+def _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed):
+    """``measured_lower_bound`` with the spectra sr, ss of rho and sigma."""
     d = rho.shape[0]
-    sr = spectrum(rho)
     if not sr.basis.size:
         return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
-    ss = spectrum(sigma)
     if alpha is None or alpha >= 1:
         if not support_leq(sr, ss):
             return INF, np.eye(d, dtype=complex)
@@ -364,10 +384,26 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
 def geom_weighted_value(
     base: EntropyKind, gamma: float, rho: np.ndarray, sigma: np.ndarray, seed: int = 0
 ) -> DivergenceValue:
-    """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); the base kind's
-    support rule gives +inf when rho has a support outside the mean's."""
-    mean = kubo_ando_mean(gamma, rho, sigma)
-    inner = rel_entropy(base, rho, mean, seed=seed)
+    """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); +inf unless
+    ran(rho) <= ran(sigma), the support rule of every base kind against the
+    mean."""
+    rho, sigma = _check_shapes(rho, sigma)
+    return _geom_weighted_value(base, gamma, rho, spectrum(rho), spectrum(sigma), seed)
+
+
+def _geom_weighted_value(base, gamma, rho, sr, ss, seed) -> DivergenceValue:
+    """``geom_weighted_value`` with the spectra sr, ss of rho and sigma.
+
+    The mean M = sigma #_gamma rho has the support meet for its support, so
+    every base kind is +inf exactly when ran(rho) is not in ran(sigma),
+    decided as um and bs decide it. Otherwise rho_ac = rho, and M is
+    sigma^{1/2} X^gamma sigma^{1/2} with X graded in sigma's eigenbasis, a
+    derived operator of rank rank rho."""
+    if not support_leq(sr, ss):
+        return DivergenceValue(INF)
+    v, rank = ss.basis, sr.basis.shape[1]
+    mean = herm_part(_graded_perspective(power_fn(gamma), ss, v.conj().T @ rho @ v, rank))
+    inner = _rel_entropy(base, rho, sr, mean, _derived_spectrum(mean, rank), seed)
     scale = 1.0 / (1.0 - gamma)
     gap = None if inner.certificate_gap is None else scale * inner.certificate_gap
     return DivergenceValue(scale * inner.value, inner.optimizer_artifacts, gap)
@@ -382,27 +418,31 @@ def rel_entropy(
     certificate_gap = D^Um - value when both are finite.
     """
     rho, sigma = _check_shapes(rho, sigma)
+    return _rel_entropy(kind, rho, spectrum(rho), sigma, spectrum(sigma), seed)
+
+
+def _rel_entropy(kind, rho, sr, sigma, ss, seed) -> DivergenceValue:
+    """``rel_entropy`` with the spectra sr, ss of rho and sigma, which every
+    kind and component reads instead of decomposing again."""
     if isinstance(kind, Umegaki):
-        return DivergenceValue(umegaki(rho, sigma))
+        return DivergenceValue(_umegaki(rho, sr, ss))
     if isinstance(kind, BelavkinStaszewski):
-        return DivergenceValue(bs_rel_entropy(rho, sigma))
+        return DivergenceValue(_bs_rel_entropy(sr, ss))
     if isinstance(kind, MeasuredProjective):
-        val, u = measured_lower_bound(
-            rho, sigma, alpha=None, restarts=kind.restarts, iters=kind.iters, seed=seed
-        )
+        val, u = _measured_lower_bound(rho, sr, sigma, ss, None, kind.restarts, kind.iters, seed)
         gap = None
         if math.isfinite(val):
-            up = umegaki(rho, sigma)
+            up = _umegaki(rho, sr, ss)
             gap = max(up - val, 0.0) if math.isfinite(up) else None
         return DivergenceValue(val, {"basis": u}, gap)
     if isinstance(kind, GeomWeighted):
-        return geom_weighted_value(kind.base, kind.gamma, rho, sigma, seed=seed)
+        return _geom_weighted_value(kind.base, kind.gamma, rho, sr, ss, seed)
     if isinstance(kind, Mixture):
         total, gap = 0.0, None
         for w, comp in kind.components:
             if w == 0.0:
                 continue
-            sub = rel_entropy(comp, rho, sigma, seed=seed)
+            sub = _rel_entropy(comp, rho, sr, sigma, ss, seed)
             if sub.value == INF:
                 return DivergenceValue(INF)
             total += w * sub.value

@@ -18,12 +18,12 @@ from .hermitian import (
     _check_shapes,
     _derived_spectrum,
     eig_clusters,
+    herm_part,
     meet_bases,
-    spectral_decompose,
     spectrum,
     support_leq,
 )
-from .relent import _empty_meet_renyi, umegaki
+from .relent import _empty_meet_renyi, _umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
 
 INF = float("inf")
@@ -134,22 +134,29 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     tr_rho = float(np.trace(rho).real)
     if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
-    if alpha == 1:
-        u = umegaki(rho, sigma)
-        return u / tr_rho if math.isfinite(u) else INF
     sr, ss = spectrum(rho), spectrum(sigma)
+    if alpha == 1:
+        u = _umegaki(rho, sr, ss)
+        return u / tr_rho if math.isfinite(u) else INF
     leq = support_leq(sr, ss)
     if alpha > 1 and not leq:
         return INF
     if z == INF:
-        b, _ = meet_bases(sr.proj, ss.proj)
+        # the support meet: supp rho when it lies in supp sigma and supp sigma
+        # when rho has full rank, else from one decomposition; at alpha = inf
+        # always the latter, the basis of barycentric_renyi_full's closed
+        # form, so that the two agree bitwise
+        if alpha < INF and (leq or not sr.kernel.size):
+            b = sr.basis if leq else ss.basis
+        else:
+            b = meet_bases(sr.proj, ss.proj)[0]
         if b.shape[1] == 0:
             q = 0.0
         elif alpha == INF:
             return _um_first_top(sr, ss, b)[0]
         else:
-            w, _ = spectral_decompose(_log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b))
-            q = float(np.sum(np.exp(w)))
+            h = _log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b)
+            q = float(np.sum(np.exp(np.linalg.eigh(herm_part(h))[0])))
     else:
         # the product has the rank of P_rho P_sigma: rank rho when supp rho <= supp
         # sigma, else that of rho compressed to supp sigma, cut with rho's cutoff
@@ -180,17 +187,19 @@ def _dmax_top(rho: np.ndarray, sigma, rank: int) -> tuple[float, np.ndarray | No
     matrix or its Spectrum) and ``rank`` the rank of rho.
 
     D_max is the log of the top eigenvalue lambda of
-    sigma^{-1/2} rho sigma^{-1/2}, with top eigenvector x; y = sigma^{-1/2} x
+    X = sigma^{-1/2} rho sigma^{-1/2}, graded in sigma's eigenbasis V, with
+    top eigenvector x; y = sigma^{-1/2} V x
     solves rho y = lambda sigma y. The unit vector psi ~ rho y lies in
     ran(rho) and has <psi|sigma^+|psi> = lambda <psi|rho^+|psi>, so on the
     pure state psi psi* BS(.||sigma) - BS(.||rho) reaches D_max. psi is None
     when rho = 0 (D_max = -inf).
     """
-    shi = spectrum(sigma).power(-0.5)
-    x = _derived_spectrum(shi @ rho @ shi, rank)
+    ss = spectrum(sigma)
+    v = ss.basis
+    x = ss.graded(v.conj().T @ rho @ v, rank)
     if x.w[0] <= 0:
         return -INF, None
-    psi = rho @ (shi @ x.u[:, 0])
+    psi = rho @ (v @ (x.u[:, 0] / ss.root))
     return float(np.log(x.w[0])), psi / np.linalg.norm(psi)
 
 
@@ -225,11 +234,10 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     sr, ss = spectrum(rho), spectrum(sigma)
     b = ss.basis
     rho_ac, outside = _abs_cont(rho, sr.cut, b, ss.kernel)
-    root = np.sqrt(ss.w[:b.shape[1]])
     # X = sigma^{-1/2} rho_ac sigma^{-1/2} has rank rho_ac = rank rho - outside;
     # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters
     # groups them relative to each eigenvalue
-    x = _derived_spectrum(rho_ac / np.outer(root, root), sr.basis.shape[1] - outside)
+    x = ss.graded(rho_ac, sr.basis.shape[1] - outside)
     # rho has a part outside supp sigma iff C* rho C has rank against rho's
     # own cutoff, the rule D_max's support test uses
     missing = float(np.trace(rho).real - np.trace(rho_ac).real)
@@ -239,7 +247,7 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     for idx in eig_clusters(x.w):
         lam = float(np.mean(x.w[idx]))
         # sigma^{1/2} times the eigenvectors: positive mass, as root > 0 on supp sigma
-        v = b @ (root[:, None] * x.u[:, idx])
+        v = b @ (ss.root[:, None] * x.u[:, idx])
         mass = float(np.sum(np.abs(v) ** 2))
         p.append(lam * mass)
         q.append(mass)
@@ -281,9 +289,10 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
 
 def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """Q_alpha^max as a geometric-mean trace: Tr sigma #_alpha rho for
-    alpha in [0, 1], and Tr sigma (sigma^{-1/2} rho sigma^{-1/2})^alpha for
-    alpha in (1, 2] on support-dominated pairs. Independent of the
-    reverse-test route."""
+    alpha in [0, 1], and Tr sigma^{1/2} X^alpha sigma^{1/2} with
+    X = sigma^{-1/2} rho sigma^{-1/2} graded in sigma's eigenbasis for alpha
+    in (1, 2] on support-dominated pairs. Independent of the reverse-test
+    route."""
     from .supports import kubo_ando_mean
 
     rho, sigma = _check_shapes(rho, sigma)
@@ -294,9 +303,9 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     sr, ss = spectrum(rho), spectrum(sigma)
     if not support_leq(sr, ss):
         return INF
-    shi = ss.power(-0.5)
-    x = _derived_spectrum(shi @ rho @ shi, sr.basis.shape[1])
-    return float(np.trace(sigma @ x.power(alpha)).real)
+    v = ss.basis
+    x = ss.graded(v.conj().T @ rho @ v, sr.basis.shape[1])
+    return float(np.trace(ss.ungraded(x.power(alpha))).real)
 
 
 def max_fdivergence(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -7,8 +7,8 @@ w.r.t. rho, and ``sigma #_1 rho`` the part of rho absolutely continuous
 w.r.t. sigma.
 
 Absolutely continuous parts, perspectives and means are taken in the
-coordinates of one split of the space: an orthonormal basis B of the
-subspace (the support meet, or supp sigma) and C of its complement.
+coordinates of one split of the space: the eigenbasis B of supp sigma and a
+basis C of ker sigma, from sigma's one decomposition.
 """
 
 from __future__ import annotations
@@ -125,44 +125,40 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     """Operator perspective P_f(rho, sigma), the eps -> 0 limit of
     (sigma+eps)^{1/2} f((sigma+eps)^{-1/2}(rho+eps)(sigma+eps)^{-1/2}) (sigma+eps)^{1/2}.
 
-    Closed form: sc^{1/2} f(sc^{-1/2} rc sc^{-1/2}) sc^{1/2} on the
-    absolutely continuous parts rc, sc w.r.t. the support meet ran(B), in
-    B's coordinates, plus f(0+) (sigma - sigma_ac) + transpose(0+) (rho - rho_ac).
-    Both parts are positive definite on ran(B) in exact arithmetic, so each
-    takes the block's full rank, and an eigenvalue of the product rounding
-    to 0 takes f(0+). A deficiency is zero iff the compression C* op C has
-    rank 0 against op's own cutoff, the rank ``_abs_cont`` returns; an
-    empty meet leaves only the deficiencies, which are then rho and sigma.
+    Closed form, in the eigenbasis V of supp sigma:
+    sigma^{1/2} f(X) sigma^{1/2} with X = sigma^{-1/2} rho_ac sigma^{-1/2}
+    graded there (``Spectrum.graded``), plus transpose(0+) (rho - rho_ac),
+    where rho_ac is the part of rho absolutely continuous w.r.t. supp sigma.
+    X has the rank of rho_ac, rank rho - k with k the rank of the
+    compression of rho to ker sigma against rho's own cutoff (the rank
+    ``_abs_cont`` returns); its other eigenvalues, and any that round to 0,
+    take f(0+). Those carry f(0+) (sigma - sigma_ac), sigma_ac the part of
+    sigma absolutely continuous w.r.t. supp rho, so no sigma_ac is formed.
     An infinite boundary limit needs a zero deficiency (0 * inf = 0);
     otherwise the limit does not exist (InfiniteLimit).
     """
     rho, sigma = _check_shapes(rho, sigma)
     sr, ss = spectrum(rho), spectrum(sigma)
-    b, c = meet_bases(sr.proj, ss.proj)
-    m = b.shape[1]
-    (rho_ac, kr), (sigma_ac, ks) = _abs_cont(rho, sr.cut, b, c), _abs_cont(sigma, ss.cut, b, c)
-
-    out = np.zeros_like(rho)
-    if m:
-        ssc = _derived_spectrum(sigma_ac, m)
-        sh, shi = ssc.power(0.5), ssc.power(-0.5)
-        x = _derived_spectrum(shi @ rho_ac @ shi, m)
-        if x.w[-1] <= 0.0 and not math.isfinite(fn.f_at_zero_plus):
-            raise InfiniteLimit(f"{fn.name}: infinite f(0+) at an eigenvalue that rounds to 0")
-        fx = x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False)
-        out = b @ (sh @ fx @ sh) @ b.conj().T
-    for limit, op, ac, k, side in (
-        (fn.transpose_at_zero_plus, rho, rho_ac, kr, "rho"),
-        (fn.f_at_zero_plus, sigma, sigma_ac, ks, "sigma"),
-    ):
-        if not k:
-            continue  # 0 * (+-inf) := 0
-        if not math.isfinite(limit):
-            raise InfiniteLimit(
-                f"{fn.name}: infinite boundary limit against a nonzero {side} part"
-            )
-        out = out + limit * (op - b @ ac @ b.conj().T)
+    rho_ac, k = _abs_cont(rho, sr.cut, ss.basis, ss.kernel)
+    out = _graded_perspective(fn, ss, rho_ac, sr.basis.shape[1] - k)
+    if k:
+        if not math.isfinite(fn.transpose_at_zero_plus):
+            raise InfiniteLimit(f"{fn.name}: infinite boundary limit against a nonzero rho part")
+        out = out + fn.transpose_at_zero_plus * (rho - ss.basis @ rho_ac @ ss.basis.conj().T)
     return herm_part(out)
+
+
+def _graded_perspective(fn: OpConvexFn, ss: Spectrum, rho_ac: np.ndarray, rank: int
+                        ) -> np.ndarray:
+    """sigma^{1/2} f(X) sigma^{1/2} for sigma's Spectrum ``ss`` and X the
+    graded sigma^{-1/2} rho_ac sigma^{-1/2} of the given rank, ``rho_ac``
+    given in the coordinates of ss.basis; an eigenvalue of X at 0 takes
+    f(0+), and InfiniteLimit if that is infinite."""
+    x = ss.graded(rho_ac, rank)
+    if x.w.size and x.w[-1] <= 0.0 and not math.isfinite(fn.f_at_zero_plus):
+        raise InfiniteLimit(f"{fn.name}: infinite f(0+) at a zero eigenvalue of "
+                            "sigma^{-1/2} rho_ac sigma^{-1/2}")
+    return ss.ungraded(x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False))
 
 
 def perspective_smoothed(
@@ -201,6 +197,6 @@ def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.
     for name, s in (("rho", sr), ("sigma", ss)):
         if s.w[-1] <= s.cut:
             raise NotInvertible(f"{name} has an eigenvalue at or below the cutoff")
-    sh = ss.power(0.5)
-    shi = ss.power(-0.5)
-    return sh @ _derived_spectrum(shi @ rho @ shi, len(rho)).fn(lambda x: x**gamma, False) @ sh
+    v = ss.basis
+    x = ss.graded(v.conj().T @ rho @ v, len(rho))
+    return ss.ungraded(x.fn(lambda t: t**gamma, False))

@@ -5,6 +5,8 @@ database and no deadline."""
 import numpy as np
 import pytest
 
+from qrdiv import hermitian
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without hypothesis
@@ -27,4 +29,19 @@ def eigh_calls(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.fixture
+def herm_checks(monkeypatch):
+    """A list that grows by one entry per ``hermitian.check_hermitian`` call
+    for the rest of the test; ``clear()`` it to start a count."""
+    calls = []
+    check = hermitian.check_hermitian
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(hermitian, "check_hermitian", counting_check)
     return calls

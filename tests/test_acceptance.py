@@ -41,7 +41,6 @@ from qrdiv.relent import (
     umegaki,
 )
 from qrdiv.renyi import (
-    max_q_alpha_mean_route,
     max_renyi,
     optimal_reverse_test,
     reg_measured_renyi,

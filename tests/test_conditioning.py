@@ -149,3 +149,29 @@ def test_ranks_of_unnormalized_pairs_use_the_input_cutoff():
     sig = (u * np.array([0.0, 1.0, 1.0])) @ u.conj().T
     expected = math.log(np.trace(rho).real) / 0.3  # Q = 1 on the third direction
     assert renyi_alpha_z(0.7, 0.3, rho, sig) == pytest.approx(expected, abs=1e-9)
+
+
+def test_geometric_mean_keeps_both_directions_when_kappa_products_near_1e16():
+    # kappa(rho) kappa(sigma) near 1e16: formed in the input basis,
+    # sigma^{-1/2} rho sigma^{-1/2} lost its small eigenvalue, and the mean
+    # with it (geom:um:0.5 was 18.33946, 16.01536 and +inf at c = 1, 10 and
+    # 100); graded in sigma's eigenbasis it is 4e-9 to 1.7e-8 off
+    u, v = sample_unitary(2, 21), sample_unitary(2, 121)
+    rho = (u * np.array([1.0, 1.3e-8])) @ u.conj().T
+    sig = (v * np.array([1.0, 6.2e-9])) @ v.conj().T
+    for c in (1.0, 10.0, 100.0):
+        value = rel_entropy(_GEOM, rho, c * sig).value
+        assert math.isfinite(value)
+        assert abs(value - float(mpr.geom_um(0.5, rho, c * sig))) <= 5e-8
+
+
+@pytest.mark.parametrize("name", ["geom:um:0.5", "max_renyi(0.5)"])
+def test_graded_forms_on_kappa_1e4_products_match_mpmath(name):
+    # condition number 1e8 for the product: formed in the input basis,
+    # sigma^{-1/2} rho sigma^{-1/2} spanned about 1e16 and both forms were off
+    # by up to 1.3e-3 and 8.1e-4; graded in sigma's eigenbasis, 9.8e-9 and 2.8e-9
+    value, ref = next((v, r) for n, v, r in _FORMS if n == name)
+    for seed in (5, 7):
+        for r1, s1, r2, s2 in _products(1e4, seed):
+            rho, sig = tensor(r1, r2), tensor(s1, s2)
+            assert abs(value(rho, sig) - float(ref(rho, sig))) <= 1e-7

@@ -43,7 +43,7 @@ from qrdiv.hermitian import (
     spectrum,
     tensor,
 )
-from qrdiv.renyi import max_q_alpha_mean_route
+from qrdiv.renyi import max_q_alpha_mean_route, max_relative_entropy
 from qrdiv.supports import (
     abs_cont_part,
     kubo_ando_mean,
@@ -285,6 +285,22 @@ def test_derived_spectrum_takes_its_rank_from_the_caller():
     np.testing.assert_allclose(_derived_spectrum(m, 2).w[:2], [1e8, 1.0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("rank", [4, 3])
+def test_graded_congruence_is_the_congruence_on_the_support(rank):
+    # X = S^{-1/2} A S^{-1/2} restricted to supp S, in the coordinates of
+    # S's support eigenbasis V; ungraded maps it back to A compressed there
+    rng = np.random.default_rng(4)
+    ss = spectrum(sample_state(4, rank, rng))
+    a = sample_state(4, 4, rng)
+    v = ss.basis
+    x = ss.graded(v.conj().T @ a @ v, rank)
+    assert x.cut == 0.0 and x.u.shape == (rank, rank)
+    xm = (x.u * x.w) @ x.u.conj().T
+    shi = ss.power(-0.5)
+    np.testing.assert_allclose(v @ xm @ v.conj().T, shi @ a @ shi, atol=1e-10)
+    np.testing.assert_allclose(ss.ungraded(xm), ss.proj @ a @ ss.proj, atol=1e-12)
+
+
 def _spectrum_cases():
     """Spectra with a cluster, eigenvalues just above and below the support
     cutoff, and trace scales from 1e-6 to 1e6."""
@@ -346,10 +362,15 @@ def _q3(kind, r, s, options=None):
 _EIGH_BOUNDS = [
     ("umegaki", lambda r, s: umegaki(r, s), 2),  # 4
     ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s), 3),  # 6
-    ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s), 4),  # 9
+    # rho, sigma and the log-Euclidean exponent: the meet is supp rho, as
+    # supp rho <= supp sigma (4 when the meet was decomposed)
+    ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s), 3),  # 9
     ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s), 3),  # 6
-    ("max_q_alpha_mean_route(0.5)", lambda r, s: max_q_alpha_mean_route(0.5, r, s), 5),  # 12
-    ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s), 7),  # 19
+    # rho, sigma and the graded sigma^{-1/2} rho sigma^{-1/2}; geom adds the
+    # mean (5 and 7 when the meet, sigma_ac and, for geom, rho were
+    # decomposed again)
+    ("max_q_alpha_mean_route(0.5)", lambda r, s: max_q_alpha_mean_route(0.5, r, s), 3),  # 12
+    ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s), 4),  # 19
     ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 4),  # 10
     ("measured 2rho, 3sigma",
      lambda r, s: measured_lower_bound(2 * r, 3 * s, restarts=2, iters=0), 3),  # 5
@@ -377,6 +398,29 @@ def test_eigh_count_per_call(eigh_calls, name, call, bound):
     eigh_calls.clear()
     call(rho, sig)
     assert 0 < len(eigh_calls) <= bound
+
+
+# each input is checked once per call, by its one decomposition; the count
+# when each helper re-checked its inputs, or checked a derived product, is
+# on the right
+_CHECK_CALLS = [
+    ("umegaki", lambda r, s: umegaki(r, s)),  # 2
+    ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s)),  # 2
+    ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s)),  # 5
+    ("kubo_ando_mean", lambda r, s: kubo_ando_mean(0.5, r, s)),  # 3
+    ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s)),  # 4
+    ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s)),  # 2
+    ("max_relative_entropy", lambda r, s: max_relative_entropy(r, s)),  # 2
+]
+
+
+@pytest.mark.parametrize("name, call", _CHECK_CALLS, ids=[c[0] for c in _CHECK_CALLS])
+def test_hermitian_checks_per_call(herm_checks, name, call):
+    rng = np.random.default_rng(11)
+    rho, sig = sample_state(4, 4, rng), sample_state(4, 4, rng)
+    herm_checks.clear()
+    call(rho, sig)
+    assert 0 < len(herm_checks) <= 2
 
 
 def test_matrix_json_roundtrip(tmp_path):
