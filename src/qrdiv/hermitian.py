@@ -8,7 +8,8 @@ an input (or its compression) an eigenvalue counts as zero iff it is
 the support and function helpers read it. An operator derived from inputs,
 such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
 instead (``_derived_spectrum``); every such congruence is formed in sigma's
-eigenbasis (``Spectrum.graded``).
+eigenbasis (``Spectrum.graded``). Only an input's decomposition runs the
+Hermiticity check; a derived operator is decomposed with ``eigh_desc``.
 """
 
 from __future__ import annotations
@@ -64,11 +65,17 @@ def _check_shapes(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
-def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and a unitary of eigenvectors of Hermitian ``a``."""
-    h = check_hermitian(a)
-    w, u = np.linalg.eigh(h)
+def eigh_desc(a: np.ndarray, part=herm_part) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and a unitary of eigenvectors of ``part(a)``:
+    by default the Hermitian part, unchecked, for an operator derived from
+    checked inputs (whose asymmetry is rounding)."""
+    w, u = np.linalg.eigh(part(a))
     return w[::-1].copy(), u[:, ::-1].copy()
+
+
+def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh_desc`` of an input, checked: NonHermitian unless ``a`` is."""
+    return eigh_desc(a, check_hermitian)
 
 
 def support_cutoff(w: np.ndarray) -> float:
@@ -199,10 +206,10 @@ def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:
     clamped at 0, are the support and the rest are exactly 0. No size cutoff
     applies, since such a product's eigenvalues span about the product of
     the inputs' condition numbers, and ``m`` is symmetrized, not checked."""
-    w, u = np.linalg.eigh(herm_part(m))
-    w = np.maximum(w[::-1], 0.0)
+    w, u = eigh_desc(m)
+    w = np.maximum(w, 0.0)
     w[rank:] = 0.0
-    return Spectrum(w, u[:, ::-1].copy(), 0.0)
+    return Spectrum(w, u, 0.0)
 
 
 def support_leq(a, b, tol: float = 1e-7) -> bool:
@@ -225,7 +232,7 @@ def meet_bases(*projections: np.ndarray, tol: float = 1e-7
     ps = [np.asarray(p, dtype=complex) for p in projections]
     if any(p.shape != ps[0].shape for p in ps[1:]):
         raise DimensionMismatch(f"projections of shapes {[p.shape for p in ps]}")
-    w, u = spectral_decompose(sum(ps))
+    w, u = eigh_desc(sum(ps))
     top = w > len(ps) - tol
     return u[:, top], u[:, ~top]
 

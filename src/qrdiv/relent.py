@@ -18,8 +18,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, herm_part, sample_unitary,
-                        spectral_decompose, spectrum, support_leq)
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, eigh_desc, herm_part,
+                        sample_unitary, spectrum, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -319,7 +319,7 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
     chunks = [halvings[lo:lo + _CHUNK] for lo in range(0, halvings.size, _CHUNK)]
     # deterministic starts: identity and a joint-diagonalizer candidate
     # (exact for commuting pairs), then random bases
-    _, u_joint = spectral_decompose(rho + math.sqrt(2.0) * sigma)
+    _, u_joint = eigh_desc(rho + math.sqrt(2.0) * sigma)
     fixed_starts = [np.eye(d, dtype=complex), u_joint]
     best_val, best_u = -INF, np.eye(d, dtype=complex)
     newton = (alpha is None or alpha == 1) and d <= _NEWTON_MAX_D
@@ -522,7 +522,7 @@ def axioms_check(kind: EntropyKind, samples: int = 50, rng_seed: int = 0) -> dic
         # DPI under a random pinching
         pproj = sample_state(d, 1, rng)
         pproj = pproj / np.trace(pproj).real
-        w, uu = spectral_decompose(pproj)
+        _, uu = eigh_desc(pproj)
         b1 = uu[:, :1] @ uu[:, :1].conj().T
         blocks = [b1, np.eye(d) - b1]
         from .hermitian import pinch

@@ -68,10 +68,22 @@ def _um_first_top(
     Every s gives an upper bound, and the top eigenvector v_s of t s A + L
     the lower bound t log <v_s|A|v_s> + <v_s|L|v_s>; they differ by
     t (x - 1 - log x) with x = s <v_s|A|v_s>, which is nondecreasing in s.
-    Each step bisects u = log s on the sign of x - 1, starting from the
-    exact bracket [-log lambda_max(A), -log lambda_min(A)], at one eigh of
-    t s A + L. Where the top eigenvalue is degenerate at the minimizer (as
-    for commuting pairs) no single eigenvector attains the value; the step
+
+    Each step takes one eigh of t s A + L at log s, which narrows the exact
+    bracket [-log lambda_max(A), -log lambda_min(A)] on the sign of x - 1
+    and gives the derivatives of phi(log s) = lambda_max(t s A + L)
+    - t (log s + 1) in log s: phi' = t (x - 1) and
+    phi'' = t x + 2 (t s)^2 sum_{j != top} |<v_j|A|v_s>|^2 / (lambda_top - lambda_j),
+    all read off one product V* (A v_s). The next point is the Newton step
+    on log x, whose derivative is phi'' / (t x): its zero is that of phi',
+    and it is linear in log s while v_s stays put, so that on a commuting
+    pair off a crossing of eigenvalues the step is exact. The step is taken
+    only strictly inside the bracket and only while it is at most half the
+    step before last (the rtsafe rule; the first point, the bracket's
+    midpoint, counts as a bisection); otherwise the step bisects. Where the
+    top eigenvalue is degenerate at the minimizer (as for commuting pairs
+    at a crossing) phi has a kink, Newton's point overshoots it and the
+    steps bisect, and no single eigenvector attains the value; each step
     then also tries the v with s <v|A|v> = 1 in the span of the
     eigenvectors whose eigenvalues lie within the current gap of the top,
     which is at most that spread below the upper bound.
@@ -92,31 +104,48 @@ def _um_first_top(
     lo, hi = -math.log(wa[-1]), -math.log(wa[0])
     best_up, best_lo, best_v = INF, -INF, None
     steps = 0
+    log_s = 0.5 * (lo + hi)
+    step = step_old = log_s - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        s = math.exp(mid)
+        s = math.exp(log_s)
         w, vecs = np.linalg.eigh(t * s * a + ell)
         steps += 1
-        best_up = min(best_up, float(w[-1]) - t * (mid + 1.0))
-        cands = [vecs[:, -1]]
-        x = s * float(np.vdot(cands[0], a @ cands[0]).real)
+        best_up = min(best_up, float(w[-1]) - t * (log_s + 1.0))
+        # <v_j|A|v> for every eigenvector v_j, v the top one
+        c = vecs.conj().T @ (a @ vecs[:, -1])
+        av = float(c[-1].real)
+        x = s * av
+        low = t * math.log(av) + float(w[-1]) - t * x
+        if low > best_lo:
+            best_lo, best_v = low, vecs[:, -1]
         near = vecs[:, w >= w[-1] - (t * (x - 1.0 - math.log(x)))]
         if near.shape[1] > 1:
             mu, e = np.linalg.eigh(s * (near.conj().T @ a @ near))
             if mu[0] <= 1.0 <= mu[-1]:
                 c2 = (mu[-1] - 1.0) / (mu[-1] - mu[0]) if mu[-1] > mu[0] else 0.0
-                cands.append(near @ (math.sqrt(c2) * e[:, 0] + math.sqrt(1.0 - c2) * e[:, -1]))
-        for v in cands:
-            v = v / np.linalg.norm(v)
-            low = t * math.log(float(np.vdot(v, a @ v).real)) + float(np.vdot(v, ell @ v).real)
-            if low > best_lo:
-                best_lo, best_v = low, v
-        if best_up - best_lo <= tol or not lo < mid < hi:
+                v = near @ (math.sqrt(c2) * e[:, 0] + math.sqrt(1.0 - c2) * e[:, -1])
+                v = v / np.linalg.norm(v)
+                low = t * math.log(float(np.vdot(v, a @ v).real)) + float(np.vdot(v, ell @ v).real)
+                if low > best_lo:
+                    best_lo, best_v = low, v
+        if best_up - best_lo <= tol or not lo < log_s < hi:
             break
         if x < 1.0:
-            lo = mid
+            lo = log_s
         else:
-            hi = mid
+            hi = log_s
+        # Newton on log x, with (log x)' = phi'' / (t x) and
+        # phi'' / t = x + 2 t s^2 sum_j |c_j|^2 / (w_top - w_j); a degenerate
+        # top makes the sum inf or nan, and the test below bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = x + 2.0 * t * s * s * float(np.sum(np.abs(c[:-1]) ** 2 / (w[-1] - w[:-1])))
+        newton = x * math.log(x) / curv
+        if lo < log_s - newton < hi and abs(newton) <= 0.5 * step_old:
+            step_old, step = step, abs(newton)
+            log_s -= newton
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            log_s = lo + step
     return best_lo, best_v, max(best_up - best_lo, 0.0), steps
 
 

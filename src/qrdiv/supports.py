@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InfiniteLimit, NotInvertible
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, herm_part, meet_bases,
-                        spectral_decompose, spectrum)
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, eigh_desc, herm_part,
+                        meet_bases, spectrum)
 
 INF = float("inf")
 
@@ -100,7 +100,7 @@ def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tupl
     if not c.shape[1]:
         return top, 0
     x = b.conj().T @ rho @ c
-    kc = Spectrum(*spectral_decompose(c.conj().T @ rho @ c), cut)
+    kc = Spectrum(*eigh_desc(c.conj().T @ rho @ c), cut)
     return top - x @ kc.power(-1.0) @ x.conj().T, kc.basis.shape[1]
 
 

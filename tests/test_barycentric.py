@@ -13,7 +13,7 @@ from qrdiv.barycentric import (
     barycentric_renyi_full,
     dual_renyi,
 )
-from qrdiv.classical import classical_renyi
+from qrdiv.classical import WeightedFamily, classical_renyi, multivariate_q
 from qrdiv.errors import BadParameter, UnsupportedWeights
 from qrdiv.hermitian import (
     matrix_from_json,
@@ -160,24 +160,55 @@ def test_commuting_classical_reduction():
 _GEOM = GeomWeighted(Umegaki(), 0.5)
 _COMMUTING_GEOM_KINDS = {"geom,geom": (_GEOM, _GEOM), "um,geom:um:0.5": (Umegaki(), _GEOM),
                          "geom:um:0.5,um": (_GEOM, Umegaki())}
+_COMMUTING_BS_KINDS = {"bs,um": (BelavkinStaszewski(), Umegaki()),
+                       "um,bs": (Umegaki(), BelavkinStaszewski()), "bs,bs": BS}
 
 
-@pytest.mark.parametrize("label", list(_COMMUTING_GEOM_KINDS))
-@pytest.mark.parametrize("d", [4, 8, 16])
-def test_commuting_geom_pairs_reach_the_classical_value(d, label):
+def _reaches_the_classical_value(d, kinds):
     # a commuting pair at alpha in (0, 1) has a diagonal optimal center, and
-    # every kind gives the classical Renyi divergence. Mirror descent lands
-    # within 3e-14 of it in 2 iterations; the H-coordinate steps these
-    # solves took before stopped up to 6.3e-8 high, flagged converged
+    # every kind gives the classical Renyi divergence
     rng = np.random.default_rng(d)
     p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
     u = sample_unitary(d, rng)
     rho, sig = (u * p) @ u.conj().T, (u * q) @ u.conj().T
     for a in (0.25, 0.5, 0.75):
-        res = barycentric_renyi_full(a, _COMMUTING_GEOM_KINDS[label], rho, sig,
-                                     SolverOptions(restarts=0))
+        res = barycentric_renyi_full(a, kinds, rho, sig, SolverOptions(restarts=0))
         assert res["converged"]
         assert abs(res["value"] - classical_renyi(a, p, q)) < 1e-10, a
+
+
+@pytest.mark.parametrize("label", list(_COMMUTING_GEOM_KINDS))
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_commuting_geom_pairs_reach_the_classical_value(d, label):
+    # mirror descent lands within 3e-14 of the classical value in 2
+    # iterations; the H-coordinate steps these solves took before stopped
+    # up to 6.3e-8 high, flagged converged
+    _reaches_the_classical_value(d, _COMMUTING_GEOM_KINDS[label])
+
+
+@pytest.mark.parametrize("label", list(_COMMUTING_BS_KINDS))
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_commuting_bs_pairs_reach_the_classical_value(d, label):
+    _reaches_the_classical_value(d, _COMMUTING_BS_KINDS[label])
+
+
+@pytest.mark.parametrize("label", ["um", "bs", "geom:um:0.5"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_commuting_families_reach_multivariate_q(n, label):
+    # a commuting family W_x = U diag(w_x) U* with probability weights has
+    # a diagonal optimal center, and every kind gives the classical
+    # multivariate Q = sum_i prod_x w_x(i)^P(x)
+    kind = {"um": Umegaki(), "bs": BelavkinStaszewski(), "geom:um:0.5": _GEOM}[label]
+    rng = np.random.default_rng(40 + n)
+    for d in (2, 4):
+        w = rng.dirichlet(np.ones(d), size=n)
+        weights = tuple(rng.dirichlet(np.ones(n)))
+        u = sample_unitary(d, rng)
+        labels = tuple(range(n))
+        ch = GcqChannel(labels, tuple((u * row) @ u.conj().T for row in w))
+        res = barycentric_q((kind,) * n, ch, weights, SolverOptions(restarts=0))
+        assert res.converged
+        assert abs(res.q_value - multivariate_q(WeightedFamily(labels, weights, w))) < 1e-10, d
 
 
 def test_all_umegaki_equals_log_euclidean():
@@ -914,6 +945,26 @@ def test_alpha_inf_um_first_dual(d, case):
     assert vals["um,bs"] >= max_relative_entropy(rho, sig) - 1e-12
     um_um = barycentric_renyi(INF, UM, rho, sig)
     assert um_um - 1e-12 <= vals["um,mix"] <= vals["um,bs"] + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_alpha_inf_dual_newton_steps(d):
+    # safeguarded Newton steps from phi' and phi'' of the same eigh: at
+    # most 7 steps at tol = 1e-8 (3 to 5 here), where bisecting log s took 9
+    # to 15. The qubit pairs are the six non-commuting pairs of the
+    # bary-qubit benchmark family (seed 20220728, commutator entries above
+    # 0.1)
+    if d == 2:
+        rng = np.random.default_rng(20220728)
+        pairs = [noncommuting_qubits(rng, floor=0.1) for _ in range(6)]
+    else:
+        rng = np.random.default_rng(700 + d)
+        pairs = [(sample_state(d, d, rng), sample_state(d, d, rng)) for _ in range(3)]
+    for rho, sig in pairs:
+        for kinds in (UM_BS, UM_MIX):
+            res = barycentric_renyi_full(INF, kinds, rho, sig, SolverOptions(tol=1e-8))
+            assert 0.0 <= res["gap"] <= 1e-8 and res["converged"]
+            assert 0 < res["iterations"] <= 7
 
 
 @pytest.mark.parametrize("case", ["full", "full-scaled", "deficient", "deficient-scaled"])

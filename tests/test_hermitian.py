@@ -384,10 +384,10 @@ _EIGH_BOUNDS = [
     # alpha = inf: ~10^4 when the solver ran to its iteration cap
     ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 4),
     ("bary bs,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_BS, _BS), r, s), 4),
-    # three spectra, one eigh per dual step (14 here), and one more on each
-    # step whose second eigenvalue lies within the gap of the top (once
-    # here); about 1.6e4 when the solver ran
-    ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 17),
+    # three spectra and one eigh per safeguarded Newton step of the dual (4
+    # here; 14 and one more on a near-degenerate top, 17 in all, when each
+    # step bisected); about 1.6e4 when the solver ran
+    ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 7),
 ]
 
 
@@ -402,7 +402,10 @@ def test_eigh_count_per_call(eigh_calls, name, call, bound):
 
 # each input is checked once per call, by its one decomposition; the count
 # when each helper re-checked its inputs, or checked a derived product, is
-# on the right
+# on the right. A derived matrix is decomposed by the unchecked eigh_desc:
+# C* rho C of the part of rho outside a rank-2 sigma, the joint start of the
+# measured ascent, and the projection sum of the support meet
+_SIG_RANK2 = sample_state(4, 2, 12)
 _CHECK_CALLS = [
     ("umegaki", lambda r, s: umegaki(r, s)),  # 2
     ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s)),  # 2
@@ -411,6 +414,10 @@ _CHECK_CALLS = [
     ("renyi_alpha_z(1.5, inf)", lambda r, s: renyi_alpha_z(1.5, math.inf, r, s)),  # 4
     ("max_renyi(0.5)", lambda r, s: max_renyi(0.5, r, s)),  # 2
     ("max_relative_entropy", lambda r, s: max_relative_entropy(r, s)),  # 2
+    ("kubo_ando_mean rank-2 sigma", lambda r, s: kubo_ando_mean(0.5, r, _SIG_RANK2)),  # 3
+    ("max_renyi(0.5) rank-2 sigma", lambda r, s: max_renyi(0.5, r, _SIG_RANK2)),  # 3
+    ("measured rho, rho", lambda r, s: measured_lower_bound(r, r, restarts=2, iters=0)),  # 3
+    ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s)),  # 3
 ]
 
 

@@ -1,6 +1,7 @@
 """The package namespace: lazy submodule loading and the export list; and
-one rule over the package source."""
+two rules over the package source."""
 
+import ast
 import importlib
 import json
 import os
@@ -68,3 +69,25 @@ def test_no_trace_is_compared_to_a_literal_tolerance():
             for path in sorted(Path(qrdiv.__file__).parent.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert not hits, hits
+
+
+def test_only_spectrum_decomposes_with_the_input_check():
+    # an input is checked by its one decomposition, in spectrum(); a matrix
+    # derived from inputs goes through the unchecked eigh_desc
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    callers = set()
+    for path in sorted(Path(qrdiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, defs))]:
+            # calls in the scope's own body, not in the functions nested in it
+            todo = list(ast.iter_child_nodes(scope))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, defs):
+                    continue
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if getattr(f, "id", getattr(f, "attr", None)) == "spectral_decompose":
+                        callers.add(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+                todo.extend(ast.iter_child_nodes(node))
+    assert callers == {"hermitian.py:spectrum"}, callers
