@@ -18,6 +18,15 @@ Danskin's at its ascent's best basis (``_Iterate.measured``). At
 alpha = inf, Umegaki first generators against Umegaki and BS second ones
 give a pure center from a 1-D convex dual (``renyi._um_first_top``), and
 all-BS generators D_max.
+
+The feasible subspace is the meet of the supports, ``hermitian.support_meet``:
+the support of an input that lies in every other one, with that input's
+eigenbasis as B, and only a proper meet from a decomposition of the
+projections' sum. Where B spans an input's whole support, its compressions
+are read off its spectrum: B* f(W) B = (B* V) f(w) (B* V)* for the support
+eigenbasis V (``Spectrum.compressed``), for the um term's B* log W B and for
+g = B* W^+ B of a bs or geom term with its powers and -log g; otherwise
+they are formed, and g is decomposed once.
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from .classical import classify_weights, OTHER
 from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
     CLUSTER_RTOL,
+    Spectrum,
     _check_shapes,
     _derived_spectrum,
-    meet_bases,
     sample_hermitian,
     spectrum,
     support_leq,
+    support_meet,
 )
 from .kinds import _whole_counts
 from .relent import (
@@ -95,11 +105,11 @@ class GcqChannel:
 
     def support_meets(self, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal bases of S_+ and S_-, the meets of the supports over
-        positive / negative weights, each from one decomposition (the meet
-        of no support is the whole space)."""
+        positive / negative weights (``support_meet``; the meet of no
+        support is the whole space)."""
         def meet(sign):
-            projs = [sp.proj for w, sp in zip(weights, self.spectra) if sign * w > 0]
-            return meet_bases(*projs)[0] if projs else np.eye(self.dim, dtype=complex)
+            sps = [sp for w, sp in zip(weights, self.spectra) if sign * w > 0]
+            return support_meet(*sps) if sps else np.eye(self.dim, dtype=complex)
 
         return meet(1), meet(-1)
 
@@ -171,16 +181,22 @@ class _Term:
         spec = w_full if spec is None else spec
         if isinstance(kind, Umegaki):
             self.mode = "um"
-            self.logw = basis.conj().T @ spectrum(spec).log() @ basis
+            self.logw = _log_euclidean_h((1.0,), (spec,), basis)
         elif isinstance(kind, MeasuredProjective):
             self.mode = "meas"
         elif isinstance(kind, (BelavkinStaszewski, GeomWeighted)):
             # ran(basis) lies in supp W: sig_eff = g^{-1}, g = B* W^+ B, is W's part absolutely
-            # continuous there (all W #_g omega sees); g's one eigh gives its powers and -log g,
-            # and g has the full rank of the block
+            # continuous there (all W #_g omega sees); g's spectrum gives its powers and -log g,
+            # and g has the full rank of the block. Where ran(basis) is supp W, g's
+            # eigenvalues are 1/w and its eigenvectors B* V, from W's own; else one eigh
             self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
-            g = basis.conj().T @ spectrum(spec).power(-1.0) @ basis
-            self.g_spec = _derived_spectrum(g, basis.shape[1])
+            sp = spectrum(spec)
+            c = sp.compressed(basis)
+            if c is None:
+                g = basis.conj().T @ sp.power(-1.0) @ basis
+                self.g_spec = _derived_spectrum(g, basis.shape[1])
+            else:
+                self.g_spec = Spectrum(1.0 / c.w[::-1], c.u[:, ::-1], 0.0)
             self.sig_isqrt = self.g_spec.power(0.5)
             if self.mode == "bs":
                 self.sig_eff = self.g_spec.power(-1.0)
@@ -629,7 +645,7 @@ def barycentric_renyi_full(
     sr, ss = spectrum(rho), spectrum(sigma)
     if alpha > 1 and not support_leq(sr, ss):
         return out
-    basis, _ = meet_bases(sr.proj, ss.proj)
+    basis = support_meet(sr, ss)
     if basis.shape[1] == 0:
         # above alpha = 1, rho is below the support cutoff: every eigenvalue
         # counts as zero, log Q_alpha = -inf and so does the value

@@ -10,6 +10,10 @@ such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
 instead (``_derived_spectrum``); every such congruence is formed in sigma's
 eigenbasis (``Spectrum.graded``). Only an input's decomposition runs the
 Hermiticity check; a derived operator is decomposed with ``eigh_desc``.
+The meet of supports is the support of an input that lies in every other
+one, and only a proper meet is decomposed (``support_meet``); a
+compression B* f(A) B onto a basis of A's whole support is read off A's
+spectrum (``Spectrum.compressed``).
 """
 
 from __future__ import annotations
@@ -165,6 +169,18 @@ class Spectrum:
         """Log on the support, 0 on the kernel."""
         return self._on_support(np.log)
 
+    def compressed(self, b: np.ndarray) -> "Spectrum | None":
+        """The Spectrum of B* A B for an orthonormal ``b`` whose range is
+        the whole support, read off this one: the support's eigenvalues with
+        the eigenvectors B* V (V = ``basis``), so that B* f(A) B = f(B* A B)
+        needs neither f(A) nor a decomposition; None when ``b`` has fewer
+        columns than the support (it spans a proper part of it, where the
+        compressions must be formed)."""
+        v = self.basis
+        if b.shape[1] != v.shape[1]:
+            return None
+        return Spectrum(self.w[:v.shape[1]], b.conj().T @ v, self.cut)
+
     @cached_property
     def root(self) -> np.ndarray:
         """s^{1/2} for the support eigenvalues s, in the order of ``basis``."""
@@ -235,6 +251,18 @@ def meet_bases(*projections: np.ndarray, tol: float = 1e-7
     w, u = eigh_desc(sum(ps))
     top = w > len(ps) - tol
     return u[:, top], u[:, ~top]
+
+
+def support_meet(*spectra) -> np.ndarray:
+    """Orthonormal basis of the meet of the supports of PSD operators
+    (matrices or spectra): the ``basis`` of the first support that lies in
+    every other one (``support_leq``), so nested supports cost no
+    decomposition; only a proper meet is taken from ``meet_bases``."""
+    sps = [spectrum(s) for s in spectra]
+    for sp in sps:
+        if all(support_leq(sp, other) for other in sps if other is not sp):
+            return sp.basis
+    return meet_bases(*(sp.proj for sp in sps))[0]
 
 
 def pinch(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:

@@ -19,9 +19,9 @@ from .hermitian import (
     _derived_spectrum,
     eig_clusters,
     herm_part,
-    meet_bases,
     spectrum,
     support_leq,
+    support_meet,
 )
 from .relent import _empty_meet_renyi, _umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
@@ -31,12 +31,15 @@ INF = float("inf")
 
 def _log_euclidean_h(weights, ops, basis: np.ndarray) -> np.ndarray:
     """H = sum_x P(x) B* log W_x B, the log-Euclidean exponent compressed to
-    ran(B); ``ops`` are matrices or their spectra, and zero weights are
-    skipped."""
+    ran(B), inside every supp W_x; ``ops`` are matrices or their spectra,
+    and zero weights are skipped. Where ran(B) is all of supp W_x, the term
+    is read off W_x's spectrum (``Spectrum.compressed``)."""
     h = np.zeros((basis.shape[1],) * 2, dtype=complex)
     for w, op in zip(weights, ops):
         if w != 0.0:
-            h = h + w * (basis.conj().T @ spectrum(op).log() @ basis)
+            sp = spectrum(op)
+            c = sp.compressed(basis)
+            h = h + w * (basis.conj().T @ sp.log() @ basis if c is None else c.log())
     return h
 
 
@@ -98,10 +101,17 @@ def _um_first_top(
     if t == 0.0:
         w, vecs = np.linalg.eigh(ell)
         return float(w[-1]), vecs[:, -1], 0.0, 0
-    a = basis.conj().T @ spectrum(sigma).power(-1.0) @ basis
+    ss = spectrum(sigma)
+    c = ss.compressed(basis)
+    if c is None:
+        a = basis.conj().T @ ss.power(-1.0) @ basis
+        wa = np.linalg.eigvalsh((a + a.conj().T) / 2)
+        lo, hi = -math.log(wa[-1]), -math.log(wa[0])
+    else:
+        # ran(B) is supp sigma: A has the eigenvalues 1/s of sigma's support
+        a = c.power(-1.0)
+        lo, hi = math.log(c.w[-1]), math.log(c.w[0])
     a = (a + a.conj().T) / 2
-    wa = np.linalg.eigvalsh(a)
-    lo, hi = -math.log(wa[-1]), -math.log(wa[0])
     best_up, best_lo, best_v = INF, -INF, None
     steps = 0
     log_s = 0.5 * (lo + hi)
@@ -171,14 +181,9 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     if alpha > 1 and not leq:
         return INF
     if z == INF:
-        # the support meet: supp rho when it lies in supp sigma and supp sigma
-        # when rho has full rank, else from one decomposition; at alpha = inf
-        # always the latter, the basis of barycentric_renyi_full's closed
-        # form, so that the two agree bitwise
-        if alpha < INF and (leq or not sr.kernel.size):
-            b = sr.basis if leq else ss.basis
-        else:
-            b = meet_bases(sr.proj, ss.proj)[0]
+        # on the support meet, the basis barycentric_renyi_full's closed
+        # forms take, so that the two agree bitwise
+        b = support_meet(sr, ss)
         if b.shape[1] == 0:
             q = 0.0
         elif alpha == INF:
@@ -252,14 +257,14 @@ class ReverseTest:
         return out
 
 
-def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
-    """Matsumoto's reverse test from the spectral decomposition of
-    sigma^{-1/2} rho_ac sigma^{-1/2}, taken in the eigenbasis B of supp
-    sigma; optimal for every maximal Renyi divergence with alpha in [0, 2]
-    and at alpha = inf."""
-    rho, sigma = _check_shapes(rho, sigma)
-    d = rho.shape[0]
-    tau0 = np.eye(d, dtype=complex) / d  # any state is admissible on a null index
+def _reverse_pq(rho: np.ndarray, sigma: np.ndarray):
+    """The classical pair (p, q) of ``optimal_reverse_test`` with what its
+    channel is built from: (p, q, ss, x, clusters, rho_ac), ``x`` the graded
+    Spectrum of sigma^{-1/2} rho_ac sigma^{-1/2} in sigma's eigenbasis B and
+    ``clusters`` its eigenvalue blocks, p and q ending in the singular index.
+
+    A block's mass is ||B s^{1/2} x_i||^2 = sum_j s_j |x_ji|^2 summed over
+    its eigenvectors x_i (B is an isometry), so no d x d matrix is formed."""
     sr, ss = spectrum(rho), spectrum(sigma)
     b = ss.basis
     rho_ac, outside = _abs_cont(rho, sr.cut, b, ss.kernel)
@@ -267,24 +272,36 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters
     # groups them relative to each eigenvalue
     x = ss.graded(rho_ac, sr.basis.shape[1] - outside)
+    clusters = eig_clusters(x.w)
+    # positive masses, as s > 0 on supp sigma
+    masses = ss.w[:b.shape[1]] @ np.abs(x.u) ** 2
+    q = [float(np.sum(masses[idx])) for idx in clusters]
+    p = [float(np.mean(x.w[idx])) * m for idx, m in zip(clusters, q)]
     # rho has a part outside supp sigma iff C* rho C has rank against rho's
     # own cutoff, the rule D_max's support test uses
-    missing = float(np.trace(rho).real - np.trace(rho_ac).real)
-    sing = outside > 0
-
-    p, q, gammas = [], [], []
-    for idx in eig_clusters(x.w):
-        lam = float(np.mean(x.w[idx]))
-        # sigma^{1/2} times the eigenvectors: positive mass, as root > 0 on supp sigma
-        v = b @ (ss.root[:, None] * x.u[:, idx])
-        mass = float(np.sum(np.abs(v) ** 2))
-        p.append(lam * mass)
-        q.append(mass)
-        gammas.append(v @ v.conj().T / mass)
-    p.append(missing if sing else 0.0)
+    p.append(float(np.trace(rho).real - np.trace(rho_ac).real) if outside else 0.0)
     q.append(0.0)
-    gammas.append((rho - b @ rho_ac @ b.conj().T) / missing if sing else tau0)
-    return ReverseTest(np.array(p), np.array(q), gammas)
+    return np.array(p), np.array(q), ss, x, clusters, rho_ac
+
+
+def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
+    """Matsumoto's reverse test from the spectral decomposition of
+    sigma^{-1/2} rho_ac sigma^{-1/2}, taken in the eigenbasis B of supp
+    sigma; optimal for every maximal Renyi divergence with alpha in [0, 2]
+    and at alpha = inf."""
+    rho, sigma = _check_shapes(rho, sigma)
+    p, q, ss, x, clusters, rho_ac = _reverse_pq(rho, sigma)
+    b = ss.basis
+    gammas = []
+    for idx, mass in zip(clusters, q):
+        # sigma^{1/2} times the block's eigenvectors
+        v = b @ (ss.root[:, None] * x.u[:, idx])
+        gammas.append(v @ v.conj().T / mass)
+    # any state is admissible on a null singular index
+    d = rho.shape[0]
+    gammas.append((rho - b @ rho_ac @ b.conj().T) / p[-1] if p[-1] > 0
+                  else np.eye(d, dtype=complex) / d)
+    return ReverseTest(p, q, gammas)
 
 
 @dataclass(frozen=True)
@@ -311,9 +328,8 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     # leave every eigenvalue of rho below the support cutoff
     if tr_rho <= rho.shape[0] * SUPPORT_RTOL and not spectrum(rho).basis.size:
         return MaxRenyiValue(_empty_meet_renyi(alpha), upper_bound_only=alpha > 2)
-    rt = optimal_reverse_test(rho, sigma)
-    val = classical_renyi(alpha, rt.p, rt.q)
-    return MaxRenyiValue(val, upper_bound_only=alpha > 2)
+    p, q = _reverse_pq(rho, sigma)[:2]
+    return MaxRenyiValue(classical_renyi(alpha, p, q), upper_bound_only=alpha > 2)
 
 
 def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:

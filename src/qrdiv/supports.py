@@ -20,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InfiniteLimit, NotInvertible
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, eigh_desc, herm_part,
-                        meet_bases, spectrum)
+from .hermitian import Spectrum, _check_shapes, eigh_desc, herm_part, spectrum
 
 INF = float("inf")
 
@@ -104,19 +103,6 @@ def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tupl
     return top - x @ kc.power(-1.0) @ x.conj().T, kc.basis.shape[1]
 
 
-def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Independent route: S rho^{1/2} K rho^{1/2} S with K the projection
-    onto the kernel of rho^{1/2} (I - S) rho^{1/2}, whose rank is rank rho
-    less the dimension of the meet of the supports."""
-    rho = np.asarray(rho, dtype=complex)
-    sr, ss = spectrum(rho), spectrum(sigma)
-    s, eye = ss.proj, np.eye(rho.shape[0])
-    root = sr.power(0.5)
-    rank = sr.basis.shape[1] - meet_bases(sr.proj, s)[0].shape[1]
-    k = eye - _derived_spectrum(root @ (eye - s) @ root, rank).proj
-    return herm_part(s @ root @ k @ root @ s)
-
-
 # ---------------------------------------------------------------------------
 # operator perspective
 
@@ -159,19 +145,6 @@ def _graded_perspective(fn: OpConvexFn, ss: Spectrum, rho_ac: np.ndarray, rank: 
         raise InfiniteLimit(f"{fn.name}: infinite f(0+) at a zero eigenvalue of "
                             "sigma^{-1/2} rho_ac sigma^{-1/2}")
     return ss.ungraded(x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False))
-
-
-def perspective_smoothed(
-    fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray, eps: float
-) -> np.ndarray:
-    """P_f(rho + eps I, sigma + eps I) evaluated directly (all invertible)."""
-    d = rho.shape[0]
-    re = np.asarray(rho, dtype=complex) + eps * np.eye(d)
-    se = np.asarray(sigma, dtype=complex) + eps * np.eye(d)
-    sse = spectrum(se)
-    sh = sse.power(0.5)
-    shi = sse.power(-0.5)
-    return sh @ _derived_spectrum(shi @ re @ shi, d).fn(fn.f, on_support_only=False) @ sh
 
 
 # ---------------------------------------------------------------------------

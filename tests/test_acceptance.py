@@ -48,11 +48,11 @@ from qrdiv.renyi import (
 )
 from qrdiv.supports import (
     abs_cont_part,
-    abs_cont_part_kernel_formula,
     kubo_ando_mean,
     power_fn,
     perspective,
 )
+from support_reference import abs_cont_part_kernel_formula
 
 INF = float("inf")
 UM = (Umegaki(), Umegaki())

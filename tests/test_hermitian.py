@@ -371,23 +371,32 @@ _EIGH_BOUNDS = [
     # decomposed again)
     ("max_q_alpha_mean_route(0.5)", lambda r, s: max_q_alpha_mean_route(0.5, r, s), 3),  # 12
     ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s), 4),  # 19
-    ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 4),  # 10
+    # rho, sigma and H: supp rho lies in supp sigma, so it is the support
+    # meet, and no meet is decomposed (4 when it was)
+    ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 3),  # 10
     ("measured 2rho, 3sigma",
      lambda r, s: measured_lower_bound(2 * r, 3 * s, restarts=2, iters=0), 3),  # 5
-    ("bary_q um", lambda r, s: _q3(_UM, r, s), 8),  # 11
+    # the three operators and H, and for BS one X per term: the meet is the
+    # first operator's support, and each B* W^+ B is read off W's spectrum
+    # (8 and 14 when the meet and each B* W^+ B were decomposed)
+    ("bary_q um", lambda r, s: _q3(_UM, r, s), 4),  # 11
     ("bary_q bs iters=0",
-     lambda r, s: _q3(_BS, r, s, SolverOptions(iters=0, restarts=0)), 14),  # 21
-    # rho, sigma, the meet, H, and per BS term B* W^+ B and X (11 when the
-    # meet and sig_eff were decomposed twice)
+     lambda r, s: _q3(_BS, r, s, SolverOptions(iters=0, restarts=0)), 7),  # 21
+    # rho, sigma, H, and per BS term X (8 when the meet and each B* W^+ B were
+    # decomposed, 11 when the meet and sig_eff were decomposed twice)
     ("bary bs,bs 0.5 iters=0", lambda r, s: barycentric_renyi_full(
-        0.5, (_BS, _BS), r, s, SolverOptions(iters=0, restarts=0)), 8),
-    # alpha = inf: ~10^4 when the solver ran to its iteration cap
-    ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 4),
-    ("bary bs,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_BS, _BS), r, s), 4),
-    # three spectra and one eigh per safeguarded Newton step of the dual (4
+        0.5, (_BS, _BS), r, s, SolverOptions(iters=0, restarts=0)), 5),
+    # alpha = inf: rho, sigma and one more (4 each when the meet was
+    # decomposed); ~10^4 when the solver ran to its iteration cap
+    ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 3),
+    ("renyi_alpha_z(inf, inf)", lambda r, s: renyi_alpha_z(math.inf, math.inf, r, s), 3),
+    ("bary bs,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_BS, _BS), r, s), 3),
+    # two spectra and one eigh per safeguarded Newton step of the dual (4
     # here; 14 and one more on a near-degenerate top, 17 in all, when each
-    # step bisected); about 1.6e4 when the solver ran
-    ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 7),
+    # step bisected); the bracket is read off sigma's spectrum (7 and an
+    # eigvalsh when the meet and the bracket were decomposed); about 1.6e4
+    # when the solver ran
+    ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 6),
 ]
 
 

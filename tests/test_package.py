@@ -1,5 +1,5 @@
 """The package namespace: lazy submodule loading and the export list; and
-two rules over the package source."""
+rules over the package source."""
 
 import ast
 import importlib
@@ -71,9 +71,9 @@ def test_no_trace_is_compared_to_a_literal_tolerance():
     assert not hits, hits
 
 
-def test_only_spectrum_decomposes_with_the_input_check():
-    # an input is checked by its one decomposition, in spectrum(); a matrix
-    # derived from inputs goes through the unchecked eigh_desc
+def _callers(name: str) -> set:
+    """The functions under src/qrdiv (as "file:function") whose own body
+    calls ``name``, not counting the functions nested in them."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     callers = set()
     for path in sorted(Path(qrdiv.__file__).parent.glob("*.py")):
@@ -87,7 +87,21 @@ def test_only_spectrum_decomposes_with_the_input_check():
                     continue
                 if isinstance(node, ast.Call):
                     f = node.func
-                    if getattr(f, "id", getattr(f, "attr", None)) == "spectral_decompose":
+                    if getattr(f, "id", getattr(f, "attr", None)) == name:
                         callers.add(f"{path.name}:{getattr(scope, 'name', '<module>')}")
                 todo.extend(ast.iter_child_nodes(node))
+    return callers
+
+
+def test_only_spectrum_decomposes_with_the_input_check():
+    # an input is checked by its one decomposition, in spectrum(); a matrix
+    # derived from inputs goes through the unchecked eigh_desc
+    callers = _callers("spectral_decompose")
     assert callers == {"hermitian.py:spectrum"}, callers
+
+
+def test_only_support_meet_decomposes_a_meet():
+    # a support meet is taken by support_meet, which decomposes the sum of
+    # the projections only where no support lies in every other one
+    callers = _callers("meet_bases")
+    assert callers == {"hermitian.py:support_meet"}, callers

@@ -5,7 +5,7 @@ import pytest
 
 from qrdiv.classical import classical_renyi
 from qrdiv.errors import BadParameter
-from qrdiv.hermitian import sample_state, sample_unitary, tensor
+from qrdiv.hermitian import CLUSTER_RTOL, sample_state, sample_unitary, spectrum, tensor
 from qrdiv.relent import bs_rel_entropy, measured_lower_bound, umegaki
 from qrdiv.renyi import (
     max_fdivergence,
@@ -153,6 +153,42 @@ def test_max_renyi_two_routes_agree():
                 assert v1 == v2
             else:
                 assert abs(v1 - v2) < 1e-8
+
+
+def _reverse_test_cases(kind):
+    """(rho, sigma) pairs: ``clustered`` has sigma^{-1/2} rho sigma^{-1/2}
+    = U diag(y) U* with two pairs of eigenvalues within CLUSTER_RTOL of each
+    other; ``singular`` a rank-2 sigma, so rho has a part outside supp
+    sigma; ``kappa=1e6`` the pairs of test_conditioning's 1e6 row."""
+    if kind == "kappa=1e6":
+        from test_conditioning import _state
+
+        rng = np.random.default_rng(1)
+        return [(_state(4, 1e6, rng), _state(4, 1e6, rng)) for _ in range(4)]
+    rng = np.random.default_rng(40)
+    if kind == "singular":
+        return [(sample_state(4, 4, rng), sample_state(4, 2, rng)) for _ in range(4)]
+    y = np.array([2.0, 2.0 * (1 + 0.3 * CLUSTER_RTOL), 0.5, 0.5 * (1 - 0.3 * CLUSTER_RTOL)])
+    out = []
+    for _ in range(4):
+        sig, u = sample_state(4, 4, rng), sample_unitary(4, rng)
+        root = spectrum(sig).power(0.5)
+        out.append((root @ ((u * y) @ u.conj().T) @ root, sig))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["clustered", "singular", "kappa=1e6"])
+def test_max_renyi_is_the_classical_renyi_of_the_reverse_test(kind):
+    # max_renyi reads only the reverse test's (p, q), without its channel
+    for rho, sig in _reverse_test_cases(kind):
+        rt = optimal_reverse_test(rho, sig)
+        if kind == "clustered":
+            assert len(rt.p) == 3  # two blocks and the singular index
+        if kind == "singular":
+            assert rt.p[-1] > 0.0 and rt.q[-1] == 0.0
+        for a in (0.25, 0.5, 1.5, 2.0):
+            got, ref = max_renyi(a, rho, sig).value, classical_renyi(a, rt.p, rt.q)
+            assert got == ref or abs(got - ref) <= 1e-14 * abs(ref), (a, got, ref)
 
 
 def test_max_renyi_basics():

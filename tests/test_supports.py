@@ -16,16 +16,15 @@ from qrdiv.hermitian import (
 from qrdiv.oracles import eps_ladder_limit
 from qrdiv.supports import (
     abs_cont_part,
-    abs_cont_part_kernel_formula,
     kubo_ando_mean,
     kubo_ando_mean_real,
     neg_log,
     neg_power,
     perspective,
-    perspective_smoothed,
     power_fn,
     x_log_x,
 )
+from support_reference import abs_cont_part_kernel_formula, perspective_smoothed
 
 
 def test_builtin_limits_match_numeric():
