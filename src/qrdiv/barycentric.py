@@ -46,6 +46,7 @@ from .hermitian import (
     Spectrum,
     _check_shapes,
     _derived_spectrum,
+    _lies_in,
     sample_hermitian,
     spectrum,
     support_leq,
@@ -557,14 +558,13 @@ def barycentric_q(
     if len(kinds) != len(channel.operators) or len(weights) != len(channel.operators):
         raise DimensionMismatch("kinds/weights/operators must align")
     if cls == OTHER:
-        sups = [sp.proj for sp, w in zip(channel.spectra, weights) if w != 0.0]
-        if any(np.max(np.abs(s - sups[0])) > 1e-7 for s in sups[1:]):
+        sps = [sp for sp, w in zip(channel.spectra, weights) if w != 0.0]
+        if not all(support_leq(s, sps[0]) and support_leq(sps[0], s) for s in sps[1:]):
             raise UnsupportedWeights(
                 "signed weights outside the admissible classes need equal supports"
             )
     b_plus, b_minus = channel.support_meets(weights)
-    if any(w < 0 for w in weights) and not support_leq(b_plus @ b_plus.conj().T,
-                                                       b_minus @ b_minus.conj().T):
+    if any(w < 0 for w in weights) and not _lies_in(b_plus, b_minus):
         return BarycenterResult(q_value=INF, radius=-INF)
 
     center, radius, gap, iters, conv = _center(

@@ -10,8 +10,10 @@ such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
 instead (``_derived_spectrum``); every such congruence is formed in sigma's
 eigenbasis (``Spectrum.graded``). Only an input's decomposition runs the
 Hermiticity check; a derived operator is decomposed with ``eigh_desc``.
-The meet of supports is the support of an input that lies in every other
-one, and only a proper meet is decomposed (``support_meet``); a
+An input's part in a subspace is zero iff its compression there has rank 0
+against the input's cutoff (``compressed_rank``, and so ``support_leq``).
+The meet of supports is the support of an input that lies (``_lies_in``) in
+every other one, and only a proper meet is decomposed (``support_meet``); a
 compression B* f(A) B onto a basis of A's whole support is read off A's
 spectrum (``Spectrum.compressed``).
 """
@@ -127,8 +129,7 @@ class Spectrum:
     @cached_property
     def proj(self) -> np.ndarray:
         """Orthogonal projection onto the support."""
-        v = self.u[:, self.w > self.cut]
-        return v @ v.conj().T
+        return self.basis @ self.basis.conj().T
 
     def fn(self, f, on_support_only: bool = True) -> np.ndarray:
         """U f(Lambda) U*; eigenvalues below the cutoff map to 0 when
@@ -228,39 +229,58 @@ def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:
     return Spectrum(w, u, 0.0)
 
 
-def support_leq(a, b, tol: float = 1e-7) -> bool:
-    """Whether ran(a) is contained in ran(b), for PSD a, b (matrices or
-    spectra); True at once when b has full rank."""
-    v, sb = spectrum(a).basis, spectrum(b)
-    if not (v.size and sb.kernel.size):
-        return True
-    return float(np.max(np.abs(v - sb.proj @ v))) <= tol
+def compressed_rank(a, q: np.ndarray, zero_test: bool = False) -> int:
+    """The rank of Q* A Q (from all of A's eigenpairs) against A's own
+    cutoff, for PSD ``a`` (a matrix or Spectrum) and orthonormal Q: the one
+    inclusion rule. With ``zero_test``, 1 stands for any positive rank, and
+    Q* A Q is decomposed only where its largest diagonal entry and the trace
+    of Q* A_+ Q, which bound its top eigenvalue, straddle the cutoff."""
+    sp = spectrum(a)
+    if not (q.shape[1] and sp.basis.size):
+        return 0
+    y = q.conj().T @ sp.u
+    y2 = np.abs(y) ** 2
+    if zero_test and float(np.max(y2 @ sp.w)) > sp.cut:
+        return 1
+    if zero_test and float(y2.sum(axis=0) @ np.maximum(sp.w, 0.0)) <= sp.cut:
+        return 0
+    return int(np.sum(np.linalg.eigvalsh((y * sp.w) @ y.conj().T) > sp.cut))
 
 
-def meet_bases(*projections: np.ndarray, tol: float = 1e-7
-               ) -> tuple[np.ndarray, np.ndarray]:
+def support_leq(a, b) -> bool:
+    """Whether ran(a) <= ran(b), for PSD a, b (matrices or spectra): a's
+    compression to ker b has rank 0 (``compressed_rank``)."""
+    return not compressed_rank(a, spectrum(b).kernel, zero_test=True)
+
+
+def _lies_in(v: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ran(v) <= ran(b) for orthonormal v, b, geometrically:
+    max abs(v - P_b v) <= 1e-7. A meet basis must lie in every support
+    (``Spectrum.compressed``), which ``compressed_rank`` does not ensure."""
+    return (not v.size or b.shape[1] == b.shape[0]
+            or float(np.max(np.abs(v - b @ (b.conj().T @ v)))) <= 1e-7)
+
+
+def meet_bases(*projections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (B, C) of the meet of the ranges of k projections
-    and of its orthogonal complement, from one decomposition of their sum.
-
-    The meet is the eigenvalue-k eigenspace of the sum: every other unit
-    vector leaves some range at a nonzero angle and scores below k.
-    """
+    and of its complement: the eigenvalue-k eigenspace of their sum (every
+    other unit vector leaves some range and scores below k) and the rest."""
     ps = [np.asarray(p, dtype=complex) for p in projections]
     if any(p.shape != ps[0].shape for p in ps[1:]):
         raise DimensionMismatch(f"projections of shapes {[p.shape for p in ps]}")
     w, u = eigh_desc(sum(ps))
-    top = w > len(ps) - tol
+    top = w > len(ps) - 1e-7
     return u[:, top], u[:, ~top]
 
 
 def support_meet(*spectra) -> np.ndarray:
     """Orthonormal basis of the meet of the supports of PSD operators
     (matrices or spectra): the ``basis`` of the first support that lies in
-    every other one (``support_leq``), so nested supports cost no
+    every other one (``_lies_in``), so nested supports cost no
     decomposition; only a proper meet is taken from ``meet_bases``."""
     sps = [spectrum(s) for s in spectra]
     for sp in sps:
-        if all(support_leq(sp, other) for other in sps if other is not sp):
+        if all(_lies_in(sp.basis, other.basis) for other in sps if other is not sp):
             return sp.basis
     return meet_bases(*(sp.proj for sp in sps))[0]
 
@@ -339,12 +359,9 @@ class CptpChannel:
     env_dim: int
     isometry: np.ndarray  # (dim_out * env_dim) x dim_in, V* V = I
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         y = self.isometry @ np.asarray(x, dtype=complex) @ self.isometry.conj().T
         return partial_trace(y, (self.dim_out, self.env_dim), keep=0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
 
 
 def sample_cptp(dim_in: int, dim_out: int, env_dim: int, seed=0) -> CptpChannel:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, eigh_desc, herm_part,
-                        sample_unitary, spectrum, support_leq)
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, compressed_rank, eigh_desc,
+                        herm_part, sample_unitary, spectrum, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -138,10 +138,8 @@ def _measured_slopes(alpha, a, b) -> tuple[np.ndarray, np.ndarray]:
     da, db = np.zeros_like(a), np.zeros_like(b)
     both = (a > 0) & (b > 0)
     x, y = a[both], b[both]
-    if alpha is None or alpha == 1:
+    if alpha is None:
         da[both], db[both] = np.log(x) - np.log(y), -x / y
-        if alpha == 1:
-            da, db = da / a.sum(), db / a.sum()
     elif alpha == INF:
         # subgradient at the first argmax of a / b
         ratio = np.full(a.shape, -INF)
@@ -287,11 +285,9 @@ def _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed):
     if not sr.basis.size:
         return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
-    if alpha is None or alpha >= 1:
-        if not support_leq(sr, ss):
-            return INF, np.eye(d, dtype=complex)
-    elif float(np.max(np.abs(ss.proj @ sr.basis))) <= 1e-7:
-        # orthogonal supports, by support_leq's rule: ran(rho) <= ker(sigma)
+    # +inf where rho has a part outside supp sigma, or below alpha = 1 none in it
+    below = alpha is not None and alpha < 1
+    if not (compressed_rank(sr, ss.basis, zero_test=True) if below else support_leq(sr, ss)):
         return INF, np.eye(d, dtype=complex)
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
@@ -381,24 +377,12 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
     return best_val, best_u
 
 
-def geom_weighted_value(
-    base: EntropyKind, gamma: float, rho: np.ndarray, sigma: np.ndarray, seed: int = 0
-) -> DivergenceValue:
-    """(1/(1-gamma)) D^base(rho || sigma #_gamma rho); +inf unless
-    ran(rho) <= ran(sigma), the support rule of every base kind against the
-    mean."""
-    rho, sigma = _check_shapes(rho, sigma)
-    return _geom_weighted_value(base, gamma, rho, spectrum(rho), spectrum(sigma), seed)
-
-
 def _geom_weighted_value(base, gamma, rho, sr, ss, seed) -> DivergenceValue:
-    """``geom_weighted_value`` with the spectra sr, ss of rho and sigma.
-
-    The mean M = sigma #_gamma rho has the support meet for its support, so
-    every base kind is +inf exactly when ran(rho) is not in ran(sigma),
-    decided as um and bs decide it. Otherwise rho_ac = rho, and M is
-    sigma^{1/2} X^gamma sigma^{1/2} with X graded in sigma's eigenbasis, a
-    derived operator of rank rank rho."""
+    """(1/(1-gamma)) D^base(rho || M), M = sigma #_gamma rho, on the spectra
+    sr, ss of rho and sigma. M has the support meet for its support, so
+    every base kind is +inf exactly when ran(rho) is not in ran(sigma).
+    Otherwise M is sigma^{1/2} X^gamma sigma^{1/2} with X graded in sigma's
+    eigenbasis, a derived operator of rank rank rho."""
     if not support_leq(sr, ss):
         return DivergenceValue(INF)
     v, rank = ss.basis, sr.basis.shape[1]

@@ -17,6 +17,7 @@ from .hermitian import (
     SUPPORT_RTOL,
     _check_shapes,
     _derived_spectrum,
+    compressed_rank,
     eig_clusters,
     herm_part,
     spectrum,
@@ -192,10 +193,8 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
             h = _log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b)
             q = float(np.sum(np.exp(np.linalg.eigh(herm_part(h))[0])))
     else:
-        # the product has the rank of P_rho P_sigma: rank rho when supp rho <= supp
-        # sigma, else that of rho compressed to supp sigma, cut with rho's cutoff
-        rank = (sr.basis.shape[1] if leq else int(np.sum(
-            np.linalg.eigvalsh(ss.basis.conj().T @ rho @ ss.basis) > sr.cut)))
+        # the product has the rank of P_rho P_sigma, that of rho's compression to supp sigma
+        rank = sr.basis.shape[1] if leq else compressed_rank(sr, ss.basis)
         a = sr.power(alpha / (2.0 * z))
         w = _derived_spectrum(a @ ss.power((1.0 - alpha) / z) @ a, rank).w
         q = float(np.sum(w**z))
@@ -277,8 +276,7 @@ def _reverse_pq(rho: np.ndarray, sigma: np.ndarray):
     masses = ss.w[:b.shape[1]] @ np.abs(x.u) ** 2
     q = [float(np.sum(masses[idx])) for idx in clusters]
     p = [float(np.mean(x.w[idx])) * m for idx, m in zip(clusters, q)]
-    # rho has a part outside supp sigma iff C* rho C has rank against rho's
-    # own cutoff, the rule D_max's support test uses
+    # the singular index: rho's part outside supp sigma, by D_max's inclusion rule
     p.append(float(np.trace(rho).real - np.trace(rho_ac).real) if outside else 0.0)
     q.append(0.0)
     return np.array(p), np.array(q), ss, x, clusters, rho_ac

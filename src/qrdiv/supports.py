@@ -93,8 +93,9 @@ def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tupl
     """(B* rho_ac B, k): the part of rho absolutely continuous w.r.t. ran(B)
     in B's coordinates, the Schur complement
     B* rho B - B* rho C (C* rho C)^+ C* rho B, for orthonormal bases B of a
-    subspace and C of its complement, and the rank k of C* rho C, so that
-    rank rho_ac = rank rho - k; C* rho C is cut with ``cut``, rho's own."""
+    subspace and C of its complement, and the rank k of C* rho C against
+    ``cut``, rho's own (``hermitian.compressed_rank``), so that
+    rank rho_ac = rank rho - k."""
     top = b.conj().T @ rho @ b
     if not c.shape[1]:
         return top, 0

@@ -14,7 +14,7 @@ from qrdiv.barycentric import (
     dual_renyi,
 )
 from qrdiv.classical import WeightedFamily, classical_renyi, multivariate_q
-from qrdiv.errors import BadParameter, UnsupportedWeights
+from qrdiv.errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from qrdiv.hermitian import (
     matrix_from_json,
     partial_trace,
@@ -116,6 +116,25 @@ def test_channel_below_every_cutoff_is_rejected():
     # each W_x counts as zero: every eigenvalue is below its support cutoff
     with pytest.raises(BadParameter):
         GcqChannel(("a", "b"), (1e-12 * np.eye(2), np.diag([1e-13, 0.0])))
+
+
+def test_bad_input_fails_at_the_boundary():
+    rho, sig = sample_state(2, 2, 43), sample_state(2, 2, 44)
+    with pytest.raises(BadParameter):
+        barycentric_renyi_full(0.5, (Umegaki(), Umegaki()), np.zeros((2, 2)), sig)
+    with pytest.raises(BadParameter):
+        barycentric_renyi_full(-0.5, (Umegaki(), Umegaki()), rho, sig)
+    # one operator per label, all of one dimension
+    with pytest.raises(DimensionMismatch):
+        GcqChannel(("a",), (rho, sig))
+    with pytest.raises(DimensionMismatch):
+        GcqChannel(("a", "b"), (rho, sample_state(3, 3, 45)))
+    # one kind and one weight per operator
+    ch = GcqChannel(("a", "b"), (rho, sig))
+    with pytest.raises(DimensionMismatch):
+        barycentric_q([Umegaki()], ch, (0.5, 0.5))
+    with pytest.raises(DimensionMismatch):
+        barycentric_q([Umegaki()] * 2, ch, (1.0,))
 
 
 def test_fast_paths_support_logic():

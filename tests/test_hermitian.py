@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qrdiv.hermitian import (
     Spectrum,
     _derived_spectrum,
     check_hermitian,
+    compressed_rank,
     matrix_from_json,
     matrix_to_json,
     meet_bases,
@@ -41,6 +43,7 @@ from qrdiv.hermitian import (
     sample_unitary,
     spectral_decompose,
     spectrum,
+    support_leq,
     tensor,
 )
 from qrdiv.renyi import max_q_alpha_mean_route, max_relative_entropy
@@ -112,6 +115,44 @@ def test_apply_function_matches_polynomial():
         np.testing.assert_allclose(
             spectrum(a).fn(p, on_support_only=False), direct, atol=1e-9
         )
+
+
+# (eigenvalues of the compression to a 2-dim Q, rank, whether the zero test
+# decomposes it): Q's coordinates are rotated by 45 degrees against them, so
+# the diagonal and the trace bound the top eigenvalue only apart
+_COMPRESSIONS = [
+    ((1e-12, 0.0), 0, False),  # trace below the cutoff
+    ((0.6e-9, 0.6e-9), 0, True),  # diagonal below it, trace above
+    ((1.5e-9, 0.0), 1, True),
+    ((3e-9, 1e-12), 1, False),  # a diagonal entry above it
+    ((0.5, 0.2), 2, False),
+]
+
+
+@pytest.mark.parametrize("lams, rank, band", _COMPRESSIONS)
+def test_compressed_rank_against_the_cutoff_of_a(lams, rank, band):
+    w = sample_unitary(3, 9)
+    r = np.eye(3, dtype=complex)
+    r[1:, 1:] = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+    a = w @ r @ np.diag([1.0, *lams]) @ r.conj().T @ w.conj().T
+    q = w[:, 1:]
+    sp = spectrum(a)
+    assert compressed_rank(sp, q) == rank
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        zero = compressed_rank(sp, q, zero_test=True)
+    assert (zero == 0) == (rank == 0)
+    assert eigvalsh.call_count == band
+    # the inclusion rule: ran(a) <= ran(b) iff a's compression to ker b is 0
+    b = w @ np.diag([1.0, 0.0, 0.0]) @ w.conj().T
+    assert support_leq(sp, b) == (rank == 0)
+
+
+def test_support_leq_takes_no_decomposition_against_full_rank():
+    rho, sig = sample_state(3, 2, 4), sample_state(3, 3, 5)
+    sr, ss = spectrum(rho), spectrum(sig)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        assert support_leq(sr, ss) and not support_leq(ss, sr)
+    assert eigvalsh.call_count == 0
 
 
 def test_projection_meet_identity():
@@ -354,6 +395,10 @@ def _q3(kind, r, s, options=None):
     return barycentric_q((kind,) * 3, ch, (0.5, 0.25, 0.25), options)
 
 
+# a full-rank d = 3 channel for signed weights
+_SIGNED = GcqChannel(("a", "b"), (sample_state(3, 3, 21), sample_state(3, 3, 22)))
+
+
 # each operand is decomposed once per call; the count when every helper
 # re-decomposed its input is on the right. bs_rel_entropy works in supp rho's
 # eigenbasis (rho, sigma and Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2}); the
@@ -397,6 +442,10 @@ _EIGH_BOUNDS = [
     # eigvalsh when the meet and the bracket were decomposed); about 1.6e4
     # when the solver ran
     ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 6),
+    # the channel's spectra are taken when it is built, S_+ <= S_- is read
+    # off the meet bases, and the um closed form decomposes H (3 when the
+    # two meet projections were decomposed for the test)
+    ("bary_q um signed", lambda r, s: barycentric_q((_UM, _UM), _SIGNED, (1.5, -0.5)), 1),
 ]
 
 

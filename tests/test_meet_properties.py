@@ -9,8 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qrdiv.barycentric import SolverOptions, _center, barycentric_renyi_full
-from qrdiv.hermitian import meet_bases, sample_unitary, spectrum, support_meet
+from qrdiv.barycentric import SolverOptions, _center, barycentric_renyi, barycentric_renyi_full
+from qrdiv.hermitian import meet_bases, sample_unitary, spectrum, support_leq, support_meet
 from qrdiv.relent import BelavkinStaszewski, Umegaki
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -84,3 +84,25 @@ def test_solves_on_the_helper_basis_match_the_decomposed_meet(case):
         ref = (-radius - math.log(np.trace(rho).real)) / (0.5 - 1.0)
         assert res["converged"] and conv
         assert abs(res["value"] - ref) <= 1e-10, (kinds, res["value"], ref)
+
+
+def test_meet_stays_inside_a_support_the_inclusion_rule_accepts():
+    # rho's eigenvalue 1.2e-9 sits just above its cutoff, on a vector that
+    # leaves supp sigma at weight 0.6: rho's compression to ker sigma,
+    # 7.2e-10, is below that cutoff, so ran(rho) <= ran(sigma) by the
+    # inclusion rule, but supp rho is no meet basis; the meet is e1
+    w = sample_unitary(3, 5)
+    sigma = (w * [0.6, 0.4, 0.0]) @ w.conj().T
+    v1, v2 = np.eye(3)[0], np.array([0.0, math.sqrt(0.4), math.sqrt(0.6)])
+    rho = w @ (np.outer(v1, v1) + 1.2e-9 * np.outer(v2, v2)) @ w.conj().T
+    sr, ss = spectrum(rho), spectrum(sigma)
+    assert support_leq(sr, ss)
+    b = support_meet(sr, ss)
+    assert b.shape[1] == 1
+    assert np.abs(ss.kernel.conj().T @ b).max() <= 1e-12
+    # the values on the meet e1; a meet along supp rho, which leaks 0.77
+    # into ker sigma, moves um,um by 7.4e-5
+    pinned = {(UM, UM): 0.510825626165991, (UM, BS): 0.5108256261659907,
+              (BS, BS): 0.5108256157367025}
+    for kinds, value in pinned.items():
+        assert abs(barycentric_renyi(0.5, kinds, rho, sigma) - value) <= 1e-12, kinds

@@ -71,6 +71,22 @@ def test_no_trace_is_compared_to_a_literal_tolerance():
     assert not hits, hits
 
 
+def test_only_hermitian_compares_to_the_geometric_tolerance():
+    # whether a part of an operator lies outside a support is decided by
+    # hermitian.compressed_rank, and whether a subspace lies in a support by
+    # hermitian._lies_in; no other module tests a literal 1e-7 of its own
+    hits = []
+    for path in sorted(Path(qrdiv.__file__).parent.glob("*.py")):
+        if path.name == "hermitian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Constant) and x.value == 1e-7
+                    for x in (node.left, *node.comparators)):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, hits
+
+
 def _callers(name: str) -> set:
     """The functions under src/qrdiv (as "file:function") whose own body
     calls ``name``, not counting the functions nested in them."""

@@ -16,7 +16,7 @@ from qrdiv.renyi import (
     reg_measured_renyi,
     renyi_alpha_z,
 )
-from qrdiv.supports import kubo_ando_mean, neg_power, x_log_x
+from qrdiv.supports import kubo_ando_mean, neg_log, neg_power, power_fn, x_log_x
 
 INF = float("inf")
 
@@ -58,6 +58,25 @@ def test_az_support_rules():
     assert renyi_alpha_z(2.0, INF, full, low) == INF
     with pytest.raises(BadParameter):
         renyi_alpha_z(0.5, -1.0, full, low)
+
+
+_R, _S = sample_state(2, 2, 41), sample_state(2, 2, 42)
+_ZERO = np.zeros((2, 2), dtype=complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: renyi_alpha_z(0.5, 1.0, _ZERO, _S),
+    lambda: renyi_alpha_z(-0.5, 1.0, _R, _S),
+    lambda: max_renyi(-0.5, _R, _S),
+    lambda: max_q_alpha_mean_route(2.5, _R, _S),
+    lambda: max_fdivergence(power_fn(0.5), _R, _S),  # not operator convex
+    lambda: max_fdivergence(neg_log(), _R, _S),  # infinite f(0+)
+    lambda: reg_measured_renyi(-0.5, _R, _S),
+], ids=["az zero rho", "az alpha < 0", "max_renyi alpha < 0", "mean route alpha 2.5",
+        "fdiv not operator convex", "fdiv infinite f(0+)", "reg_measured alpha < 0"])
+def test_bad_parameters_fail_at_the_boundary(call):
+    with pytest.raises(BadParameter):
+        call()
 
 
 def test_az_alpha_one_is_umegaki():

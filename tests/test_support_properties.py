@@ -7,8 +7,20 @@ import numpy as np
 import pytest
 
 from qrdiv.hermitian import SUPPORT_RTOL, sample_state, sample_unitary, spectrum
-from qrdiv.relent import GeomWeighted, Umegaki, bs_rel_entropy, rel_entropy, umegaki
-from qrdiv.renyi import max_fdivergence, optimal_reverse_test
+from qrdiv.relent import (
+    GeomWeighted,
+    MeasuredProjective,
+    Umegaki,
+    bs_rel_entropy,
+    rel_entropy,
+    umegaki,
+)
+from qrdiv.renyi import (
+    max_fdivergence,
+    max_relative_entropy,
+    optimal_reverse_test,
+    renyi_alpha_z,
+)
 from qrdiv.supports import x_log_x
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,9 +90,24 @@ def _rank(a) -> int:
     return spectrum(a).basis.shape[1]
 
 
+def _leaky_eigenvector_pair():
+    """(rho, sigma) with supp rho = supp sigma, where rho's eigenvalue just
+    above its cutoff has an eigenvector good to only about eps / 1e-9, so
+    that it leaves supp sigma by 1.26e-7 while rho's compression to
+    ker sigma is at rounding level."""
+    w = sample_unitary(3, 16)
+    y = np.eye(3, dtype=complex)
+    y[:2, :2] = sample_unitary(2, 1016)
+    sigma = (w * [1.0, 0.5, 0.0]) @ w.conj().T
+    rho = w @ (y * [1.0, 1.01e-9, 0.0]) @ y.conj().T @ w.conj().T
+    return rho, sigma
+
+
 # rho with a part outside supp sigma, and that part's trace below 1e-10 of
-# the traces' sum
+# the traces' sum; rho inside supp sigma whose eigenvector test would fail
 @hypothesis.example((np.diag([1.0, 1e-2]), np.diag([1.0, 0.0]), 1e-3, 1e6))
+@hypothesis.example((*_leaky_eigenvector_pair(), 1.0, 1.0))
+@hypothesis.example((*_leaky_eigenvector_pair(), 10.0, 1.0))
 @hypothesis.given(support_cases())
 def test_kinds_share_the_zero_rule_at_every_scale(case):
     rho, sigma, a, b = case
@@ -116,3 +143,30 @@ def test_reverse_test_reproduces_both_inputs(case):
     rt = optimal_reverse_test(ra, sb)
     assert np.abs(rt.apply(rt.q) - sb).max() <= 1e-6 * max(1.0, b)
     assert np.abs(rt.apply(rt.p) - ra).max() <= 1e-6 * max(1.0, a)
+
+
+def test_leaky_eigenvector_pair_is_inside_the_support_for_every_kind():
+    # every kind reads ran(rho) <= ran(sigma) off rho's compression to
+    # ker sigma, so none is +inf here, and each obeys the scaling law
+    rho, sigma = _leaky_eigenvector_pair()
+    kinds = {
+        "um": umegaki,
+        "bs": bs_rel_entropy,
+        "geom:um:0.5": lambda r, s: rel_entropy(GEOM, r, s).value,
+        "dmax": max_relative_entropy,
+        "az(1.5, inf)": lambda r, s: renyi_alpha_z(1.5, math.inf, r, s),
+        "az(2, 2)": lambda r, s: renyi_alpha_z(2.0, 2.0, r, s),
+        "meas": lambda r, s: rel_entropy(MeasuredProjective(), r, s).value,
+    }
+    tr = float(np.trace(rho).real)
+    for name, f in kinds.items():
+        v1, v10 = f(rho, sigma), f(10.0 * rho, sigma)
+        assert math.isfinite(v1) and math.isfinite(v10), name
+        # D(10 rho || sigma) = 10 D + 10 Tr rho log 10; the Renyi kinds and
+        # D_max move by log 10 (their alpha - 1 normalization takes Tr rho)
+        if name in ("dmax", "az(1.5, inf)", "az(2, 2)"):
+            expect = v1 + math.log(10.0)
+        else:
+            expect = 10.0 * v1 + 10.0 * tr * math.log(10.0)
+        assert abs(v10 - expect) <= 1e-6 * abs(expect), name
+    assert abs(bs_rel_entropy(rho, sigma) - max_fdivergence(x_log_x(), rho, sigma)) <= 1e-5
