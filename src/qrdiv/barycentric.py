@@ -19,8 +19,11 @@ alpha = inf, Umegaki first generators against Umegaki and BS second ones
 give a pure center from a 1-D convex dual (``renyi._um_first_top``), and
 all-BS generators D_max.
 
-The feasible subspace is the meet of the supports, ``hermitian.support_meet``:
-the support of an input that lies in every other one, with that input's
+The feasible subspace is the meet of the supports at nonzero weights, and
+Q = +inf where an input at a positive weight has a part outside the support
+of one at a negative weight (``support_leq``): ``_feasible_meet`` reads
+both for every entry point. The meet, ``hermitian.support_meet``, is the
+support of an input that lies in every other one, with that input's
 eigenbasis as B, and only a proper meet from a decomposition of the
 projections' sum. Where B spans an input's whole support, its compressions
 are read off its spectrum: B* f(W) B = (B* V) f(w) (B* V)* for the support
@@ -46,13 +49,12 @@ from .hermitian import (
     Spectrum,
     _check_shapes,
     _derived_spectrum,
-    _lies_in,
     sample_hermitian,
     spectrum,
     support_leq,
     support_meet,
 )
-from .kinds import _whole_counts
+from .kinds import _check_alpha, _whole_counts
 from .relent import (
     BelavkinStaszewski,
     EntropyKind,
@@ -60,6 +62,7 @@ from .relent import (
     MeasuredProjective,
     Mixture,
     Umegaki,
+    _empty_meet_renyi,
     _measured_slopes,
     measured_lower_bound,
     rel_entropy,
@@ -95,24 +98,10 @@ class GcqChannel:
         if not any(sp.basis.size for sp in self.spectra):
             raise BadParameter("at least one W_x must have an eigenvalue above its support cutoff")
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
     @cached_property
     def spectra(self) -> tuple:
         """The Spectrum of each W_x, decomposed once."""
         return tuple(spectrum(w) for w in self.operators)
-
-    def support_meets(self, weights: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal bases of S_+ and S_-, the meets of the supports over
-        positive / negative weights (``support_meet``; the meet of no
-        support is the whole space)."""
-        def meet(sign):
-            sps = [sp for w, sp in zip(weights, self.spectra) if sign * w > 0]
-            return support_meet(*sps) if sps else np.eye(self.dim, dtype=complex)
-
-        return meet(1), meet(-1)
 
 
 @dataclass
@@ -521,6 +510,18 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
 # multi-variate barycentric Q
 
 
+def _feasible_meet(weights, spectra) -> Optional[np.ndarray]:
+    """Orthonormal basis of the center problem's feasible subspace, the meet
+    (``support_meet``) of the supports at nonzero weights, positive ones
+    first; None where Q = +inf, as an operator at a positive weight has a
+    part outside the support of one at a negative weight (``support_leq``)."""
+    pos = [sp for w, sp in zip(weights, spectra) if w > 0]
+    neg = [sp for w, sp in zip(weights, spectra) if w < 0]
+    if not all(support_leq(p, n) for p in pos for n in neg):
+        return None
+    return support_meet(*pos, *neg)
+
+
 def _center(weights, kinds, ops, spectra, basis: np.ndarray, options: Optional[SolverOptions]):
     """(center, radius, gap, iterations, converged) for the radius
     inf over states omega in ran(basis) of sum_x P(x) D^{q_x}(omega || W_x)
@@ -548,10 +549,9 @@ def barycentric_q(
     options: Optional[SolverOptions] = None,
 ) -> BarycenterResult:
     """P-weighted barycentric Q of a gcq channel: Q = exp(-radius) with
-    radius = inf over states omega in ran(S_+) of sum_x P(x) D^{q_x}(omega || W_x).
-
-    Support-projection fast paths (Q = 0 for probability P with S_+ = 0,
-    Q = +inf for signed P with S_+ not below S_-) run before any solver call.
+    radius = inf over states omega in the feasible subspace of
+    sum_x P(x) D^{q_x}(omega || W_x). ``_feasible_meet`` reads that subspace,
+    and Q = +inf for signed P, before any solver call (Q = 0 on an empty meet).
     """
     weights = [float(w) for w in weights]
     cls = classify_weights(weights)
@@ -563,12 +563,12 @@ def barycentric_q(
             raise UnsupportedWeights(
                 "signed weights outside the admissible classes need equal supports"
             )
-    b_plus, b_minus = channel.support_meets(weights)
-    if any(w < 0 for w in weights) and not _lies_in(b_plus, b_minus):
+    basis = _feasible_meet(weights, channel.spectra)
+    if basis is None:
         return BarycenterResult(q_value=INF, radius=-INF)
 
     center, radius, gap, iters, conv = _center(
-        weights, kinds, channel.operators, channel.spectra, b_plus, options)
+        weights, kinds, channel.operators, channel.spectra, basis, options)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
     return BarycenterResult(
@@ -631,8 +631,7 @@ def barycentric_renyi_full(
     tr_rho = float(np.trace(rho).real)
     if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
-    if not (alpha == INF or alpha >= 0):
-        raise BadParameter(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     q0, q1 = kinds
     out = {"value": INF, "center": None, "gap": 0.0, "iterations": 0, "converged": True}
 
@@ -640,16 +639,14 @@ def barycentric_renyi_full(
         out["value"] = rel_entropy(q1, rho, sigma).value / tr_rho
         return out
 
-    # +inf from the supports alone: ran(rho) <= ran(sigma) above alpha = 1,
-    # a nonzero meet ran(basis) below it
+    # the center problem's weights, (1, -1) at alpha = inf; its +inf gate and
+    # meet are barycentric_q's, but the alpha -> 0 limit keeps supp rho
     sr, ss = spectrum(rho), spectrum(sigma)
-    if alpha > 1 and not support_leq(sr, ss):
-        return out
-    basis = support_meet(sr, ss)
-    if basis.shape[1] == 0:
-        # above alpha = 1, rho is below the support cutoff: every eigenvalue
-        # counts as zero, log Q_alpha = -inf and so does the value
-        out["value"] = -INF if alpha > 1 else INF
+    weights = (1.0, -1.0) if alpha == INF else (alpha, 1.0 - alpha)
+    basis = support_meet(sr, ss) if alpha == 0 else _feasible_meet(weights, (sr, ss))
+    if basis is None or not basis.shape[1]:
+        # +inf from the supports; on an empty meet log Q_alpha = -inf
+        out["value"] = INF if basis is None else _empty_meet_renyi(alpha)
         return out
     opts = options or SolverOptions()
     if alpha == 0 and opts.use_closed_form and basis.shape[1] == ss.basis.shape[1]:
@@ -684,19 +681,11 @@ def barycentric_renyi_full(
             out.update(value=value, center=np.outer(pure, pure.conj()), gap=gap,
                        iterations=iters, converged=gap <= opts.tol)
             return out
-        weights = (1.0, -1.0)
-    else:
-        weights = (0.0, 1.0) if alpha == 0 else (alpha, 1.0 - alpha)
     center, radius, gap, iters, conv = _center(weights, kinds, (rho, sigma), (sr, ss), basis,
                                                options)
 
     # psi_alpha = -radius; D_alpha = (psi_alpha - log Tr rho)/(alpha - 1)
-    if alpha == INF:
-        value = -radius
-    elif alpha == 0:
-        value = radius + math.log(tr_rho)
-    else:
-        value = (-radius - math.log(tr_rho)) / (alpha - 1.0)
+    value = -radius if alpha == INF else (-radius - math.log(tr_rho)) / (alpha - 1.0)
     out.update(value=value, center=center, gap=gap, iterations=iters, converged=conv)
     return out
 

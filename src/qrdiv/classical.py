@@ -18,6 +18,7 @@ from .errors import (
     DisjointSupports,
     LengthMismatch,
 )
+from .kinds import _check_alpha
 
 INF = float("inf")
 
@@ -158,8 +159,7 @@ def classical_renyi(alpha, p, q) -> float:
     """Renyi alpha-divergence for alpha in [0, inf]; alpha = 1 is the
     relative entropy normalized by sum p."""
     p, q = _check_pair(p, q)
-    if not (alpha == INF or alpha >= 0):
-        raise BadParameter(f"alpha {alpha} out of range")
+    _check_alpha(alpha)
     if p.sum() == 0.0:
         raise BadParameter("first argument must be nonzero")
     with np.errstate(divide="ignore"):

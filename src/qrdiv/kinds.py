@@ -45,6 +45,12 @@ def _whole_counts(what: str, *counts) -> tuple[int, ...]:
     return out
 
 
+def _check_alpha(alpha) -> None:
+    """BadParameter unless ``alpha`` is a Renyi order: inf or >= 0 (not NaN)."""
+    if not (alpha == INF or alpha >= 0):
+        raise BadParameter(f"alpha must be >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class MeasuredProjective:
     restarts: int = 8

@@ -32,6 +32,7 @@ from .kinds import (  # noqa: F401
     Mixture,
     RenyiAlphaZ,
     Umegaki,
+    _check_alpha,
     _whole_counts,
     parse_alpha,
     parse_grid,
@@ -274,6 +275,8 @@ def measured_lower_bound(
     empty-meet value (+inf below alpha = 1, -inf above) for Renyi alpha.
     """
     restarts, iters = _whole_counts("meas counts", restarts, iters)
+    if alpha is not None:
+        _check_alpha(alpha)
     rho, sigma = _check_shapes(rho, sigma)
     return _measured_lower_bound(rho, spectrum(rho), sigma, spectrum(sigma), alpha, restarts,
                                  iters, seed)

@@ -24,6 +24,7 @@ from .hermitian import (
     support_leq,
     support_meet,
 )
+from .kinds import _check_alpha
 from .relent import _empty_meet_renyi, _umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
 
@@ -167,8 +168,7 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     rho, sigma = _check_shapes(rho, sigma)
     if not (z == INF or z > 0):
         raise BadParameter(f"z must be positive or inf, got {z}")
-    if alpha < 0:
-        raise BadParameter(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     if alpha == INF and z != INF:
         raise BadParameter(f"alpha = inf is defined here for z = inf only, got z = {z}")
     tr_rho = float(np.trace(rho).real)
@@ -318,10 +318,9 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     tr_rho = float(np.trace(rho).real)
     if tr_rho <= 0:
         raise BadParameter("first argument must be nonzero")
+    _check_alpha(alpha)
     if alpha == INF:
         return MaxRenyiValue(max_relative_entropy(rho, sigma))
-    if alpha < 0:
-        raise BadParameter(f"alpha must be >= 0, got {alpha}")
     # lambda_max >= Tr rho / d, so only a trace at most d * SUPPORT_RTOL can
     # leave every eigenvalue of rho below the support cutoff
     if tr_rho <= rho.shape[0] * SUPPORT_RTOL and not spectrum(rho).basis.size:
@@ -370,10 +369,9 @@ def reg_measured_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> floa
     alpha >= 1/2 (max-relative entropy at alpha = inf), D_{alpha,1-alpha}
     below 1/2."""
     rho, sigma = _check_shapes(rho, sigma)
+    _check_alpha(alpha)
     if alpha == INF:
         return max_relative_entropy(rho, sigma)
-    if alpha < 0:
-        raise BadParameter(f"alpha must be >= 0, got {alpha}")
     if alpha >= 0.5:
         return renyi_alpha_z(alpha, alpha, rho, sigma)
     return renyi_alpha_z(alpha, 1.0 - alpha, rho, sigma)

@@ -165,7 +165,9 @@ def kubo_ando_mean(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarr
 
 
 def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """sigma #_gamma rho for any real gamma; both inputs must be invertible."""
+    """sigma #_gamma rho for any finite real gamma; both inputs must be invertible."""
+    if not math.isfinite(gamma):
+        raise BadParameter(f"gamma must be finite, got {gamma}")
     rho, sigma = _check_shapes(rho, sigma)
     sr, ss = spectrum(rho), spectrum(sigma)
     for name, s in (("rho", sr), ("sigma", ss)):

@@ -1,14 +1,17 @@
 """Independent routes to the absolutely continuous part and the operator
-perspective, for tests that check ``qrdiv.supports`` against them.
+perspective, for tests that check ``qrdiv.supports`` against them; and the
+near-cutoff pairs that tests of the support rules pin.
 
-Each works in the input basis with full-space projections and the
+Each route works in the input basis with full-space projections and the
 eps-smoothed inputs, unlike the library's split into supp sigma and
 ker sigma, so that an error in one route shows as a disagreement.
 """
 
+import math
+
 import numpy as np
 
-from qrdiv.hermitian import _derived_spectrum, herm_part, meet_bases, spectrum
+from qrdiv.hermitian import _derived_spectrum, herm_part, meet_bases, sample_unitary, spectrum
 
 
 def abs_cont_part_kernel_formula(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -33,3 +36,33 @@ def perspective_smoothed(fn, rho: np.ndarray, sigma: np.ndarray, eps: float) -> 
     sh = sse.power(0.5)
     shi = sse.power(-0.5)
     return sh @ _derived_spectrum(shi @ re @ shi, d).fn(fn.f, on_support_only=False) @ sh
+
+
+# ---------------------------------------------------------------------------
+# near-cutoff pairs: ran(rho) <= ran(sigma) by the inclusion rule, though an
+# eigenvector of rho leaves supp sigma
+
+
+def leaky_eigenvector_pair():
+    """(rho, sigma) with supp rho = supp sigma, where rho's eigenvalue just
+    above its cutoff has an eigenvector good to only about eps / 1e-9, so
+    that it leaves supp sigma by 1.26e-7 while rho's compression to
+    ker sigma is at rounding level."""
+    w = sample_unitary(3, 16)
+    y = np.eye(3, dtype=complex)
+    y[:2, :2] = sample_unitary(2, 1016)
+    sigma = (w * [1.0, 0.5, 0.0]) @ w.conj().T
+    rho = w @ (y * [1.0, 1.01e-9, 0.0]) @ y.conj().T @ w.conj().T
+    return rho, sigma
+
+
+def leaky_meet_pair():
+    """(rho, sigma) where rho's eigenvalue 1.2e-9 sits just above its
+    cutoff, on a vector that leaves supp sigma at weight 0.6: rho's
+    compression to ker sigma, 7.2e-10, is below that cutoff, but supp rho
+    is no meet basis; the meet is W e1."""
+    w = sample_unitary(3, 5)
+    sigma = (w * [0.6, 0.4, 0.0]) @ w.conj().T
+    v1, v2 = np.eye(3)[0], np.array([0.0, math.sqrt(0.4), math.sqrt(0.6)])
+    rho = w @ (np.outer(v1, v1) + 1.2e-9 * np.outer(v2, v2)) @ w.conj().T
+    return rho, sigma

@@ -371,6 +371,13 @@ def test_dual_renyi():
         assert abs(dual_renyi(a, UM, p, q) - barycentric_renyi(a, UM, p, q)) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+def test_dual_renyi_needs_alpha_in_the_open_unit_interval(alpha):
+    p = np.diag([0.3, 0.7]).astype(complex)
+    with pytest.raises(BadParameter):
+        dual_renyi(alpha, UM, p, p)
+
+
 def test_support_infinity_characterization():
     # alpha in [0,1): +inf iff the support meet vanishes
     p0 = np.diag([1.0, 0.0]).astype(complex)

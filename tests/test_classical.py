@@ -88,6 +88,24 @@ def test_renyi_dpi_under_stochastic_maps():
             assert after <= before + 1e-10
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: classical_renyi(0.5, [1.0, 0.0], [0.5, 0.5, 0.0]), LengthMismatch),
+    (lambda: classical_renyi(0.5, [1.0, -0.5], [0.5, 0.5]), BadParameter),
+    (lambda: classical_q_alpha(1.0, [0.5, 0.5], [0.5, 0.5]), BadParameter),
+    (lambda: classical_q_alpha(0.0, [0.5, 0.5], [0.5, 0.5]), BadParameter),
+    (lambda: classical_renyi(-0.5, [0.5, 0.5], [0.5, 0.5]), BadParameter),
+    (lambda: classical_renyi(0.5, [0.0, 0.0], [0.5, 0.5]), BadParameter),
+    (lambda: WeightMeasure(("a", "b"), (1.0,)), LengthMismatch),
+    (lambda: WeightedFamily(("a", "b"), (0.5, 0.5), [[1.0, 0.0]]), LengthMismatch),
+    (lambda: WeightedFamily(("a",), (1.0,), [[1.0, -0.5]]), BadParameter),
+    (lambda: WeightedFamily(("a", "b"), (1.0,), [[1.0], [0.5]]), LengthMismatch),
+], ids=["length", "sign", "q_alpha at 1", "q_alpha at 0", "renyi alpha < 0", "renyi zero p",
+        "measure length", "family rows", "family sign", "family weights"])
+def test_bad_input_fails_at_the_boundary(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_classify_weights():
     assert classify_weights([0.3, 0.7]) == PROBABILITY
     assert classify_weights([1.5, -0.5]) == ONE_POSITIVE_SIGNED

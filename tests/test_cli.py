@@ -11,7 +11,7 @@ import pytest
 
 import qrdiv
 from qrdiv.cli import main
-from qrdiv.hermitian import matrix_to_json, sample_state
+from qrdiv.hermitian import matrix_from_json, matrix_to_json, sample_state
 
 
 @pytest.fixture()
@@ -83,6 +83,18 @@ def test_eval_json_with_center(mats, capsys):
     assert "center" in payload and payload["flags"] == []
 
 
+def test_eval_text_with_center(mats, capsys):
+    # text mode prints the value, then the center as a JSON matrix
+    code = main(["eval", "--kind", "bary:um,bs", "--alpha", "0.5", "--rho", mats["rho"],
+                 "--sigma", mats["sigma"], "--with-center"])
+    assert code == 0
+    value, center = capsys.readouterr().out.strip().split("\n")
+    assert math.isfinite(float(value))
+    omega = matrix_from_json(json.loads(center))
+    assert abs(np.trace(omega).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(omega)[0] >= -1e-12
+
+
 def test_eval_parse_error_exit_2(mats, capsys):
     assert main(["eval", "--kind", "nope", "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2
     assert main(["eval", "--kind", "um", "--rho", "/no/such.json", "--sigma", mats["sigma"]]) == 2
@@ -101,10 +113,13 @@ def test_eval_parse_error_exit_2(mats, capsys):
         ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1e999:3"],
         ["sweep", "--kind", "bary:um,bs", "--alpha-grid", "0:1:100000000000000000000"],
         ["sweep", "--kind", "bary:geom:um,bs", "--gamma-grid", "0.2:0.8:2"],
+        ["eval", "--kind", "bary:um,bs"],
+        ["sweep", "--kind", "um"],
     ],
     ids=["bad-alpha", "bad-mix-weight", "az-missing-z", "bad-alpha-grid",
          "meas-negative-iters", "meas-negative-restarts", "alpha-overflow",
-         "grid-overflow", "grid-count-too-large", "bary-gamma-grid"],
+         "grid-overflow", "grid-count-too-large", "bary-gamma-grid", "bary-without-alpha",
+         "sweep-without-grid"],
 )
 def test_malformed_input_exit_2(mats, capsys, argv):
     assert main([*argv, "--rho", mats["rho"], "--sigma", mats["sigma"]]) == 2

@@ -82,6 +82,8 @@ def test_spectral_roundtrip_random():
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitian):
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NonHermitian):
+        check_hermitian(np.zeros((2, 3)))
 
 
 def test_apply_function_power_on_support():
@@ -262,6 +264,24 @@ def test_partial_trace_vs_index_sum():
         partial_trace(a, (3, 2), 0)
 
 
+def test_partial_trace_keeps_the_second_factor():
+    rng = np.random.default_rng(6)
+    x = sample_state(2, 2, rng) * 0.7
+    y = sample_state(3, 3, rng)
+    np.testing.assert_allclose(
+        partial_trace(tensor(x, y), (2, 3), keep=1), 0.7 * y, atol=1e-12
+    )
+    with pytest.raises(BadFactorization):
+        partial_trace(tensor(x, y), (2, 3), keep=2)
+
+
+def test_sample_cptp_needs_an_isometry():
+    with pytest.raises(BadRank):
+        sample_cptp(2, 2, 0)
+    with pytest.raises(BadRank):
+        sample_cptp(4, 1, 2)
+
+
 def test_sample_state_properties():
     rho = sample_state(2, 1, 0)
     w, _ = spectral_decompose(rho)
@@ -397,6 +417,11 @@ def _q3(kind, r, s, options=None):
 
 # a full-rank d = 3 channel for signed weights
 _SIGNED = GcqChannel(("a", "b"), (sample_state(3, 3, 21), sample_state(3, 3, 22)))
+# a d = 3 family whose last two supports meet properly: W1 on e1, W2 on
+# (e1, e2) and W3 on (e1, e3), after one unitary
+_U3 = sample_unitary(3, 23)
+_NESTED = GcqChannel(("a", "b", "c"), tuple(
+    (_U3 * np.array(w)) @ _U3.conj().T for w in ([1.0, 0, 0], [0.6, 0.4, 0], [0.7, 0, 0.3])))
 
 
 # each operand is decomposed once per call; the count when every helper
@@ -442,10 +467,14 @@ _EIGH_BOUNDS = [
     # eigvalsh when the meet and the bracket were decomposed); about 1.6e4
     # when the solver ran
     ("bary um,bs inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _BS), r, s), 6),
-    # the channel's spectra are taken when it is built, S_+ <= S_- is read
-    # off the meet bases, and the um closed form decomposes H (3 when the
-    # two meet projections were decomposed for the test)
+    # the channel's spectra are taken when it is built, the +inf gate reads
+    # them by the inclusion rule, and the um closed form decomposes H (3 when
+    # the two meet projections were decomposed for the test)
     ("bary_q um signed", lambda r, s: barycentric_q((_UM, _UM), _SIGNED, (1.5, -0.5)), 1),
+    # supp W1 lies in the other two, so it is the meet, and the proper meet
+    # of the negative-weight supports is never formed (2 when it was)
+    ("bary_q um signed, proper meet",
+     lambda r, s: barycentric_q((_UM,) * 3, _NESTED, (1.5, -0.25, -0.25)), 1),
 ]
 
 

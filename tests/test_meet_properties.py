@@ -1,7 +1,8 @@
 """Property tests of the support-meet rule: ``support_meet`` spans the meet
 that ``meet_bases`` decomposes, decomposes nothing when one support lies in
 the other, and the center solves on its basis agree with solves on
-``meet_bases``' basis."""
+``meet_bases``' basis; and ``barycentric_q`` and the two-variable divergence
+read one +inf gate and one meet on the near-cutoff pairs."""
 
 import math
 from unittest import mock
@@ -9,9 +10,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qrdiv.barycentric import SolverOptions, _center, barycentric_renyi, barycentric_renyi_full
+from qrdiv.barycentric import (
+    GcqChannel,
+    SolverOptions,
+    _center,
+    barycentric_q,
+    barycentric_renyi,
+    barycentric_renyi_full,
+)
 from qrdiv.hermitian import meet_bases, sample_unitary, spectrum, support_leq, support_meet
 from qrdiv.relent import BelavkinStaszewski, Umegaki
+from support_reference import leaky_eigenvector_pair, leaky_meet_pair
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -87,14 +96,9 @@ def test_solves_on_the_helper_basis_match_the_decomposed_meet(case):
 
 
 def test_meet_stays_inside_a_support_the_inclusion_rule_accepts():
-    # rho's eigenvalue 1.2e-9 sits just above its cutoff, on a vector that
-    # leaves supp sigma at weight 0.6: rho's compression to ker sigma,
-    # 7.2e-10, is below that cutoff, so ran(rho) <= ran(sigma) by the
-    # inclusion rule, but supp rho is no meet basis; the meet is e1
-    w = sample_unitary(3, 5)
-    sigma = (w * [0.6, 0.4, 0.0]) @ w.conj().T
-    v1, v2 = np.eye(3)[0], np.array([0.0, math.sqrt(0.4), math.sqrt(0.6)])
-    rho = w @ (np.outer(v1, v1) + 1.2e-9 * np.outer(v2, v2)) @ w.conj().T
+    # ran(rho) <= ran(sigma) by the inclusion rule, but supp rho is no meet
+    # basis; the meet is e1
+    rho, sigma = leaky_meet_pair()
     sr, ss = spectrum(rho), spectrum(sigma)
     assert support_leq(sr, ss)
     b = support_meet(sr, ss)
@@ -106,3 +110,19 @@ def test_meet_stays_inside_a_support_the_inclusion_rule_accepts():
               (BS, BS): 0.5108256157367025}
     for kinds, value in pinned.items():
         assert abs(barycentric_renyi(0.5, kinds, rho, sigma) - value) <= 1e-12, kinds
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("kinds", [(UM, UM), (UM, BS), (BS, BS)], ids=["um,um", "um,bs", "bs,bs"])
+@pytest.mark.parametrize("pair", [leaky_eigenvector_pair, leaky_meet_pair])
+def test_barycentric_q_and_the_two_variable_divergence_share_one_gate(pair, kinds, alpha):
+    # the two-variable divergence is the normalized P = (alpha, 1 - alpha)
+    # case of Q_P: both entry points decide Q = +inf and the meet alike,
+    # here where an eigenvector of rho leaves supp sigma that the inclusion
+    # rule keeps inside it
+    rho, sigma = pair()
+    opts = SolverOptions(restarts=0)
+    res = barycentric_q(kinds, GcqChannel((0, 1), (rho, sigma)), (alpha, 1.0 - alpha), opts)
+    value = (math.log(res.q_value) - math.log(np.trace(rho).real)) / (alpha - 1.0)
+    ref = barycentric_renyi_full(alpha, kinds, rho, sigma, opts)["value"]
+    assert abs(value - ref) <= 1e-12, (value, ref)

@@ -121,3 +121,11 @@ def test_only_support_meet_decomposes_a_meet():
     # the projections only where no support lies in every other one
     callers = _callers("meet_bases")
     assert callers == {"hermitian.py:support_meet"}, callers
+
+
+def test_only_support_meet_tests_a_subspace_geometrically():
+    # the eigenvector test picks a meet basis; whether an operator has a
+    # part outside a support, the +inf gate of the center problem among
+    # them, is decided by the inclusion rule
+    callers = _callers("_lies_in")
+    assert callers == {"hermitian.py:support_meet"}, callers

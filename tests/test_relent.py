@@ -328,6 +328,27 @@ def test_mixture_between_components():
         assert abs(mix - 0.5 * (um + bs)) < 1e-10
 
 
+def test_mixture_weights_each_component_and_its_gap():
+    # a measured component's certificate gap enters at its weight; a
+    # zero-weight component is skipped
+    rho, sigma = sample_state(2, 2, 13), sample_state(2, 2, 14)
+    meas = MeasuredProjective(restarts=2, iters=20)
+    part = rel_entropy(meas, rho, sigma)
+    mix = rel_entropy(Mixture(((0.25, meas), (0.75, Umegaki()))), rho, sigma)
+    assert mix.certificate_gap == 0.25 * part.certificate_gap
+    assert abs(mix.value - (0.25 * part.value + 0.75 * umegaki(rho, sigma))) <= 1e-12
+    zero = rel_entropy(Mixture(((0.0, meas), (1.0, Umegaki()))), rho, sigma)
+    assert zero.value == umegaki(rho, sigma) and zero.certificate_gap is None
+
+
+@pytest.mark.parametrize("components", [((1.5, Umegaki()), (-0.5, BelavkinStaszewski())),
+                                        ((0.5, Umegaki()), (0.25, BelavkinStaszewski()))],
+                         ids=["negative weight", "sum below 1"])
+def test_mixture_built_in_the_library_checks_its_weights(components):
+    with pytest.raises(BadParameter):
+        Mixture(components)
+
+
 def test_measured_lower_bound_certificate():
     rng = np.random.default_rng(12)
     for n in range(5):

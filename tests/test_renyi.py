@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qrdiv.barycentric import barycentric_renyi_full
 from qrdiv.classical import classical_renyi
 from qrdiv.errors import BadParameter
 from qrdiv.hermitian import CLUSTER_RTOL, sample_state, sample_unitary, spectrum, tensor
-from qrdiv.relent import bs_rel_entropy, measured_lower_bound, umegaki
+from qrdiv.relent import Umegaki, bs_rel_entropy, measured_lower_bound, umegaki
 from qrdiv.renyi import (
     max_fdivergence,
     max_q_alpha_mean_route,
@@ -16,7 +17,14 @@ from qrdiv.renyi import (
     reg_measured_renyi,
     renyi_alpha_z,
 )
-from qrdiv.supports import kubo_ando_mean, neg_log, neg_power, power_fn, x_log_x
+from qrdiv.supports import (
+    kubo_ando_mean,
+    kubo_ando_mean_real,
+    neg_log,
+    neg_power,
+    power_fn,
+    x_log_x,
+)
 
 INF = float("inf")
 
@@ -68,13 +76,40 @@ _ZERO = np.zeros((2, 2), dtype=complex)
     lambda: renyi_alpha_z(0.5, 1.0, _ZERO, _S),
     lambda: renyi_alpha_z(-0.5, 1.0, _R, _S),
     lambda: max_renyi(-0.5, _R, _S),
+    lambda: max_renyi(0.5, _ZERO, _S),
     lambda: max_q_alpha_mean_route(2.5, _R, _S),
     lambda: max_fdivergence(power_fn(0.5), _R, _S),  # not operator convex
     lambda: max_fdivergence(neg_log(), _R, _S),  # infinite f(0+)
     lambda: reg_measured_renyi(-0.5, _R, _S),
-], ids=["az zero rho", "az alpha < 0", "max_renyi alpha < 0", "mean route alpha 2.5",
+], ids=["az zero rho", "az alpha < 0", "max_renyi alpha < 0", "max_renyi zero rho",
+        "mean route alpha 2.5",
         "fdiv not operator convex", "fdiv infinite f(0+)", "reg_measured alpha < 0"])
 def test_bad_parameters_fail_at_the_boundary(call):
+    with pytest.raises(BadParameter):
+        call()
+
+
+_NAN = float("nan")
+
+
+# every alpha entry point reads one rule, alpha = inf or alpha >= 0, which
+# NaN fails (alpha=None stays the relative entropy); a Kubo-Ando weight of
+# any sign must be finite
+@pytest.mark.parametrize("call", [
+    lambda: renyi_alpha_z(_NAN, INF, _R, _S),
+    lambda: renyi_alpha_z(_NAN, 1.0, _R, _S),
+    lambda: measured_lower_bound(_R, _S, alpha=-1.0),
+    lambda: measured_lower_bound(_R, _S, alpha=_NAN),
+    lambda: reg_measured_renyi(_NAN, _R, _S),
+    lambda: max_renyi(_NAN, _R, _S),
+    lambda: barycentric_renyi_full(_NAN, (Umegaki(), Umegaki()), _R, _S),
+    lambda: classical_renyi(_NAN, [0.5, 0.5], [0.5, 0.5]),
+    lambda: kubo_ando_mean_real(_NAN, _R, _S),
+    lambda: kubo_ando_mean_real(INF, _R, _S),
+], ids=["az(nan, inf)", "az(nan, 1)", "measured alpha < 0", "measured alpha nan",
+        "reg_measured nan", "max_renyi nan", "bary nan", "classical nan", "mean_real nan",
+        "mean_real inf"])
+def test_a_nan_or_negative_order_fails_at_the_boundary(call):
     with pytest.raises(BadParameter):
         call()
 
@@ -218,6 +253,13 @@ def test_max_renyi_basics():
     s = np.diag([0.25, 0.75]).astype(complex)
     assert abs(max_renyi(INF, r, s).value - math.log(2)) < 1e-12
     assert abs(max_relative_entropy(r, s) - math.log(2)) < 1e-12
+
+
+def test_max_relative_entropy_is_inf_off_the_support():
+    r = np.diag([0.5, 0.5]).astype(complex)
+    s = np.diag([1.0, 0.0]).astype(complex)
+    assert max_relative_entropy(r, s) == INF
+    assert max_renyi(INF, r, s).value == INF
 
 
 def test_max_renyi_alpha_one_limit_is_bs():

@@ -22,6 +22,7 @@ from qrdiv.renyi import (
     renyi_alpha_z,
 )
 from qrdiv.supports import x_log_x
+from support_reference import leaky_eigenvector_pair
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -90,24 +91,11 @@ def _rank(a) -> int:
     return spectrum(a).basis.shape[1]
 
 
-def _leaky_eigenvector_pair():
-    """(rho, sigma) with supp rho = supp sigma, where rho's eigenvalue just
-    above its cutoff has an eigenvector good to only about eps / 1e-9, so
-    that it leaves supp sigma by 1.26e-7 while rho's compression to
-    ker sigma is at rounding level."""
-    w = sample_unitary(3, 16)
-    y = np.eye(3, dtype=complex)
-    y[:2, :2] = sample_unitary(2, 1016)
-    sigma = (w * [1.0, 0.5, 0.0]) @ w.conj().T
-    rho = w @ (y * [1.0, 1.01e-9, 0.0]) @ y.conj().T @ w.conj().T
-    return rho, sigma
-
-
 # rho with a part outside supp sigma, and that part's trace below 1e-10 of
 # the traces' sum; rho inside supp sigma whose eigenvector test would fail
 @hypothesis.example((np.diag([1.0, 1e-2]), np.diag([1.0, 0.0]), 1e-3, 1e6))
-@hypothesis.example((*_leaky_eigenvector_pair(), 1.0, 1.0))
-@hypothesis.example((*_leaky_eigenvector_pair(), 10.0, 1.0))
+@hypothesis.example((*leaky_eigenvector_pair(), 1.0, 1.0))
+@hypothesis.example((*leaky_eigenvector_pair(), 10.0, 1.0))
 @hypothesis.given(support_cases())
 def test_kinds_share_the_zero_rule_at_every_scale(case):
     rho, sigma, a, b = case
@@ -148,7 +136,7 @@ def test_reverse_test_reproduces_both_inputs(case):
 def test_leaky_eigenvector_pair_is_inside_the_support_for_every_kind():
     # every kind reads ran(rho) <= ran(sigma) off rho's compression to
     # ker sigma, so none is +inf here, and each obeys the scaling law
-    rho, sigma = _leaky_eigenvector_pair()
+    rho, sigma = leaky_eigenvector_pair()
     kinds = {
         "um": umegaki,
         "bs": bs_rel_entropy,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrdiv.errors import InfiniteLimit, NotInvertible
+from qrdiv.errors import BadParameter, InfiniteLimit, NotInvertible
 from qrdiv.hermitian import (
     meet_bases,
     sample_cptp,
@@ -210,6 +210,29 @@ def test_perspective_infinite_limit_raises():
     sigma = sample_state(2, 1, 13)
     with pytest.raises(InfiniteLimit):
         perspective(x_log_x(), rho, sigma)  # transpose limit inf, rho not dominated
+
+
+def test_perspective_infinite_f_at_zero_raises():
+    # rho of rank 1 inside a full-rank supp sigma: sigma^{-1/2} rho sigma^{-1/2}
+    # has a zero eigenvalue, where -log takes f(0+) = +inf
+    rho = sample_state(2, 1, 12)
+    sigma = sample_state(2, 2, 13)
+    with pytest.raises(InfiniteLimit):
+        perspective(neg_log(), rho, sigma)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: power_fn(-0.5),
+    lambda: power_fn(2.5),
+    lambda: neg_power(0.0),
+    lambda: neg_power(1.0),
+    lambda: kubo_ando_mean(-0.1, np.eye(2), np.eye(2)),
+    lambda: kubo_ando_mean(1.1, np.eye(2), np.eye(2)),
+], ids=["power < 0", "power > 2", "neg_power 0", "neg_power 1", "mean gamma < 0",
+        "mean gamma > 1"])
+def test_exponents_outside_their_range_fail_at_the_boundary(call):
+    with pytest.raises(BadParameter):
+        call()
 
 
 # ---------------------------------------------------------------------------
