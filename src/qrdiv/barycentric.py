@@ -49,6 +49,7 @@ from .hermitian import (
     Spectrum,
     _check_shapes,
     _derived_spectrum,
+    eigh,
     sample_hermitian,
     spectrum,
     support_leq,
@@ -288,7 +289,7 @@ class _Iterate:
 
     def __init__(self, h: np.ndarray):
         self.h = h
-        self.w, self.u = np.linalg.eigh((h + h.conj().T) / 2)
+        self.w, self.u = eigh((h + h.conj().T) / 2)
         self.uh = self.u.conj().T
         # eigh's w ascends: w[-1] is the largest, and z normalises exp(w - w[-1])
         self.ew = np.exp(self.w - self.w[-1])
@@ -318,7 +319,7 @@ class _Iterate:
         """(x, U, C) for X = U diag(x) U* and C = U* sig_eff U (None for geom)."""
         if term not in self._bs_eig:
             m = term.sig_isqrt @ self.omega @ term.sig_isqrt
-            x, u = np.linalg.eigh((m + m.conj().T) / 2)
+            x, u = eigh((m + m.conj().T) / 2)
             c = u.conj().T @ term.sig_eff @ u if term.mode == "bs" else None
             self._bs_eig[term] = x, u, c
         return self._bs_eig[term]
@@ -330,7 +331,7 @@ class _Iterate:
             x, v, _ = self.bs_eig(term)
             sv = term.sig_sqrt @ v
             m = (sv * np.maximum(x, 1e-300) ** term.kind.gamma) @ sv.conj().T
-            mu, q = np.linalg.eigh((m + m.conj().T) / 2)
+            mu, q = eigh((m + m.conj().T) / 2)
             mu = np.maximum(mu, 1e-300)
             self._mean_eig[term] = mu, q, (q * np.log(mu)) @ q.conj().T, m
         return self._mean_eig[term]
@@ -408,17 +409,12 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
             return _trace_zero(g)
         return _dexp_push(pt, g)
 
-    def descend(h: np.ndarray, bb_steps: bool, iters: int):
+    def descend(cur: _Iterate, val: float, bb_steps: bool, iters: int):
         """(lowest-value iterate, its value, iterations, converged) of a run
-        of at most ``iters`` iterations from H = h, or None where the start's
-        value is not finite. ``bb_steps`` tries the Barzilai-Borwein step
-        first and, on a convex problem, tests it against the largest of the
-        last ``_NM_WINDOW`` accepted values."""
-        # at trace zero, as every trial is: a trace part inflates the first BB step
-        cur = _Iterate(_trace_zero(h))
-        val = f_of(cur)
-        if not math.isfinite(val):
-            return None
+        of at most ``iters`` iterations from the start ``cur`` of value
+        ``val``. ``bb_steps`` tries the Barzilai-Borwein step first and, on a
+        convex problem, tests it against the largest of the last
+        ``_NM_WINDOW`` accepted values."""
         recent = deque([val], maxlen=_NM_WINDOW if bb_steps and convex else 1)
         low, low_val = cur, val
         converged = False
@@ -484,17 +480,19 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
 
     best_val, best, best_iters, best_conv = INF, None, 0, False
     for h in starts:
-        run = descend(h, True, opts.iters)
-        if run is None:
+        # at trace zero, as every trial is: a trace part inflates the first BB step
+        start = _Iterate(_trace_zero(h))
+        start_val = f_of(start)
+        if not math.isfinite(start_val):
             continue
-        cur, val, it, converged = run
+        cur, val, it, converged = descend(start, start_val, True, opts.iters)
         if not converged and it < opts.iters:
             # at the floor of the objective's evaluation noise, where a run
             # stops depends on its path: a run that stops unconverged is
-            # redone from h with the doubling trial step alone, within the
-            # iterations left, and the converged or else the lower of the
-            # two is kept
-            cur2, val2, it2, conv2 = descend(h, False, opts.iters - it)
+            # redone from the same start with the doubling trial step alone,
+            # within the iterations left, and the converged or else the lower
+            # of the two is kept
+            cur2, val2, it2, conv2 = descend(start, start_val, False, opts.iters - it)
             if conv2 or val2 < val:
                 cur, val, converged = cur2, val2, conv2
             it += it2
@@ -534,7 +532,7 @@ def _center(weights, kinds, ops, spectra, basis: np.ndarray, options: Optional[S
             for w, q in _generators(p, k)]
     if (options or SolverOptions()).use_closed_form and all(q == Umegaki() for _, q, _, _ in gens):
         h = _log_euclidean_h([w for w, *_ in gens], [sp for *_, sp in gens], basis)
-        ww, u = np.linalg.eigh((h + h.conj().T) / 2)
+        ww, u = eigh((h + h.conj().T) / 2)
         q = float(np.sum(np.exp(ww)))
         center = basis @ ((u * np.exp(ww)) @ u.conj().T / q) @ basis.conj().T
         return center, -math.log(q), 0.0, 0, True

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# np.linalg's LAPACK gufuncs, read at each call: one name counts every decomposition
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import (
     BadFactorization,
@@ -52,9 +54,12 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(a: np.ndarray, tol: float = HERM_ATOL) -> np.ndarray:
+    """Hermitian part of a finite (else BadParameter), square, Hermitian ``a``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise BadParameter("matrix entries must be finite")
     asym = np.max(np.abs(a - a.conj().T))
     if asym > tol:
         raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
@@ -71,11 +76,30 @@ def _check_shapes(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return rho, sigma
 
 
+def _converged(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w``, unless LAPACK failed on finite ``a``: NaN out, as NaN in may give."""
+    if w.size and math.isnan(w[-1]) and np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)``, bitwise, without numpy's dispatch and errstate
+    (most of its cost at d <= 4): the package's one route, with ``eigvalsh``."""
+    w, u = _lapack.eigh_lo(a)
+    return _converged(w, a), u
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``, bitwise, as ``eigh``."""
+    return _converged(_lapack.eigvalsh_lo(a), a)
+
+
 def eigh_desc(a: np.ndarray, part=herm_part) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and a unitary of eigenvectors of ``part(a)``:
     by default the Hermitian part, unchecked, for an operator derived from
     checked inputs (whose asymmetry is rounding)."""
-    w, u = np.linalg.eigh(part(a))
+    w, u = eigh(part(a))
     return w[::-1].copy(), u[:, ::-1].copy()
 
 
@@ -244,7 +268,7 @@ def compressed_rank(a, q: np.ndarray, zero_test: bool = False) -> int:
         return 1
     if zero_test and float(y2.sum(axis=0) @ np.maximum(sp.w, 0.0)) <= sp.cut:
         return 0
-    return int(np.sum(np.linalg.eigvalsh((y * sp.w) @ y.conj().T) > sp.cut))
+    return int(np.sum(eigvalsh((y * sp.w) @ y.conj().T) > sp.cut))
 
 
 def support_leq(a, b) -> bool:
@@ -405,10 +429,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise BadParameter(f"malformed matrix JSON ({type(exc).__name__}: {exc})") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise DimensionMismatch(f"declared dim {d}, data shapes {re.shape} and {im.shape}")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise BadParameter("matrix entries must be finite")
-    a = check_hermitian(re + 1j * im, tol=1e-8)
-    w = np.linalg.eigvalsh(a)
+    a = re.astype(complex)
+    a.imag = im  # re + 1j * im would warn on an infinite im, before the check
+    a = check_hermitian(a, tol=1e-8)
+    w = eigvalsh(a)
     if np.any(w < -support_cutoff(w)):
         raise BadParameter(f"matrix must be PSD, has eigenvalue {w[0]:.3e}")
     return a

@@ -18,8 +18,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, compressed_rank, eigh_desc,
-                        herm_part, sample_unitary, spectrum, support_leq)
+from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, compressed_rank, eigh,
+                        eigh_desc, herm_part, sample_unitary, spectrum, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -248,7 +248,7 @@ def _newton_step(g, h):
     mu = lambda_max + 1e-3 max(1, |lambda|_max) otherwise, so that H - mu I
     is negative definite; the 1 rad cap and the line search guard a nearly
     singular H."""
-    lam, q = np.linalg.eigh(h)
+    lam, q = eigh(h)
     mu = 0.0 if lam[-1] < 0 else lam[-1] + 1e-3 * max(1.0, lam[-1], -lam[0])
     return q @ ((q.T @ g) / (mu - lam))
 
@@ -354,10 +354,10 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
                 # generators E_jk - E_kj, i(E_jk + E_kj) (j < k)
                 if math.sqrt(2.0) * mn < 1e-10:
                     break
-                w, v = np.linalg.eigh(m * (1j * math.sqrt(2.0) / mn))
+                w, v = eigh(m * (1j * math.sqrt(2.0) / mn))
                 first = step
             else:
-                w, v = np.linalg.eigh(gen)
+                w, v = eigh(gen)
                 first = min(1.0, 1.0 / float(np.abs(w).max()))
             uv, vh, iw = u @ v, v.conj().T, 1j * w
             # backtracking over the trial steps, scored _CHUNK at a time;

@@ -19,6 +19,8 @@ from .hermitian import (
     _derived_spectrum,
     compressed_rank,
     eig_clusters,
+    eigh,
+    eigvalsh,
     herm_part,
     spectrum,
     support_leq,
@@ -101,13 +103,13 @@ def _um_first_top(
     h = _log_euclidean_h((1.0, -u), (rho, sigma), basis)
     ell = (h + h.conj().T) / 2
     if t == 0.0:
-        w, vecs = np.linalg.eigh(ell)
+        w, vecs = eigh(ell)
         return float(w[-1]), vecs[:, -1], 0.0, 0
     ss = spectrum(sigma)
     c = ss.compressed(basis)
     if c is None:
         a = basis.conj().T @ ss.power(-1.0) @ basis
-        wa = np.linalg.eigvalsh((a + a.conj().T) / 2)
+        wa = eigvalsh((a + a.conj().T) / 2)
         lo, hi = -math.log(wa[-1]), -math.log(wa[0])
     else:
         # ran(B) is supp sigma: A has the eigenvalues 1/s of sigma's support
@@ -120,7 +122,7 @@ def _um_first_top(
     step = step_old = log_s - lo
     while True:
         s = math.exp(log_s)
-        w, vecs = np.linalg.eigh(t * s * a + ell)
+        w, vecs = eigh(t * s * a + ell)
         steps += 1
         best_up = min(best_up, float(w[-1]) - t * (log_s + 1.0))
         # <v_j|A|v> for every eigenvector v_j, v the top one
@@ -132,7 +134,7 @@ def _um_first_top(
             best_lo, best_v = low, vecs[:, -1]
         near = vecs[:, w >= w[-1] - (t * (x - 1.0 - math.log(x)))]
         if near.shape[1] > 1:
-            mu, e = np.linalg.eigh(s * (near.conj().T @ a @ near))
+            mu, e = eigh(s * (near.conj().T @ a @ near))
             if mu[0] <= 1.0 <= mu[-1]:
                 c2 = (mu[-1] - 1.0) / (mu[-1] - mu[0]) if mu[-1] > mu[0] else 0.0
                 v = near @ (math.sqrt(c2) * e[:, 0] + math.sqrt(1.0 - c2) * e[:, -1])
@@ -191,7 +193,7 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
             return _um_first_top(sr, ss, b)[0]
         else:
             h = _log_euclidean_h((alpha, 1.0 - alpha), (sr, ss), b)
-            q = float(np.sum(np.exp(np.linalg.eigh(herm_part(h))[0])))
+            q = float(np.sum(np.exp(eigh(herm_part(h))[0])))
     else:
         # the product has the rank of P_rho P_sigma, that of rho's compression to supp sigma
         rank = sr.basis.shape[1] if leq else compressed_rank(sr, ss.basis)

@@ -2,7 +2,8 @@
 derandomized, so every run draws the same examples, with no example
 database and no deadline."""
 
-import numpy as np
+import types
+
 import pytest
 
 from qrdiv import hermitian
@@ -18,18 +19,40 @@ else:
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """A list that grows by one entry per ``np.linalg.eigh`` call for the
-    rest of the test; ``clear()`` it to start a count."""
+def lapack(monkeypatch):
+    """A writable copy of ``hermitian._lapack``, the handle through which
+    every decomposition in the package calls LAPACK, installed for the rest
+    of the test: patch ``eigh_lo`` or ``eigvalsh_lo`` on it to watch them."""
+    handle = types.SimpleNamespace(eigh_lo=hermitian._lapack.eigh_lo,
+                                   eigvalsh_lo=hermitian._lapack.eigvalsh_lo)
+    monkeypatch.setattr(hermitian, "_lapack", handle)
+    return handle
+
+
+def _counter(monkeypatch, handle, routine):
     calls = []
-    eigh = np.linalg.eigh
+    inner = getattr(handle, routine)
 
-    def counting_eigh(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return eigh(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(handle, routine, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch, lapack):
+    """A list that grows by one entry per ``hermitian.eigh`` call (every
+    eigenvector decomposition) for the rest of the test; ``clear()`` it to
+    start a count."""
+    return _counter(monkeypatch, lapack, "eigh_lo")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch, lapack):
+    """As ``eigh_calls``, for ``hermitian.eigvalsh`` (eigenvalues only)."""
+    return _counter(monkeypatch, lapack, "eigvalsh_lo")
 
 
 @pytest.fixture

@@ -1130,6 +1130,34 @@ def test_unconverged_bb_run_is_redone_with_doubling_steps(rank, kinds, seed, alp
     assert stopped["value"] <= res["value"] + 1e-12
 
 
+def test_the_doubling_rerun_starts_from_the_first_runs_start(monkeypatch, lapack):
+    # the bs,bs@3 pair above: the rerun takes the first run's start iterate
+    # and value, so the start H is decomposed once (twice when the rerun
+    # rebuilt it)
+    import qrdiv.barycentric as bary
+
+    hs, sym = [], []
+    iterate, eigh_lo = bary._Iterate, lapack.eigh_lo
+
+    class Recording(iterate):
+        def __init__(self, h):
+            hs.append(h)
+            super().__init__(h)
+
+    def recording_eigh(m):
+        sym.append(m.tobytes())
+        return eigh_lo(m)
+
+    monkeypatch.setattr(bary, "_Iterate", Recording)
+    lapack.eigh_lo = recording_eigh
+    rho, sig = sample_state(3, 2, 8), sample_state(3, 3, 108)
+    res = barycentric_renyi_full(3.0, BS, rho, sig, SolverOptions(restarts=0))
+    assert res["converged"] and res["iterations"] == 45  # 15 BB, 30 doubling
+    start = (hs[0] + hs[0].conj().T) / 2
+    assert sum(b == start.tobytes() for b in sym) == 1
+    assert sum(h.tobytes() == hs[0].tobytes() for h in hs) == 1
+
+
 def _window_pairs(count):
     for i in range(count):
         d = 2 + i % 3

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from qrdiv import (
     SolverOptions,
     Umegaki,
     barycentric_q,
+    barycentric_renyi,
     barycentric_renyi_full,
+    hermitian,
     bs_rel_entropy,
     max_renyi,
     measured_lower_bound,
@@ -132,7 +133,7 @@ _COMPRESSIONS = [
 
 
 @pytest.mark.parametrize("lams, rank, band", _COMPRESSIONS)
-def test_compressed_rank_against_the_cutoff_of_a(lams, rank, band):
+def test_compressed_rank_against_the_cutoff_of_a(eigvalsh_calls, lams, rank, band):
     w = sample_unitary(3, 9)
     r = np.eye(3, dtype=complex)
     r[1:, 1:] = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
@@ -140,21 +141,21 @@ def test_compressed_rank_against_the_cutoff_of_a(lams, rank, band):
     q = w[:, 1:]
     sp = spectrum(a)
     assert compressed_rank(sp, q) == rank
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        zero = compressed_rank(sp, q, zero_test=True)
+    eigvalsh_calls.clear()
+    zero = compressed_rank(sp, q, zero_test=True)
     assert (zero == 0) == (rank == 0)
-    assert eigvalsh.call_count == band
+    assert len(eigvalsh_calls) == band
     # the inclusion rule: ran(a) <= ran(b) iff a's compression to ker b is 0
     b = w @ np.diag([1.0, 0.0, 0.0]) @ w.conj().T
     assert support_leq(sp, b) == (rank == 0)
 
 
-def test_support_leq_takes_no_decomposition_against_full_rank():
+def test_support_leq_takes_no_decomposition_against_full_rank(eigh_calls, eigvalsh_calls):
     rho, sig = sample_state(3, 2, 4), sample_state(3, 3, 5)
     sr, ss = spectrum(rho), spectrum(sig)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        assert support_leq(sr, ss) and not support_leq(ss, sr)
-    assert eigvalsh.call_count == 0
+    eigh_calls.clear()
+    assert support_leq(sr, ss) and not support_leq(ss, sr)
+    assert len(eigvalsh_calls) == 0 and len(eigh_calls) == 0
 
 
 def test_projection_meet_identity():
@@ -542,6 +543,69 @@ def test_matrix_json_rejects_non_finite(part, entry):
     bad[part][1][0] = entry
     with pytest.raises(BadParameter):
         matrix_from_json(bad)
+
+
+_HALF = np.eye(2, dtype=complex) / 2
+_NON_FINITE = {"nan": np.diag([math.nan, 1.0]), "+inf": np.diag([math.inf, 1.0]),
+               "-inf": np.diag([-math.inf, 1.0]), "nan-im": np.diag([complex(1.0, math.nan), 1.0])}
+_PUBLIC_PAIR_CALLS = {
+    "bs_rel_entropy": bs_rel_entropy,
+    "umegaki": umegaki,
+    "max_renyi(0.5)": lambda r, s: max_renyi(0.5, r, s),
+    "barycentric_renyi um,bs": lambda r, s: barycentric_renyi(0.5, (_UM, _BS), r, s),
+    "measured_lower_bound": lambda r, s: measured_lower_bound(r, s, restarts=2, iters=5),
+}
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+@pytest.mark.parametrize("entry", list(_NON_FINITE))
+@pytest.mark.parametrize("name", list(_PUBLIC_PAIR_CALLS))
+def test_a_non_finite_entry_fails_at_the_boundary(name, entry, which):
+    # a NaN asymmetry never compares above the tolerance: without the
+    # finiteness test these returned 0.693, -0.347 (bs), 0.0 with warnings
+    # (um at +inf), +inf (max_renyi) and nan (barycentric). A -inf in rho
+    # may first fail the positive-trace test, also with BadParameter
+    bad = _NON_FINITE[entry].astype(complex)
+    args = (bad, _HALF) if which == "rho" else (_HALF, bad)
+    with pytest.raises(BadParameter):
+        _PUBLIC_PAIR_CALLS[name](*args)
+
+
+def _symmetric(d, complex_, rng):
+    a = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_eigh_entry_point_is_numpys_bitwise(d, complex_):
+    rng = np.random.default_rng(d)
+    a = _symmetric(d, complex_, rng)
+    # the reversed view Spectrum.graded decomposes, and a general lower triangle
+    for m in (a, a[::-1, ::-1], a + np.triu(rng.normal(size=(d, d)), 1)):
+        w, u = hermitian.eigh(m)
+        w0, u0 = np.linalg.eigh(m)
+        assert w.dtype == w0.dtype and u.dtype == u0.dtype
+        assert w.tobytes() == w0.tobytes() and u.tobytes() == u0.tobytes()
+        assert hermitian.eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+
+def test_eigh_entry_point_passes_nan_and_raises_on_a_lapack_failure(lapack):
+    # NaN in gives NaN out, with no exception: the solver rejects an
+    # overflowing trial by its value
+    a = np.array([[1.0, math.nan], [math.nan, 1.0]], dtype=complex)
+    w, u = hermitian.eigh(a)
+    assert np.isnan(w).all() and np.isnan(u).all()
+    assert np.isnan(hermitian.eigvalsh(a)).all()
+    assert hermitian.eigh(np.zeros((0, 0), dtype=complex))[0].shape == (0,)
+    # LAPACK reports a failure by NaN outputs: on finite input, an error
+    lapack.eigh_lo = lambda m: (np.full(len(m), math.nan), np.full(m.shape, math.nan + 0j))
+    lapack.eigvalsh_lo = lambda m: np.full(len(m), math.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        hermitian.eigh(np.eye(2, dtype=complex))
+    with pytest.raises(np.linalg.LinAlgError):
+        hermitian.eigvalsh(np.eye(2, dtype=complex))
+    assert np.isnan(hermitian.eigh(a)[0]).all()
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ the other, and the center solves on its basis agree with solves on
 read one +inf gate and one meet on the near-cutoff pairs."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from qrdiv import hermitian
 from qrdiv.barycentric import (
     GcqChannel,
     SolverOptions,
@@ -72,10 +74,15 @@ def meet_cases(draw):
 def test_support_meet_spans_the_decomposed_meet(case):
     shape, rho, sigma = case
     sr, ss = spectrum(rho), spectrum(sigma)
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    # a function-scoped fixture would span every example: the handle is
+    # patched here, as the lapack fixture patches it
+    handle = SimpleNamespace(eigh_lo=mock.Mock(wraps=hermitian._lapack.eigh_lo),
+                             eigvalsh_lo=mock.Mock(wraps=hermitian._lapack.eigvalsh_lo))
+    with mock.patch.object(hermitian, "_lapack", handle):
         b = support_meet(sr, ss)
     # one support lies in the other: its basis is the meet, no decomposition
-    assert eigh.call_count == (1 if shape == "proper" else 0)
+    assert handle.eigh_lo.call_count == (1 if shape == "proper" else 0)
+    assert handle.eigvalsh_lo.call_count == 0
     b0 = meet_bases(sr.proj, ss.proj)[0]
     assert b.shape == b0.shape
     assert np.abs(b @ b.conj().T - b0 @ b0.conj().T).max() <= 1e-10

@@ -129,3 +129,22 @@ def test_only_support_meet_tests_a_subspace_geometrically():
     # them, is decided by the inclusion rule
     callers = _callers("_lies_in")
     assert callers == {"hermitian.py:support_meet"}, callers
+
+
+def test_only_hermitian_names_the_lapack_eigensolvers():
+    # every decomposition goes through hermitian.eigh or eigvalsh, where one
+    # handle counts them: no other module names numpy's eigensolvers or the
+    # gufunc module they wrap
+    pattern = re.compile(r"linalg\.eig|_umath_linalg")
+    hits: dict = {}
+    for path in sorted(Path(qrdiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [f"{getattr(node, 'module', None)}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(pattern.search(n) for n in names):
+                hits.setdefault(path.name, []).append(node.lineno)
+    assert list(hits) == ["hermitian.py"], hits

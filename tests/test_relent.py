@@ -511,7 +511,7 @@ def _stack_size(args):
     return str(len(args[2]))
 
 
-def test_measured_line_search_chunks(monkeypatch):
+def test_measured_line_search_chunks(monkeypatch, lapack):
     # the pinned d = 2, alpha = 0.5 case, on the gradient path, accepts a
     # trial step past the first stack of four, and ends a start with all 25
     # trials failing
@@ -520,7 +520,7 @@ def test_measured_line_search_chunks(monkeypatch):
     events = []
     _spy(monkeypatch, events, relent, "_measured_point", _stack_size)
     _spy(monkeypatch, events, relent, "_riemannian_gradient", lambda args: "G")
-    _spy(monkeypatch, events, np.linalg, "eigh", lambda args: "E")
+    _spy(monkeypatch, events, lapack, "eigh_lo", lambda args: "E")
     rho, sigma = _pinned_pair(2)
     v, _ = measured_lower_bound(rho, sigma, alpha=0.5, restarts=2, iters=50, seed=1)
     assert abs(v - _PINNED_MEASURED[2][0.5]) < 1e-12
@@ -703,11 +703,11 @@ def test_measured_lower_bound_larger_dims(d):
         assert 0.0 < lb <= umegaki(rho, sigma) + 1e-8
 
 
-def test_measured_ascent_one_eigh_per_iteration(monkeypatch):
+def test_measured_ascent_one_eigh_per_iteration(monkeypatch, lapack):
     from qrdiv import relent
 
     events = []
-    for owner, name, tag in ((np.linalg, "eigh", "E"), (relent, "_newton_system", "N"),
+    for owner, name, tag in ((lapack, "eigh_lo", "E"), (relent, "_newton_system", "N"),
                              (relent, "_riemannian_gradient", "G"), (relent, "_measured_point", "P")):
         _spy(monkeypatch, events, owner, name, lambda args, tag=tag: tag)
     rng = np.random.default_rng(70)
