@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -47,9 +47,11 @@ from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
     CLUSTER_RTOL,
     Spectrum,
-    _check_shapes,
+    _cut_spectrum,
     _derived_spectrum,
     eigh,
+    eigh_desc,
+    operands,
     sample_hermitian,
     spectrum,
     support_leq,
@@ -64,11 +66,11 @@ from .relent import (
     Mixture,
     Umegaki,
     _empty_meet_renyi,
+    _measured_lower_bound,
     _measured_slopes,
-    measured_lower_bound,
-    rel_entropy,
+    _rel_entropy,
 )
-from .renyi import _dmax_top, _log_euclidean_h, _um_first_top
+from .renyi import _dmax_top, _log_euclidean_h, _nonzero_trace, _um_first_top
 
 INF = float("inf")
 # stop when the descent direction's norm falls below this
@@ -83,26 +85,21 @@ _NM_WINDOW = 10
 
 @dataclass(frozen=True)
 class GcqChannel:
-    """Labeled family (W_x) of PSD operators on a common space."""
+    """Labeled family (W_x) of PSD operators on a common space, read once
+    (``hermitian.operands``) into ``operators`` and their ``spectra``."""
 
     labels: tuple
     operators: tuple  # of ndarray
+    spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(w, dtype=complex) for w in self.operators)
-        if len(ops) != len(self.labels):
+        if len(self.operators) != len(self.labels):
             raise DimensionMismatch("one operator per label required")
-        d = ops[0].shape[0]
-        if any(w.shape != (d, d) for w in ops):
-            raise DimensionMismatch("operators must share one dimension")
+        ops, sps = operands(*self.operators)
         object.__setattr__(self, "operators", ops)
-        if not any(sp.basis.size for sp in self.spectra):
+        object.__setattr__(self, "spectra", sps)
+        if not any(sp.basis.size for sp in sps):
             raise BadParameter("at least one W_x must have an eigenvalue above its support cutoff")
-
-    @cached_property
-    def spectra(self) -> tuple:
-        """The Spectrum of each W_x, decomposed once."""
-        return tuple(spectrum(w) for w in self.operators)
 
 
 @dataclass
@@ -167,12 +164,12 @@ class _Term:
         self.kind = kind
         self.basis = basis
         self.w_full = w_full
+        self.spec = spectrum(w_full if spec is None else spec)
         base = kind.base if isinstance(kind, GeomWeighted) else kind
         self.meas = base if isinstance(base, MeasuredProjective) else None
-        spec = w_full if spec is None else spec
         if isinstance(kind, Umegaki):
             self.mode = "um"
-            self.logw = _log_euclidean_h((1.0,), (spec,), basis)
+            self.logw = _log_euclidean_h((1.0,), (self.spec,), basis)
         elif isinstance(kind, MeasuredProjective):
             self.mode = "meas"
         elif isinstance(kind, (BelavkinStaszewski, GeomWeighted)):
@@ -181,10 +178,9 @@ class _Term:
             # and g has the full rank of the block. Where ran(basis) is supp W, g's
             # eigenvalues are 1/w and its eigenvectors B* V, from W's own; else one eigh
             self.mode = "bs" if isinstance(kind, BelavkinStaszewski) else "geom"
-            sp = spectrum(spec)
-            c = sp.compressed(basis)
+            c = self.spec.compressed(basis)
             if c is None:
-                g = basis.conj().T @ sp.power(-1.0) @ basis
+                g = basis.conj().T @ self.spec.power(-1.0) @ basis
                 self.g_spec = _derived_spectrum(g, basis.shape[1])
             else:
                 self.g_spec = Spectrum(1.0 / c.w[::-1], c.u[:, ::-1], 0.0)
@@ -338,15 +334,17 @@ class _Iterate:
 
     def measured(self, term: _Term):
         """(value, B*U, da, db): D^meas(B omega B* || T) for T = W (meas) or
-        B M B* (geom) by rel_entropy's ascent call, its best basis U and the
-        slopes in a = diag(U* B omega B* U) and b = diag(U* T U)."""
+        B M B* (geom) by rel_entropy's ascent, its best basis U and the
+        slopes in a = diag(U* B omega B* U) and b = diag(U* T U); omega and
+        B M B* are derived, decomposed unchecked, and W's Spectrum is the term's."""
         if term not in self._measured:
             basis = term.basis
             target = (term.w_full if term.mode == "meas"
                       else basis @ self.mean_eig(term)[3] @ basis.conj().T)
             omega = basis @ self.omega @ basis.conj().T
-            val, u = measured_lower_bound(omega, target, None, term.meas.restarts,
-                                          term.meas.iters, seed=0)
+            ts = term.spec if term.mode == "meas" else _cut_spectrum(*eigh_desc(target))
+            val, u = _measured_lower_bound(omega, _cut_spectrum(*eigh_desc(omega)), target, ts,
+                                           None, term.meas.restarts, term.meas.iters, 0)
             a = np.sum(u.conj() * (omega @ u), axis=0).real
             b = np.sum(u.conj() * (target @ u), axis=0).real
             self._measured[term] = (val, basis.conj().T @ u, *_measured_slopes(None, a, b))
@@ -625,21 +623,18 @@ def barycentric_renyi_full(
     sigma: np.ndarray,
     options: Optional[SolverOptions] = None,
 ) -> dict:
-    rho, sigma = _check_shapes(rho, sigma)
-    tr_rho = float(np.trace(rho).real)
-    if tr_rho <= 0:
-        raise BadParameter("first argument must be nonzero")
     _check_alpha(alpha)
+    (rho, sigma), (sr, ss) = operands(rho, sigma)
+    tr_rho = _nonzero_trace(rho)
     q0, q1 = kinds
     out = {"value": INF, "center": None, "gap": 0.0, "iterations": 0, "converged": True}
 
     if alpha == 1:
-        out["value"] = rel_entropy(q1, rho, sigma).value / tr_rho
+        out["value"] = _rel_entropy(q1, rho, sr, sigma, ss, 0).value / tr_rho
         return out
 
     # the center problem's weights, (1, -1) at alpha = inf; its +inf gate and
     # meet are barycentric_q's, but the alpha -> 0 limit keeps supp rho
-    sr, ss = spectrum(rho), spectrum(sigma)
     weights = (1.0, -1.0) if alpha == INF else (alpha, 1.0 - alpha)
     basis = support_meet(sr, ss) if alpha == 0 else _feasible_meet(weights, (sr, ss))
     if basis is None or not basis.shape[1]:
@@ -699,7 +694,7 @@ def dual_renyi(
     with swapped arguments; equals the primal with swapped kinds."""
     if not 0.0 < alpha < 1.0:
         raise BadParameter(f"alpha must be in (0, 1), got {alpha}")
+    inner = barycentric_renyi(1.0 - alpha, kinds, sigma, rho, options)
     tr_rho = float(np.trace(np.asarray(rho)).real)
     tr_sigma = float(np.trace(np.asarray(sigma)).real)
-    inner = barycentric_renyi(1.0 - alpha, kinds, sigma, rho, options)
     return (alpha * inner + math.log(tr_rho) - math.log(tr_sigma)) / (1.0 - alpha)

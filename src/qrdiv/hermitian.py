@@ -8,8 +8,9 @@ an input (or its compression) an eigenvalue counts as zero iff it is
 the support and function helpers read it. An operator derived from inputs,
 such as sigma^{-1/2} rho sigma^{-1/2}, takes its rank from their supports
 instead (``_derived_spectrum``); every such congruence is formed in sigma's
-eigenbasis (``Spectrum.graded``). Only an input's decomposition runs the
-Hermiticity check; a derived operator is decomposed with ``eigh_desc``.
+eigenbasis (``Spectrum.graded``). ``spectrum`` is the one input check, read
+by every public entry point (``operands``) and the file loader: finite,
+square, Hermitian and PSD. A derived operator is decomposed with ``eigh_desc``.
 An input's part in a subspace is zero iff its compression there has rank 0
 against the input's cutoff (``compressed_rank``, and so ``support_leq``).
 The meet of supports is the support of an input that lies (``_lies_in``) in
@@ -53,7 +54,7 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERM_ATOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a finite (else BadParameter), square, Hermitian ``a``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -61,19 +62,9 @@ def check_hermitian(a: np.ndarray, tol: float = HERM_ATOL) -> np.ndarray:
     if not np.isfinite(a).all():
         raise BadParameter("matrix entries must be finite")
     asym = np.max(np.abs(a - a.conj().T))
-    if asym > tol:
-        raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
+    if asym > HERM_ATOL:
+        raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance {HERM_ATOL:.1e}")
     return herm_part(a)
-
-
-def _check_shapes(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The operand pair as complex arrays; DimensionMismatch unless the
-    shapes agree."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
-    return rho, sigma
 
 
 def _converged(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -234,11 +225,30 @@ class Spectrum:
 
 
 def spectrum(a) -> Spectrum:
-    """The Spectrum of Hermitian ``a``; a Spectrum is returned unchanged."""
+    """The Spectrum of an input ``a``, checked (``check_hermitian``) and PSD,
+    no eigenvalue below minus the support cutoff, else BadParameter; a
+    Spectrum is returned unchanged."""
     if isinstance(a, Spectrum):
         return a
-    w, u = spectral_decompose(a)
+    sp = _cut_spectrum(*spectral_decompose(a))
+    if sp.w.size and sp.w[-1] < -sp.cut:
+        raise BadParameter(f"matrix must be PSD, has eigenvalue {sp.w[-1]:.3e}")
+    return sp
+
+
+def _cut_spectrum(w: np.ndarray, u: np.ndarray) -> Spectrum:
+    """The Spectrum of eigendata (w descending, u), cut as an input's."""
     return Spectrum(w, u, support_cutoff(w))
+
+
+def operands(*ops) -> tuple[tuple[np.ndarray, ...], tuple[Spectrum, ...]]:
+    """The one reader of a public entry point's operands: (arrays, spectra),
+    the operands as complex arrays and their ``spectrum``, each checked
+    once; DimensionMismatch unless their shapes agree."""
+    arrays = tuple(np.asarray(a, dtype=complex) for a in ops)
+    if any(a.shape != arrays[0].shape for a in arrays[1:]):
+        raise DimensionMismatch(f"shapes {' vs '.join(str(a.shape) for a in arrays)}")
+    return arrays, tuple(spectrum(a) for a in arrays)
 
 
 def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:
@@ -431,11 +441,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise DimensionMismatch(f"declared dim {d}, data shapes {re.shape} and {im.shape}")
     a = re.astype(complex)
     a.imag = im  # re + 1j * im would warn on an infinite im, before the check
-    a = check_hermitian(a, tol=1e-8)
-    w = eigvalsh(a)
-    if np.any(w < -support_cutoff(w)):
-        raise BadParameter(f"matrix must be PSD, has eigenvalue {w[0]:.3e}")
-    return a
+    spectrum(a)  # the library's input rule: finite, square, Hermitian and PSD
+    return herm_part(a)
 
 
 def load_matrix(path) -> np.ndarray:

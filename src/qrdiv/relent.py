@@ -18,8 +18,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (Spectrum, _check_shapes, _derived_spectrum, compressed_rank, eigh,
-                        eigh_desc, herm_part, sample_unitary, spectrum, support_leq)
+from .hermitian import (Spectrum, _derived_spectrum, compressed_rank, eigh, eigh_desc, herm_part,
+                        operands, sample_unitary, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -67,8 +67,8 @@ def _empty_meet_renyi(alpha: Optional[float]) -> float:
 
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
-    rho, sigma = _check_shapes(rho, sigma)
-    return _umegaki(rho, spectrum(rho), spectrum(sigma))
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    return _umegaki(rho, sr, ss)
 
 
 def _umegaki(rho: np.ndarray, sr: Spectrum, ss: Spectrum) -> float:
@@ -93,8 +93,8 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     Tr rho nlog(rho^{1/2} sigma^{-1} rho^{1/2}), taken in supp rho's
     eigenbasis V as Tr rho_c log Y with rho_c = V* rho V and
     Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2} of full rank."""
-    rho, sigma = _check_shapes(rho, sigma)
-    return _bs_rel_entropy(spectrum(rho), spectrum(sigma))
+    _, (sr, ss) = operands(rho, sigma)
+    return _bs_rel_entropy(sr, ss)
 
 
 def _bs_rel_entropy(sr: Spectrum, ss: Spectrum) -> float:
@@ -277,9 +277,8 @@ def measured_lower_bound(
     restarts, iters = _whole_counts("meas counts", restarts, iters)
     if alpha is not None:
         _check_alpha(alpha)
-    rho, sigma = _check_shapes(rho, sigma)
-    return _measured_lower_bound(rho, spectrum(rho), sigma, spectrum(sigma), alpha, restarts,
-                                 iters, seed)
+    (rho, sigma), (sr, ss) = operands(rho, sigma)
+    return _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed)
 
 
 def _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed):
@@ -404,8 +403,8 @@ def rel_entropy(
     For MeasuredProjective the value is a certified lower bound with
     certificate_gap = D^Um - value when both are finite.
     """
-    rho, sigma = _check_shapes(rho, sigma)
-    return _rel_entropy(kind, rho, spectrum(rho), sigma, spectrum(sigma), seed)
+    (rho, sigma), (sr, ss) = operands(rho, sigma)
+    return _rel_entropy(kind, rho, sr, sigma, ss, seed)
 
 
 def _rel_entropy(kind, rho, sr, sigma, ss, seed) -> DivergenceValue:
@@ -456,7 +455,7 @@ def kind_is_exact(kind: EntropyKind) -> bool:
 
 def axioms_check(kind: EntropyKind, samples: int = 50, rng_seed: int = 0) -> dict:
     """Sample-based pass/fail report for the quantum-relative-entropy axioms."""
-    from .hermitian import partial_trace, sample_cptp, sample_state, tensor
+    from .hermitian import partial_trace, sample_cptp, sample_state
 
     rng = np.random.default_rng(rng_seed)
     exact = kind_is_exact(kind)

@@ -14,14 +14,14 @@ import numpy as np
 from .classical import classical_renyi
 from .errors import BadParameter, InfiniteLimit
 from .hermitian import (
-    SUPPORT_RTOL,
-    _check_shapes,
+    Spectrum,
     _derived_spectrum,
     compressed_rank,
     eig_clusters,
     eigh,
     eigvalsh,
     herm_part,
+    operands,
     spectrum,
     support_leq,
     support_meet,
@@ -163,20 +163,25 @@ def _um_first_top(
     return best_lo, best_v, max(best_up - best_lo, 0.0), steps
 
 
+def _nonzero_trace(rho: np.ndarray) -> float:
+    """Tr rho of a read operand; BadParameter unless it is positive."""
+    tr_rho = float(np.trace(rho).real)
+    if tr_rho <= 0:
+        raise BadParameter("first argument must be nonzero")
+    return tr_rho
+
+
 def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """Renyi (alpha, z)-divergence; z = inf gives the log-Euclidean family
     on the compression to the support meet, including its alpha = inf
     limit (alpha = inf needs z = inf)."""
-    rho, sigma = _check_shapes(rho, sigma)
     if not (z == INF or z > 0):
         raise BadParameter(f"z must be positive or inf, got {z}")
     _check_alpha(alpha)
     if alpha == INF and z != INF:
         raise BadParameter(f"alpha = inf is defined here for z = inf only, got z = {z}")
-    tr_rho = float(np.trace(rho).real)
-    if tr_rho <= 0:
-        raise BadParameter("first argument must be nonzero")
-    sr, ss = spectrum(rho), spectrum(sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    tr_rho = _nonzero_trace(rho)
     if alpha == 1:
         u = _umegaki(rho, sr, ss)
         return u / tr_rho if math.isfinite(u) else INF
@@ -208,8 +213,12 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
 def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D_inf: log of the smallest lambda with rho <= lambda sigma; -inf
     when rho is below the support cutoff."""
-    rho, sigma = _check_shapes(rho, sigma)
-    sr, ss = spectrum(rho), spectrum(sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    return _max_relative_entropy(rho, sr, ss)
+
+
+def _max_relative_entropy(rho: np.ndarray, sr, ss) -> float:
+    """``max_relative_entropy`` on the spectra sr, ss of rho and sigma."""
     if not sr.basis.size:
         return -INF
     if not support_leq(sr, ss):
@@ -217,23 +226,19 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _dmax_top(rho, ss, sr.basis.shape[1])[0]
 
 
-def _dmax_top(rho: np.ndarray, sigma, rank: int) -> tuple[float, np.ndarray | None]:
-    """(D_max(rho || sigma), psi) for ran(rho) <= ran(sigma) (``sigma`` a
-    matrix or its Spectrum) and ``rank`` the rank of rho.
+def _dmax_top(rho: np.ndarray, ss: Spectrum, rank: int) -> tuple[float, np.ndarray]:
+    """(D_max(rho || sigma), psi) for a nonzero rho with ran(rho) <= ran(sigma),
+    sigma's Spectrum ``ss`` and ``rank`` the rank of rho.
 
     D_max is the log of the top eigenvalue lambda of
     X = sigma^{-1/2} rho sigma^{-1/2}, graded in sigma's eigenbasis V, with
     top eigenvector x; y = sigma^{-1/2} V x
     solves rho y = lambda sigma y. The unit vector psi ~ rho y lies in
     ran(rho) and has <psi|sigma^+|psi> = lambda <psi|rho^+|psi>, so on the
-    pure state psi psi* BS(.||sigma) - BS(.||rho) reaches D_max. psi is None
-    when rho = 0 (D_max = -inf).
+    pure state psi psi* BS(.||sigma) - BS(.||rho) reaches D_max.
     """
-    ss = spectrum(sigma)
     v = ss.basis
     x = ss.graded(v.conj().T @ rho @ v, rank)
-    if x.w[0] <= 0:
-        return -INF, None
     psi = rho @ (v @ (x.u[:, 0] / ss.root))
     return float(np.log(x.w[0])), psi / np.linalg.norm(psi)
 
@@ -258,15 +263,15 @@ class ReverseTest:
         return out
 
 
-def _reverse_pq(rho: np.ndarray, sigma: np.ndarray):
-    """The classical pair (p, q) of ``optimal_reverse_test`` with what its
-    channel is built from: (p, q, ss, x, clusters, rho_ac), ``x`` the graded
-    Spectrum of sigma^{-1/2} rho_ac sigma^{-1/2} in sigma's eigenbasis B and
-    ``clusters`` its eigenvalue blocks, p and q ending in the singular index.
+def _reverse_pq(rho: np.ndarray, sr, ss):
+    """The classical pair (p, q) of ``optimal_reverse_test`` on the spectra
+    sr, ss of rho and sigma, with what its channel is built from:
+    (p, q, x, clusters, rho_ac), ``x`` the graded Spectrum of
+    sigma^{-1/2} rho_ac sigma^{-1/2} in sigma's eigenbasis B and ``clusters``
+    its eigenvalue blocks, p and q ending in the singular index.
 
     A block's mass is ||B s^{1/2} x_i||^2 = sum_j s_j |x_ji|^2 summed over
     its eigenvectors x_i (B is an isometry), so no d x d matrix is formed."""
-    sr, ss = spectrum(rho), spectrum(sigma)
     b = ss.basis
     rho_ac, outside = _abs_cont(rho, sr.cut, b, ss.kernel)
     # X = sigma^{-1/2} rho_ac sigma^{-1/2} has rank rho_ac = rank rho - outside;
@@ -281,7 +286,7 @@ def _reverse_pq(rho: np.ndarray, sigma: np.ndarray):
     # the singular index: rho's part outside supp sigma, by D_max's inclusion rule
     p.append(float(np.trace(rho).real - np.trace(rho_ac).real) if outside else 0.0)
     q.append(0.0)
-    return np.array(p), np.array(q), ss, x, clusters, rho_ac
+    return np.array(p), np.array(q), x, clusters, rho_ac
 
 
 def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
@@ -289,8 +294,8 @@ def optimal_reverse_test(rho: np.ndarray, sigma: np.ndarray) -> ReverseTest:
     sigma^{-1/2} rho_ac sigma^{-1/2}, taken in the eigenbasis B of supp
     sigma; optimal for every maximal Renyi divergence with alpha in [0, 2]
     and at alpha = inf."""
-    rho, sigma = _check_shapes(rho, sigma)
-    p, q, ss, x, clusters, rho_ac = _reverse_pq(rho, sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    p, q, x, clusters, rho_ac = _reverse_pq(rho, sr, ss)
     b = ss.basis
     gammas = []
     for idx, mass in zip(clusters, q):
@@ -316,18 +321,14 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     Exact for alpha in [0, 2] and alpha = inf; for alpha in (2, inf) the
     reverse test is not optimal and the value is flagged as an upper bound.
     """
-    rho, sigma = _check_shapes(rho, sigma)
-    tr_rho = float(np.trace(rho).real)
-    if tr_rho <= 0:
-        raise BadParameter("first argument must be nonzero")
     _check_alpha(alpha)
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    _nonzero_trace(rho)
     if alpha == INF:
-        return MaxRenyiValue(max_relative_entropy(rho, sigma))
-    # lambda_max >= Tr rho / d, so only a trace at most d * SUPPORT_RTOL can
-    # leave every eigenvalue of rho below the support cutoff
-    if tr_rho <= rho.shape[0] * SUPPORT_RTOL and not spectrum(rho).basis.size:
+        return MaxRenyiValue(_max_relative_entropy(rho, sr, ss))
+    if not sr.basis.size:
         return MaxRenyiValue(_empty_meet_renyi(alpha), upper_bound_only=alpha > 2)
-    p, q = _reverse_pq(rho, sigma)[:2]
+    p, q = _reverse_pq(rho, sr, ss)[:2]
     return MaxRenyiValue(classical_renyi(alpha, p, q), upper_bound_only=alpha > 2)
 
 
@@ -339,12 +340,11 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     route."""
     from .supports import kubo_ando_mean
 
-    rho, sigma = _check_shapes(rho, sigma)
     if 0.0 <= alpha <= 1.0:
         return float(np.trace(kubo_ando_mean(alpha, rho, sigma)).real)
     if not 1.0 < alpha <= 2.0:
         raise BadParameter(f"mean route needs alpha in [0, 2], got {alpha}")
-    sr, ss = spectrum(rho), spectrum(sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
     if not support_leq(sr, ss):
         return INF
     v = ss.basis
@@ -355,7 +355,6 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
 def max_fdivergence(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> float:
     """Maximal f-divergence: trace of the perspective closed form, equal to
     the classical f-divergence of the optimal reverse test."""
-    rho, sigma = _check_shapes(rho, sigma)
     if not fn.is_operator_convex:
         raise BadParameter(f"{fn.name} is not declared operator convex")
     if not math.isfinite(fn.f_at_zero_plus):
@@ -370,7 +369,6 @@ def reg_measured_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> floa
     """Regularized measured Renyi divergence: D_{alpha,alpha} for
     alpha >= 1/2 (max-relative entropy at alpha = inf), D_{alpha,1-alpha}
     below 1/2."""
-    rho, sigma = _check_shapes(rho, sigma)
     _check_alpha(alpha)
     if alpha == INF:
         return max_relative_entropy(rho, sigma)

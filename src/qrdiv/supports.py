@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InfiniteLimit, NotInvertible
-from .hermitian import Spectrum, _check_shapes, eigh_desc, herm_part, spectrum
+from .hermitian import Spectrum, eigh_desc, herm_part, operands
 
 INF = float("inf")
 
@@ -84,9 +84,8 @@ def neg_power(gamma: float) -> OpConvexFn:
 def abs_cont_part(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Largest 0 <= C <= rho with ran(C) inside ran(sigma), via the Schur
     complement of rho with respect to the kernel of sigma."""
-    rho, sigma = _check_shapes(rho, sigma)
-    ss = spectrum(sigma)
-    return ss.basis @ _abs_cont(rho, spectrum(rho).cut, ss.basis, ss.kernel)[0] @ ss.basis.conj().T
+    (rho, _), (sr, ss) = operands(rho, sigma)
+    return ss.basis @ _abs_cont(rho, sr.cut, ss.basis, ss.kernel)[0] @ ss.basis.conj().T
 
 
 def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
@@ -124,8 +123,7 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     An infinite boundary limit needs a zero deficiency (0 * inf = 0);
     otherwise the limit does not exist (InfiniteLimit).
     """
-    rho, sigma = _check_shapes(rho, sigma)
-    sr, ss = spectrum(rho), spectrum(sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
     rho_ac, k = _abs_cont(rho, sr.cut, ss.basis, ss.kernel)
     out = _graded_perspective(fn, ss, rho_ac, sr.basis.shape[1] - k)
     if k:
@@ -156,7 +154,6 @@ def kubo_ando_mean(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.ndarr
     """sigma #_gamma rho for gamma in [0, 1] and arbitrary PSD inputs."""
     if not 0.0 <= gamma <= 1.0:
         raise BadParameter(f"gamma {gamma} outside [0, 1]")
-    rho, sigma = _check_shapes(rho, sigma)
     if gamma == 0.0:
         return abs_cont_part(sigma, rho)
     if gamma == 1.0:
@@ -168,8 +165,7 @@ def kubo_ando_mean_real(gamma: float, rho: np.ndarray, sigma: np.ndarray) -> np.
     """sigma #_gamma rho for any finite real gamma; both inputs must be invertible."""
     if not math.isfinite(gamma):
         raise BadParameter(f"gamma must be finite, got {gamma}")
-    rho, sigma = _check_shapes(rho, sigma)
-    sr, ss = spectrum(rho), spectrum(sigma)
+    (rho, _), (sr, ss) = operands(rho, sigma)
     for name, s in (("rho", sr), ("sigma", ss)):
         if s.w[-1] <= s.cut:
             raise NotInvertible(f"{name} has an eigenvalue at or below the cutoff")

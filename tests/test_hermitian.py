@@ -11,6 +11,7 @@ from qrdiv import (
     barycentric_q,
     barycentric_renyi,
     barycentric_renyi_full,
+    dual_renyi,
     hermitian,
     bs_rel_entropy,
     max_renyi,
@@ -47,7 +48,13 @@ from qrdiv.hermitian import (
     support_leq,
     tensor,
 )
-from qrdiv.renyi import max_q_alpha_mean_route, max_relative_entropy
+from qrdiv.renyi import (
+    max_fdivergence,
+    max_q_alpha_mean_route,
+    max_relative_entropy,
+    optimal_reverse_test,
+    reg_measured_renyi,
+)
 from qrdiv.supports import (
     abs_cont_part,
     kubo_ando_mean,
@@ -506,6 +513,13 @@ _CHECK_CALLS = [
     ("max_renyi(0.5) rank-2 sigma", lambda r, s: max_renyi(0.5, r, _SIG_RANK2)),  # 3
     ("measured rho, rho", lambda r, s: measured_lower_bound(r, r, restarts=2, iters=0)),  # 3
     ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s)),  # 3
+    # the measured term's ascent reads omega and B M B* unchecked, and W by
+    # the Spectrum the solve read once: 24 when every iterate re-checked them
+    ("bary meas,um 0.5 iters=10", lambda r, s: barycentric_renyi_full(
+        0.5, (parse_kind("meas:r2:i20"), _UM), r, s, SolverOptions(restarts=0, iters=10))),
+    ("bary geom:meas,um 0.5 iters=10", lambda r, s: barycentric_renyi_full(
+        0.5, (parse_kind("geom:meas:r2:i20:0.5"), _UM), r, s,
+        SolverOptions(restarts=0, iters=10))),
 ]
 
 
@@ -516,6 +530,25 @@ def test_hermitian_checks_per_call(herm_checks, name, call):
     herm_checks.clear()
     call(rho, sig)
     assert 0 < len(herm_checks) <= 2
+
+
+def test_a_measured_term_decomposes_its_operator_once_per_solve(lapack):
+    # W's Spectrum is taken when the operands are read and serves every
+    # iterate's ascent; omega and B M B* change with the iterate
+    rng = np.random.default_rng(11)
+    rho, sig = sample_state(3, 3, rng), sample_state(3, 3, rng)
+    inputs, eigh_lo = [], lapack.eigh_lo
+
+    def recording(m):
+        inputs.append(np.array(m))
+        return eigh_lo(m)
+
+    lapack.eigh_lo = recording
+    res = barycentric_renyi_full(0.5, (parse_kind("meas:r2:i20"), _UM), rho, sig,
+                                 SolverOptions(restarts=0, iters=10))
+    assert res["iterations"] > 1
+    w = hermitian.herm_part(rho)
+    assert sum(np.array_equal(m, w) for m in inputs) == 1
 
 
 def test_matrix_json_roundtrip(tmp_path):
@@ -548,12 +581,36 @@ def test_matrix_json_rejects_non_finite(part, entry):
 _HALF = np.eye(2, dtype=complex) / 2
 _NON_FINITE = {"nan": np.diag([math.nan, 1.0]), "+inf": np.diag([math.inf, 1.0]),
                "-inf": np.diag([-math.inf, 1.0]), "nan-im": np.diag([complex(1.0, math.nan), 1.0])}
+# every public entry point that reads a pair of operators, each once
 _PUBLIC_PAIR_CALLS = {
     "bs_rel_entropy": bs_rel_entropy,
     "umegaki": umegaki,
     "max_renyi(0.5)": lambda r, s: max_renyi(0.5, r, s),
     "barycentric_renyi um,bs": lambda r, s: barycentric_renyi(0.5, (_UM, _BS), r, s),
     "measured_lower_bound": lambda r, s: measured_lower_bound(r, s, restarts=2, iters=5),
+    "rel_entropy um": lambda r, s: rel_entropy(_UM, r, s),
+    "rel_entropy bs": lambda r, s: rel_entropy(_BS, r, s),
+    "rel_entropy meas": lambda r, s: rel_entropy(parse_kind("meas:r2:i5"), r, s),
+    "rel_entropy geom": lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s),
+    "rel_entropy mix": lambda r, s: rel_entropy(parse_kind("mix:0.5*um+0.5*bs"), r, s),
+    "renyi_alpha_z(0.5, 1)": lambda r, s: renyi_alpha_z(0.5, 1.0, r, s),
+    "renyi_alpha_z(0.5, inf)": lambda r, s: renyi_alpha_z(0.5, math.inf, r, s),
+    "max_relative_entropy": max_relative_entropy,
+    "max_renyi(inf)": lambda r, s: max_renyi(math.inf, r, s),
+    "optimal_reverse_test": optimal_reverse_test,
+    "max_q_alpha_mean_route(0.5)": lambda r, s: max_q_alpha_mean_route(0.5, r, s),
+    "max_q_alpha_mean_route(1.5)": lambda r, s: max_q_alpha_mean_route(1.5, r, s),
+    "max_fdivergence": lambda r, s: max_fdivergence(x_log_x(), r, s),
+    "reg_measured_renyi(0.5)": lambda r, s: reg_measured_renyi(0.5, r, s),
+    "abs_cont_part": abs_cont_part,
+    "perspective": lambda r, s: perspective(x_log_x(), r, s),
+    "kubo_ando_mean(0)": lambda r, s: kubo_ando_mean(0.0, r, s),
+    "kubo_ando_mean(0.5)": lambda r, s: kubo_ando_mean(0.5, r, s),
+    "kubo_ando_mean(1)": lambda r, s: kubo_ando_mean(1.0, r, s),
+    "kubo_ando_mean_real": lambda r, s: kubo_ando_mean_real(0.5, r, s),
+    "barycentric_renyi_full um,um": lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s),
+    "dual_renyi um,bs": lambda r, s: dual_renyi(0.5, (_UM, _BS), r, s),
+    "GcqChannel": lambda r, s: GcqChannel(("r", "s"), (r, s)),
 }
 
 
@@ -563,12 +620,35 @@ _PUBLIC_PAIR_CALLS = {
 def test_a_non_finite_entry_fails_at_the_boundary(name, entry, which):
     # a NaN asymmetry never compares above the tolerance: without the
     # finiteness test these returned 0.693, -0.347 (bs), 0.0 with warnings
-    # (um at +inf), +inf (max_renyi) and nan (barycentric). A -inf in rho
-    # may first fail the positive-trace test, also with BadParameter
+    # (um at +inf), +inf (max_renyi) and nan (barycentric). The operands are
+    # read before any trace, so a -inf in rho is not reported as a zero one
     bad = _NON_FINITE[entry].astype(complex)
     args = (bad, _HALF) if which == "rho" else (_HALF, bad)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="matrix entries must be finite"):
         _PUBLIC_PAIR_CALLS[name](*args)
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+@pytest.mark.parametrize("name", list(_PUBLIC_PAIR_CALLS))
+def test_a_non_psd_operand_fails_at_the_boundary(name, which):
+    # spectrum() rejects an eigenvalue below minus the support cutoff, for
+    # the library and the CLI loader alike: without it rho = diag(0.9, -0.3)
+    # against I/2 gave 0.321 (um), 0.529 (bs), -0.223 (renyi_alpha_z and
+    # barycentric at alpha = 0.5) and 0.588 (max_renyi)
+    bad = np.diag([0.9, -0.3]).astype(complex)
+    args = (bad, _HALF) if which == "rho" else (_HALF, bad)
+    with pytest.raises(BadParameter, match="matrix must be PSD"):
+        _PUBLIC_PAIR_CALLS[name](*args)
+
+
+@pytest.mark.parametrize("sigma, error", [(np.diag([math.nan, 1.0]), BadParameter),
+                                          (np.array([[0.5, 0.1], [0.0, 0.5]]), NonHermitian)],
+                         ids=["nan", "non-hermitian"])
+def test_max_renyi_reads_sigma_below_the_support_cutoff(sigma, error):
+    # a rho below the cutoff has an empty meet, but sigma is read first:
+    # the shortcut returned +inf for either sigma
+    with pytest.raises(error):
+        max_renyi(0.5, 1e-12 * np.eye(2), sigma)
 
 
 def _symmetric(d, complex_, rng):
@@ -630,9 +710,16 @@ def test_matrix_json_rejects_malformed(bad, error):
      lambda r, s: measured_lower_bound(r, s, restarts=0, iters=1), abs_cont_part,
      lambda r, s: perspective(x_log_x(), r, s), lambda r, s: kubo_ando_mean(0.5, r, s),
      lambda r, s: kubo_ando_mean_real(0.5, r, s),
-     lambda r, s: barycentric_renyi_full(0.5, (Umegaki(), BelavkinStaszewski()), r, s)],
+     lambda r, s: barycentric_renyi_full(0.5, (Umegaki(), BelavkinStaszewski()), r, s),
+     lambda r, s: renyi_alpha_z(0.5, 1.0, r, s), max_relative_entropy,
+     lambda r, s: max_renyi(0.5, r, s), optimal_reverse_test,
+     lambda r, s: max_q_alpha_mean_route(1.5, r, s), lambda r, s: max_fdivergence(x_log_x(), r, s),
+     lambda r, s: reg_measured_renyi(0.5, r, s), lambda r, s: dual_renyi(0.5, (_UM, _BS), r, s),
+     lambda r, s: GcqChannel(("r", "s"), (r, s))],
     ids=["umegaki", "bs", "rel_entropy", "measured", "abs_cont_part", "perspective",
-         "kubo_ando_mean", "kubo_ando_mean_real", "barycentric"],
+         "kubo_ando_mean", "kubo_ando_mean_real", "barycentric", "renyi_alpha_z",
+         "max_relative_entropy", "max_renyi", "optimal_reverse_test", "mean_route",
+         "max_fdivergence", "reg_measured_renyi", "dual_renyi", "GcqChannel"],
 )
 def test_operand_shapes_checked(fn):
     with pytest.raises(DimensionMismatch):
