@@ -98,7 +98,7 @@ class GcqChannel:
         ops, sps = operands(*self.operators)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "spectra", sps)
-        if not any(sp.basis.size for sp in sps):
+        if not any(sp.rank for sp in sps):
             raise BadParameter("at least one W_x must have an eigenvalue above its support cutoff")
 
 
@@ -642,10 +642,10 @@ def barycentric_renyi_full(
         out["value"] = INF if basis is None else _empty_meet_renyi(alpha)
         return out
     opts = options or SolverOptions()
-    if alpha == 0 and opts.use_closed_form and basis.shape[1] == ss.basis.shape[1]:
+    if alpha == 0 and opts.use_closed_form and basis.shape[1] == ss.rank:
         # the meet is supp sigma: sigma / Tr sigma is feasible and attains
         # the bound -log Tr sigma (see barycentric_renyi)
-        w = ss.w[ss.w > ss.cut]
+        w = ss.w[:ss.rank]
         tr_sig = float(np.sum(w))
         out.update(value=math.log(tr_rho) - math.log(tr_sig),
                    center=(ss.basis * w) @ ss.basis.conj().T / tr_sig)
@@ -669,7 +669,7 @@ def barycentric_renyi_full(
                                                  tol=opts.tol)
             pure = basis @ v
         elif opts.use_closed_form and set(w0) == set(w1) == {bs}:
-            (value, pure), gap, iters = _dmax_top(rho, ss, sr.basis.shape[1]), 0.0, 0
+            (value, pure), gap, iters = _dmax_top(rho, ss, sr.rank), 0.0, 0
         if pure is not None:
             out.update(value=value, center=np.outer(pure, pure.conj()), gap=gap,
                        iterations=iters, converged=gap <= opts.tol)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,16 +56,19 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of a finite (else BadParameter), square, Hermitian ``a``."""
+    """Hermitian part of a non-empty, finite (else BadParameter), square, Hermitian ``a``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise BadParameter("matrix must not be empty")
     if not np.isfinite(a).all():
         raise BadParameter("matrix entries must be finite")
-    asym = np.max(np.abs(a - a.conj().T))
+    ah = a.conj().T
+    asym = np.abs(a - ah).max()
     if asym > HERM_ATOL:
         raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance {HERM_ATOL:.1e}")
-    return herm_part(a)
+    return (a + ah) / 2.0
 
 
 def _converged(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -99,12 +103,6 @@ def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigh_desc(a, check_hermitian)
 
 
-def support_cutoff(w: np.ndarray) -> float:
-    """Zero threshold for the eigenvalue list of a PSD operator."""
-    wmax = float(np.max(w)) if w.size else 0.0
-    return SUPPORT_RTOL * max(1.0, wmax)
-
-
 def eig_clusters(w: np.ndarray) -> list[np.ndarray]:
     """Group (sorted descending) eigenvalues: w_i joins the block of the next
     larger w_j iff |w_i - w_j| <= CLUSTER_RTOL * |w_j|, relative to each
@@ -132,14 +130,23 @@ class Spectrum:
     cut: float
 
     @cached_property
+    def rank(self) -> int:
+        """The number r of eigenvalues above ``cut``, by bisection in the ascending ``w[::-1]``."""
+        return len(self.w) - bisect_right(self.w[::-1].tolist(), self.cut)
+
+    @cached_property
     def basis(self) -> np.ndarray:
-        """d x r matrix of orthonormal columns spanning the support."""
-        return self.u[:, self.w > self.cut].copy()
+        """d x r orthonormal basis of the support: a read-only view of u[:, :r]."""
+        v = self.u[:, :self.rank]
+        v.flags.writeable = False
+        return v
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """d x (d - r) matrix of orthonormal columns spanning the kernel."""
-        return self.u[:, self.w <= self.cut].copy()
+        """d x (d - r) orthonormal basis of the kernel: a read-only view of u[:, r:]."""
+        k = self.u[:, self.rank:]
+        k.flags.writeable = False
+        return k
 
     @cached_property
     def proj(self) -> np.ndarray:
@@ -153,7 +160,7 @@ class Spectrum:
         Raises DomainError if ``f`` fails or is non-finite at a retained
         eigenvalue.
         """
-        vals = np.zeros_like(self.w)
+        vals = np.zeros(len(self.w))
         for i, x in enumerate(self.w):
             if on_support_only and x <= self.cut:
                 continue
@@ -166,9 +173,9 @@ class Spectrum:
 
     def _on_support(self, f) -> np.ndarray:
         """``fn`` for a numpy ``f``, taken in one call over the support."""
-        vals = np.zeros_like(self.w)
+        vals = np.zeros(len(self.w))
         with np.errstate(all="ignore"):
-            vals[self.w > self.cut] = f(self.w[self.w > self.cut])
+            vals[:self.rank] = f(self.w[:self.rank])
         return self._assemble(vals)
 
     def _assemble(self, vals: np.ndarray) -> np.ndarray:
@@ -192,15 +199,14 @@ class Spectrum:
         needs neither f(A) nor a decomposition; None when ``b`` has fewer
         columns than the support (it spans a proper part of it, where the
         compressions must be formed)."""
-        v = self.basis
-        if b.shape[1] != v.shape[1]:
+        if b.shape[1] != self.rank:
             return None
-        return Spectrum(self.w[:v.shape[1]], b.conj().T @ v, self.cut)
+        return Spectrum(self.w[:self.rank], b.conj().T @ self.basis, self.cut)
 
     @cached_property
     def root(self) -> np.ndarray:
         """s^{1/2} for the support eigenvalues s, in the order of ``basis``."""
-        return np.sqrt(self.w[:self.basis.shape[1]])
+        return np.sqrt(self.w[:self.rank])
 
     def graded(self, r: np.ndarray, rank: int) -> "Spectrum":
         """The derived Spectrum of X = S^{-1/2} A S^{-1/2} on supp S, with the
@@ -215,13 +221,13 @@ class Spectrum:
         come first, and loses them the other way round (at kappa = 1e8 the
         geometric mean of ``tests/test_conditioning.py``'s pairs is off by
         1e-2 against 4e-9), so X is decomposed in reversed order."""
-        x = _derived_spectrum((r / np.outer(self.root, self.root))[::-1, ::-1], rank)
+        x = _derived_spectrum((r / (self.root[:, None] * self.root))[::-1, ::-1], rank)
         return Spectrum(x.w, x.u[::-1].copy(), 0.0)
 
     def ungraded(self, y: np.ndarray) -> np.ndarray:
         """S^{1/2} Y S^{1/2} = V (Y o s^{1/2} s^{1/2 T}) V* for Y in the
         coordinates of ``graded``."""
-        return self.basis @ (y * np.outer(self.root, self.root)) @ self.basis.conj().T
+        return self.basis @ (y * (self.root[:, None] * self.root)) @ self.basis.conj().T
 
 
 def spectrum(a) -> Spectrum:
@@ -238,14 +244,18 @@ def spectrum(a) -> Spectrum:
 
 def _cut_spectrum(w: np.ndarray, u: np.ndarray) -> Spectrum:
     """The Spectrum of eigendata (w descending, u), cut as an input's."""
-    return Spectrum(w, u, support_cutoff(w))
+    return Spectrum(w, u, SUPPORT_RTOL * max(1.0, float(w[0]) if w.size else 0.0))
 
 
 def operands(*ops) -> tuple[tuple[np.ndarray, ...], tuple[Spectrum, ...]]:
     """The one reader of a public entry point's operands: (arrays, spectra),
-    the operands as complex arrays and their ``spectrum``, each checked
-    once; DimensionMismatch unless their shapes agree."""
-    arrays = tuple(np.asarray(a, dtype=complex) for a in ops)
+    the operands as complex arrays (BadParameter for a non-numeric entry or
+    ragged rows) and their ``spectrum``, each checked once;
+    DimensionMismatch unless their shapes agree."""
+    try:
+        arrays = tuple(np.asarray(a, dtype=complex) for a in ops)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"matrix entries must be numbers ({exc})") from exc
     if any(a.shape != arrays[0].shape for a in arrays[1:]):
         raise DimensionMismatch(f"shapes {' vs '.join(str(a.shape) for a in arrays)}")
     return arrays, tuple(spectrum(a) for a in arrays)
@@ -270,15 +280,15 @@ def compressed_rank(a, q: np.ndarray, zero_test: bool = False) -> int:
     Q* A Q is decomposed only where its largest diagonal entry and the trace
     of Q* A_+ Q, which bound its top eigenvalue, straddle the cutoff."""
     sp = spectrum(a)
-    if not (q.shape[1] and sp.basis.size):
+    if not (q.shape[1] and sp.rank):
         return 0
     y = q.conj().T @ sp.u
     y2 = np.abs(y) ** 2
-    if zero_test and float(np.max(y2 @ sp.w)) > sp.cut:
+    if zero_test and float((y2 @ sp.w).max()) > sp.cut:
         return 1
     if zero_test and float(y2.sum(axis=0) @ np.maximum(sp.w, 0.0)) <= sp.cut:
         return 0
-    return int(np.sum(eigvalsh((y * sp.w) @ y.conj().T) > sp.cut))
+    return int(np.count_nonzero(eigvalsh((y * sp.w) @ y.conj().T) > sp.cut))
 
 
 def support_leq(a, b) -> bool:
@@ -292,7 +302,7 @@ def _lies_in(v: np.ndarray, b: np.ndarray) -> bool:
     max abs(v - P_b v) <= 1e-7. A meet basis must lie in every support
     (``Spectrum.compressed``), which ``compressed_rank`` does not ensure."""
     return (not v.size or b.shape[1] == b.shape[0]
-            or float(np.max(np.abs(v - b @ (b.conj().T @ v)))) <= 1e-7)
+            or float(np.abs(v - b @ (b.conj().T @ v)).max()) <= 1e-7)
 
 
 def meet_bases(*projections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -74,7 +74,7 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _umegaki(rho: np.ndarray, sr: Spectrum, ss: Spectrum) -> float:
     """``umegaki`` with its traces read off the spectra sr, ss of rho and
     sigma (``_trace_log``); equal spectra give exactly 0."""
-    if not sr.basis.size:
+    if not sr.rank:
         return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
         return INF
@@ -85,7 +85,7 @@ def _trace_log(rho: np.ndarray, s: Spectrum) -> float:
     """Tr rho log S on supp S, sum_j log s_j <v_j|rho|v_j> over S's support
     eigenpairs; no log matrix is assembled."""
     v = s.basis
-    return float(np.log(s.w[:v.shape[1]]) @ (v.conj() * (rho @ v)).sum(axis=0).real)
+    return float(np.log(s.w[:s.rank]) @ (v.conj() * (rho @ v)).sum(axis=0).real)
 
 
 def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -99,14 +99,14 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _bs_rel_entropy(sr: Spectrum, ss: Spectrum) -> float:
     """``bs_rel_entropy`` on the spectra of rho and sigma."""
-    if not sr.basis.size:
+    if not sr.rank:
         return 0.0  # every eigenvalue of rho is below the support cutoff
     if not support_leq(sr, ss):
         return INF
     v = sr.basis
-    r = sr.w[:v.shape[1]]  # rho_c = diag(r)
+    r = sr.w[:sr.rank]  # rho_c = diag(r)
     rh = np.sqrt(r)
-    y = _derived_spectrum(rh[:, None] * (v.conj().T @ ss.power(-1.0) @ v) * rh, r.size)
+    y = _derived_spectrum(rh[:, None] * (v.conj().T @ ss.power(-1.0) @ v) * rh, sr.rank)
     return float(r @ y.log().diagonal().real)
 
 
@@ -284,7 +284,7 @@ def measured_lower_bound(
 def _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed):
     """``measured_lower_bound`` with the spectra sr, ss of rho and sigma."""
     d = rho.shape[0]
-    if not sr.basis.size:
+    if not sr.rank:
         return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
     # +inf where rho has a part outside supp sigma, or below alpha = 1 none in it
@@ -387,7 +387,7 @@ def _geom_weighted_value(base, gamma, rho, sr, ss, seed) -> DivergenceValue:
     eigenbasis, a derived operator of rank rank rho."""
     if not support_leq(sr, ss):
         return DivergenceValue(INF)
-    v, rank = ss.basis, sr.basis.shape[1]
+    v, rank = ss.basis, sr.rank
     mean = herm_part(_graded_perspective(power_fn(gamma), ss, v.conj().T @ rho @ v, rank))
     inner = _rel_entropy(base, rho, sr, mean, _derived_spectrum(mean, rank), seed)
     scale = 1.0 / (1.0 - gamma)

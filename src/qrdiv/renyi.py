@@ -201,7 +201,7 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
             q = float(np.sum(np.exp(eigh(herm_part(h))[0])))
     else:
         # the product has the rank of P_rho P_sigma, that of rho's compression to supp sigma
-        rank = sr.basis.shape[1] if leq else compressed_rank(sr, ss.basis)
+        rank = sr.rank if leq else compressed_rank(sr, ss.basis)
         a = sr.power(alpha / (2.0 * z))
         w = _derived_spectrum(a @ ss.power((1.0 - alpha) / z) @ a, rank).w
         q = float(np.sum(w**z))
@@ -219,11 +219,11 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _max_relative_entropy(rho: np.ndarray, sr, ss) -> float:
     """``max_relative_entropy`` on the spectra sr, ss of rho and sigma."""
-    if not sr.basis.size:
+    if not sr.rank:
         return -INF
     if not support_leq(sr, ss):
         return INF
-    return _dmax_top(rho, ss, sr.basis.shape[1])[0]
+    return _dmax_top(rho, ss, sr.rank)[0]
 
 
 def _dmax_top(rho: np.ndarray, ss: Spectrum, rank: int) -> tuple[float, np.ndarray]:
@@ -277,10 +277,10 @@ def _reverse_pq(rho: np.ndarray, sr, ss):
     # X = sigma^{-1/2} rho_ac sigma^{-1/2} has rank rho_ac = rank rho - outside;
     # its eigenvalues span about kappa(rho) kappa(sigma), so eig_clusters
     # groups them relative to each eigenvalue
-    x = ss.graded(rho_ac, sr.basis.shape[1] - outside)
+    x = ss.graded(rho_ac, sr.rank - outside)
     clusters = eig_clusters(x.w)
     # positive masses, as s > 0 on supp sigma
-    masses = ss.w[:b.shape[1]] @ np.abs(x.u) ** 2
+    masses = ss.w[:ss.rank] @ np.abs(x.u) ** 2
     q = [float(np.sum(masses[idx])) for idx in clusters]
     p = [float(np.mean(x.w[idx])) * m for idx, m in zip(clusters, q)]
     # the singular index: rho's part outside supp sigma, by D_max's inclusion rule
@@ -326,7 +326,7 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     _nonzero_trace(rho)
     if alpha == INF:
         return MaxRenyiValue(_max_relative_entropy(rho, sr, ss))
-    if not sr.basis.size:
+    if not sr.rank:
         return MaxRenyiValue(_empty_meet_renyi(alpha), upper_bound_only=alpha > 2)
     p, q = _reverse_pq(rho, sr, ss)[:2]
     return MaxRenyiValue(classical_renyi(alpha, p, q), upper_bound_only=alpha > 2)
@@ -348,7 +348,7 @@ def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     if not support_leq(sr, ss):
         return INF
     v = ss.basis
-    x = ss.graded(v.conj().T @ rho @ v, sr.basis.shape[1])
+    x = ss.graded(v.conj().T @ rho @ v, sr.rank)
     return float(np.trace(ss.ungraded(x.power(alpha))).real)
 
 

@@ -100,7 +100,7 @@ def _abs_cont(rho: np.ndarray, cut: float, b: np.ndarray, c: np.ndarray) -> tupl
         return top, 0
     x = b.conj().T @ rho @ c
     kc = Spectrum(*eigh_desc(c.conj().T @ rho @ c), cut)
-    return top - x @ kc.power(-1.0) @ x.conj().T, kc.basis.shape[1]
+    return top - x @ kc.power(-1.0) @ x.conj().T, kc.rank
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     """
     (rho, _), (sr, ss) = operands(rho, sigma)
     rho_ac, k = _abs_cont(rho, sr.cut, ss.basis, ss.kernel)
-    out = _graded_perspective(fn, ss, rho_ac, sr.basis.shape[1] - k)
+    out = _graded_perspective(fn, ss, rho_ac, sr.rank - k)
     if k:
         if not math.isfinite(fn.transpose_at_zero_plus):
             raise InfiniteLimit(f"{fn.name}: infinite boundary limit against a nonzero rho part")
@@ -140,7 +140,7 @@ def _graded_perspective(fn: OpConvexFn, ss: Spectrum, rho_ac: np.ndarray, rank: 
     given in the coordinates of ss.basis; an eigenvalue of X at 0 takes
     f(0+), and InfiniteLimit if that is infinite."""
     x = ss.graded(rho_ac, rank)
-    if x.w.size and x.w[-1] <= 0.0 and not math.isfinite(fn.f_at_zero_plus):
+    if not math.isfinite(fn.f_at_zero_plus) and x.w.size and x.w[-1] <= 0.0:
         raise InfiniteLimit(f"{fn.name}: infinite f(0+) at a zero eigenvalue of "
                             "sigma^{-1/2} rho_ac sigma^{-1/2}")
     return ss.ungraded(x.fn(lambda t: fn.f(t) if t > 0.0 else fn.f_at_zero_plus, False))

@@ -520,6 +520,15 @@ _CHECK_CALLS = [
     ("bary geom:meas,um 0.5 iters=10", lambda r, s: barycentric_renyi_full(
         0.5, (parse_kind("geom:meas:r2:i20:0.5"), _UM), r, s,
         SolverOptions(restarts=0, iters=10))),
+    # the other public readers of a pair
+    ("abs_cont_part", lambda r, s: abs_cont_part(r, s)),
+    ("perspective", lambda r, s: perspective(x_log_x(), r, s)),
+    ("kubo_ando_mean_real(1.5)", lambda r, s: kubo_ando_mean_real(1.5, r, s)),
+    ("optimal_reverse_test", lambda r, s: optimal_reverse_test(r, s)),
+    ("max_fdivergence", lambda r, s: max_fdivergence(x_log_x(), r, s)),
+    ("reg_measured_renyi(0.5)", lambda r, s: reg_measured_renyi(0.5, r, s)),
+    ("renyi_alpha_z(0.5, 0.5)", lambda r, s: renyi_alpha_z(0.5, 0.5, r, s)),
+    ("dual_renyi um,bs", lambda r, s: dual_renyi(0.5, (_UM, _BS), r, s)),
 ]
 
 
@@ -638,6 +647,26 @@ def test_a_non_psd_operand_fails_at_the_boundary(name, which):
     bad = np.diag([0.9, -0.3]).astype(complex)
     args = (bad, _HALF) if which == "rho" else (_HALF, bad)
     with pytest.raises(BadParameter, match="matrix must be PSD"):
+        _PUBLIC_PAIR_CALLS[name](*args)
+
+
+# operands numpy cannot read as one complex matrix, and an empty pair:
+# each raised a bare ValueError, from np.asarray or from the asymmetry's max
+_TEXT, _RAGGED, _EMPTY = [["a", "b"], ["c", "d"]], [[1, 2], [3]], np.zeros((0, 0))
+_UNREADABLE = {
+    "non-numeric rho": ((_TEXT, _HALF), "matrix entries must be numbers"),
+    "non-numeric sigma": ((_HALF, _TEXT), "matrix entries must be numbers"),
+    "ragged rho": ((_RAGGED, _HALF), "matrix entries must be numbers"),
+    "ragged sigma": ((_HALF, _RAGGED), "matrix entries must be numbers"),
+    "empty pair": ((_EMPTY, _EMPTY), "matrix must not be empty"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+@pytest.mark.parametrize("name", list(_PUBLIC_PAIR_CALLS))
+def test_an_unreadable_operand_fails_at_the_boundary(name, case):
+    args, message = _UNREADABLE[case]
+    with pytest.raises(BadParameter, match=message):
         _PUBLIC_PAIR_CALLS[name](*args)
 
 
