@@ -47,10 +47,8 @@ from .errors import BadParameter, DimensionMismatch, UnsupportedWeights
 from .hermitian import (
     CLUSTER_RTOL,
     Spectrum,
-    _cut_spectrum,
     _derived_spectrum,
     eigh,
-    eigh_desc,
     operands,
     sample_hermitian,
     spectrum,
@@ -69,6 +67,7 @@ from .relent import (
     _measured_lower_bound,
     _measured_slopes,
     _rel_entropy,
+    _support_value,
 )
 from .renyi import _dmax_top, _log_euclidean_h, _nonzero_trace, _um_first_top
 
@@ -335,16 +334,15 @@ class _Iterate:
     def measured(self, term: _Term):
         """(value, B*U, da, db): D^meas(B omega B* || T) for T = W (meas) or
         B M B* (geom) by rel_entropy's ascent, its best basis U and the
-        slopes in a = diag(U* B omega B* U) and b = diag(U* T U); omega and
-        B M B* are derived, decomposed unchecked, and W's Spectrum is the term's."""
+        slopes in a = diag(U* B omega B* U) and b = diag(U* T U). The ascent
+        takes no gate: ran(B) lies in supp W, and so in supp T."""
         if term not in self._measured:
             basis = term.basis
             target = (term.w_full if term.mode == "meas"
                       else basis @ self.mean_eig(term)[3] @ basis.conj().T)
             omega = basis @ self.omega @ basis.conj().T
-            ts = term.spec if term.mode == "meas" else _cut_spectrum(*eigh_desc(target))
-            val, u = _measured_lower_bound(omega, _cut_spectrum(*eigh_desc(omega)), target, ts,
-                                           None, term.meas.restarts, term.meas.iters, 0)
+            val, u = _measured_lower_bound(omega, target, None, term.meas.restarts,
+                                           term.meas.iters, 0)
             a = np.sum(u.conj() * (omega @ u), axis=0).real
             b = np.sum(u.conj() * (target @ u), axis=0).real
             self._measured[term] = (val, basis.conj().T @ u, *_measured_slopes(None, a, b))
@@ -630,7 +628,9 @@ def barycentric_renyi_full(
     out = {"value": INF, "center": None, "gap": 0.0, "iterations": 0, "converged": True}
 
     if alpha == 1:
-        out["value"] = _rel_entropy(q1, rho, sr, sigma, ss, 0).value / tr_rho
+        gate = _support_value(1, sr, ss)
+        out["value"] = (_rel_entropy(q1, rho, sr, sigma, ss, 0).value / tr_rho
+                        if gate is None else gate)
         return out
 
     # the center problem's weights, (1, -1) at alpha = inf; its +inf gate and

@@ -56,8 +56,12 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of a non-empty, finite (else BadParameter), square, Hermitian ``a``."""
-    a = np.asarray(a, dtype=complex)
+    """Hermitian part of a numeric, non-empty, finite (else BadParameter),
+    square, Hermitian ``a``: every raw matrix is read here."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"matrix entries must be numbers ({exc})") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {a.shape}")
     if not a.size:
@@ -249,16 +253,13 @@ def _cut_spectrum(w: np.ndarray, u: np.ndarray) -> Spectrum:
 
 def operands(*ops) -> tuple[tuple[np.ndarray, ...], tuple[Spectrum, ...]]:
     """The one reader of a public entry point's operands: (arrays, spectra),
-    the operands as complex arrays (BadParameter for a non-numeric entry or
-    ragged rows) and their ``spectrum``, each checked once;
-    DimensionMismatch unless their shapes agree."""
-    try:
-        arrays = tuple(np.asarray(a, dtype=complex) for a in ops)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"matrix entries must be numbers ({exc})") from exc
+    each operand's ``spectrum``, read and checked once, and the operand as a
+    complex array; DimensionMismatch unless their shapes agree."""
+    spectra = tuple(spectrum(a) for a in ops)
+    arrays = tuple(np.asarray(a, dtype=complex) for a in ops)
     if any(a.shape != arrays[0].shape for a in arrays[1:]):
         raise DimensionMismatch(f"shapes {' vs '.join(str(a.shape) for a in arrays)}")
-    return arrays, tuple(spectrum(a) for a in arrays)
+    return arrays, spectra
 
 
 def _derived_spectrum(m: np.ndarray, rank: int) -> Spectrum:

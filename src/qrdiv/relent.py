@@ -4,7 +4,9 @@ bound, gamma-weighted geometric compositions, and convex mixtures.
 
 Every kind satisfies (and is tested against) the quantum-relative-entropy
 axioms: classical reduction, non-negativity on states, the scaling law,
-and finiteness exactly on support-dominated pairs.
+and finiteness exactly on support-dominated pairs. The supports decide a
+value once per public call (``_support_value``, also read by ``renyi`` and
+``barycentric``); the kernels behind the entry points take no gate.
 """
 
 from __future__ import annotations
@@ -65,19 +67,29 @@ def _empty_meet_renyi(alpha: Optional[float]) -> float:
     return INF if alpha < 1 else -INF
 
 
+def _support_value(alpha: Optional[float], sr: Spectrum, ss: Spectrum) -> Optional[float]:
+    """The value of a Renyi alpha-divergence (alpha = None: a relative
+    entropy) that the supports of rho and sigma (spectra sr, ss) decide, or
+    None: ``_empty_meet_renyi`` for rho below its cutoff, else +inf where
+    rho has a part outside supp sigma (alpha None or >= 1) or, below
+    alpha = 1, none in it (``compressed_rank``)."""
+    if not sr.rank:
+        return _empty_meet_renyi(alpha)
+    if alpha is not None and alpha < 1:
+        return None if compressed_rank(sr, ss.basis, zero_test=True) else INF
+    return None if support_leq(sr, ss) else INF
+
+
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (nlog rho - nlog sigma); +inf unless ran(rho) <= ran(sigma)."""
     (rho, _), (sr, ss) = operands(rho, sigma)
-    return _umegaki(rho, sr, ss)
+    gate = _support_value(None, sr, ss)
+    return _umegaki(rho, sr, ss) if gate is None else gate
 
 
 def _umegaki(rho: np.ndarray, sr: Spectrum, ss: Spectrum) -> float:
-    """``umegaki`` with its traces read off the spectra sr, ss of rho and
-    sigma (``_trace_log``); equal spectra give exactly 0."""
-    if not sr.rank:
-        return 0.0  # every eigenvalue of rho is below the support cutoff
-    if not support_leq(sr, ss):
-        return INF
+    """``umegaki`` past the gate, its traces read off the spectra sr, ss of
+    rho and sigma (``_trace_log``); equal spectra give exactly 0."""
     return _trace_log(rho, sr) - _trace_log(rho, ss)
 
 
@@ -94,15 +106,12 @@ def bs_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     eigenbasis V as Tr rho_c log Y with rho_c = V* rho V and
     Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2} of full rank."""
     _, (sr, ss) = operands(rho, sigma)
-    return _bs_rel_entropy(sr, ss)
+    gate = _support_value(None, sr, ss)
+    return _bs_rel_entropy(sr, ss) if gate is None else gate
 
 
 def _bs_rel_entropy(sr: Spectrum, ss: Spectrum) -> float:
-    """``bs_rel_entropy`` on the spectra of rho and sigma."""
-    if not sr.rank:
-        return 0.0  # every eigenvalue of rho is below the support cutoff
-    if not support_leq(sr, ss):
-        return INF
+    """``bs_rel_entropy`` past the gate, on the spectra of rho and sigma."""
     v = sr.basis
     r = sr.w[:sr.rank]  # rho_c = diag(r)
     rh = np.sqrt(r)
@@ -270,27 +279,22 @@ def measured_lower_bound(
     each further start is a Haar-random basis drawn from ``seed``.
 
     Returns (value, best basis unitary). Multi-start reduction is the max,
-    ties resolved toward the lowest start index. A rho that is zero or below
-    the support cutoff gives 0.0 for the relative entropy and the
-    empty-meet value (+inf below alpha = 1, -inf above) for Renyi alpha.
+    ties resolved toward the lowest start index. A value the supports decide
+    (``_support_value``) comes with the identity basis.
     """
     restarts, iters = _whole_counts("meas counts", restarts, iters)
     if alpha is not None:
         _check_alpha(alpha)
     (rho, sigma), (sr, ss) = operands(rho, sigma)
-    return _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed)
+    gate = _support_value(alpha, sr, ss)
+    if gate is not None:
+        return gate, np.eye(rho.shape[0], dtype=complex)
+    return _measured_lower_bound(rho, sigma, alpha, restarts, iters, seed)
 
 
-def _measured_lower_bound(rho, sr, sigma, ss, alpha, restarts, iters, seed):
-    """``measured_lower_bound`` with the spectra sr, ss of rho and sigma."""
-    d = rho.shape[0]
-    if not sr.rank:
-        return _empty_meet_renyi(alpha), np.eye(d, dtype=complex)
+def _measured_lower_bound(rho, sigma, alpha, restarts, iters, seed):
+    """``measured_lower_bound`` past the gate."""
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
-    # +inf where rho has a part outside supp sigma, or below alpha = 1 none in it
-    below = alpha is not None and alpha < 1
-    if not (compressed_rank(sr, ss.basis, zero_test=True) if below else support_leq(sr, ss)):
-        return INF, np.eye(d, dtype=complex)
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
     if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
@@ -381,12 +385,9 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
 
 def _geom_weighted_value(base, gamma, rho, sr, ss, seed) -> DivergenceValue:
     """(1/(1-gamma)) D^base(rho || M), M = sigma #_gamma rho, on the spectra
-    sr, ss of rho and sigma. M has the support meet for its support, so
-    every base kind is +inf exactly when ran(rho) is not in ran(sigma).
-    Otherwise M is sigma^{1/2} X^gamma sigma^{1/2} with X graded in sigma's
-    eigenbasis, a derived operator of rank rank rho."""
-    if not support_leq(sr, ss):
-        return DivergenceValue(INF)
+    sr, ss of rho and sigma, past the gate: with ran(rho) in ran(sigma), M
+    is sigma^{1/2} X^gamma sigma^{1/2} with X graded in sigma's eigenbasis,
+    a derived operator of rank rank rho whose support is supp rho."""
     v, rank = ss.basis, sr.rank
     mean = herm_part(_graded_perspective(power_fn(gamma), ss, v.conj().T @ rho @ v, rank))
     inner = _rel_entropy(base, rho, sr, mean, _derived_spectrum(mean, rank), seed)
@@ -401,26 +402,26 @@ def rel_entropy(
     """Evaluate the quantum relative entropy of the given kind.
 
     For MeasuredProjective the value is a certified lower bound with
-    certificate_gap = D^Um - value when both are finite.
+    certificate_gap = D^Um - value. A value the supports decide
+    (``_support_value``) is exact: it carries no gap and no artifacts.
     """
     (rho, sigma), (sr, ss) = operands(rho, sigma)
+    gate = _support_value(None, sr, ss)
+    if gate is not None:
+        return DivergenceValue(gate)
     return _rel_entropy(kind, rho, sr, sigma, ss, seed)
 
 
 def _rel_entropy(kind, rho, sr, sigma, ss, seed) -> DivergenceValue:
-    """``rel_entropy`` with the spectra sr, ss of rho and sigma, which every
-    kind and component reads instead of decomposing again."""
+    """``rel_entropy`` past the gate, on the spectra sr, ss of rho and sigma,
+    which every kind and component reads instead of decomposing again."""
     if isinstance(kind, Umegaki):
         return DivergenceValue(_umegaki(rho, sr, ss))
     if isinstance(kind, BelavkinStaszewski):
         return DivergenceValue(_bs_rel_entropy(sr, ss))
     if isinstance(kind, MeasuredProjective):
-        val, u = _measured_lower_bound(rho, sr, sigma, ss, None, kind.restarts, kind.iters, seed)
-        gap = None
-        if math.isfinite(val):
-            up = _umegaki(rho, sr, ss)
-            gap = max(up - val, 0.0) if math.isfinite(up) else None
-        return DivergenceValue(val, {"basis": u}, gap)
+        val, u = _measured_lower_bound(rho, sigma, None, kind.restarts, kind.iters, seed)
+        return DivergenceValue(val, {"basis": u}, max(_umegaki(rho, sr, ss) - val, 0.0))
     if isinstance(kind, GeomWeighted):
         return _geom_weighted_value(kind.base, kind.gamma, rho, sr, ss, seed)
     if isinstance(kind, Mixture):
@@ -429,8 +430,6 @@ def _rel_entropy(kind, rho, sr, sigma, ss, seed) -> DivergenceValue:
             if w == 0.0:
                 continue
             sub = _rel_entropy(comp, rho, sr, sigma, ss, seed)
-            if sub.value == INF:
-                return DivergenceValue(INF)
             total += w * sub.value
             if sub.certificate_gap is not None:
                 gap = (gap or 0.0) + w * sub.certificate_gap

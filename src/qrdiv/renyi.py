@@ -1,7 +1,8 @@
 """Reference two-variable Renyi divergences: the (alpha, z) family with its
 log-Euclidean z = inf limit, maximal Renyi divergences via the optimal
 reverse test and via geometric-mean traces, max-relative entropy, maximal
-f-divergences, and the regularized-measured closed forms.
+f-divergences, and the regularized-measured closed forms. D_1 and D_max
+read what the supports decide once per call (``relent._support_value``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .hermitian import (
     support_meet,
 )
 from .kinds import _check_alpha
-from .relent import _empty_meet_renyi, _umegaki
+from .relent import _empty_meet_renyi, _support_value, _umegaki
 from .supports import OpConvexFn, _abs_cont, perspective
 
 INF = float("inf")
@@ -183,8 +184,8 @@ def renyi_alpha_z(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) ->
     (rho, _), (sr, ss) = operands(rho, sigma)
     tr_rho = _nonzero_trace(rho)
     if alpha == 1:
-        u = _umegaki(rho, sr, ss)
-        return u / tr_rho if math.isfinite(u) else INF
+        gate = _support_value(1, sr, ss)
+        return _umegaki(rho, sr, ss) / tr_rho if gate is None else gate
     leq = support_leq(sr, ss)
     if alpha > 1 and not leq:
         return INF
@@ -214,16 +215,8 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D_inf: log of the smallest lambda with rho <= lambda sigma; -inf
     when rho is below the support cutoff."""
     (rho, _), (sr, ss) = operands(rho, sigma)
-    return _max_relative_entropy(rho, sr, ss)
-
-
-def _max_relative_entropy(rho: np.ndarray, sr, ss) -> float:
-    """``max_relative_entropy`` on the spectra sr, ss of rho and sigma."""
-    if not sr.rank:
-        return -INF
-    if not support_leq(sr, ss):
-        return INF
-    return _dmax_top(rho, ss, sr.rank)[0]
+    gate = _support_value(INF, sr, ss)
+    return _dmax_top(rho, ss, sr.rank)[0] if gate is None else gate
 
 
 def _dmax_top(rho: np.ndarray, ss: Spectrum, rank: int) -> tuple[float, np.ndarray]:
@@ -325,7 +318,8 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
     (rho, _), (sr, ss) = operands(rho, sigma)
     _nonzero_trace(rho)
     if alpha == INF:
-        return MaxRenyiValue(_max_relative_entropy(rho, sr, ss))
+        gate = _support_value(INF, sr, ss)
+        return MaxRenyiValue(_dmax_top(rho, ss, sr.rank)[0] if gate is None else gate)
     if not sr.rank:
         return MaxRenyiValue(_empty_meet_renyi(alpha), upper_bound_only=alpha > 2)
     p, q = _reverse_pq(rho, sr, ss)[:2]

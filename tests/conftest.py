@@ -2,10 +2,12 @@
 derandomized, so every run draws the same examples, with no example
 database and no deadline."""
 
+import importlib
 import types
 
 import pytest
 
+import qrdiv
 from qrdiv import hermitian
 
 try:
@@ -53,6 +55,25 @@ def eigh_calls(monkeypatch, lapack):
 def eigvalsh_calls(monkeypatch, lapack):
     """As ``eigh_calls``, for ``hermitian.eigvalsh`` (eigenvalues only)."""
     return _counter(monkeypatch, lapack, "eigvalsh_lo")
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """A list that grows by one entry per ``hermitian.compressed_rank`` call,
+    through any qrdiv module that bound the name, for the rest of the test;
+    ``clear()`` it to start a count."""
+    calls = []
+    inner = hermitian.compressed_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    for name in qrdiv._SUBMODULES:
+        mod = importlib.import_module(f"qrdiv.{name}")
+        if getattr(mod, "compressed_rank", None) is inner:
+            monkeypatch.setattr(mod, "compressed_rank", counting)
+    return calls
 
 
 @pytest.fixture

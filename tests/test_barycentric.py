@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -591,14 +593,81 @@ _GEOM_MIX = GeomWeighted(Mixture(((0.5, Umegaki()), (0.5, BelavkinStaszewski()))
 def test_closed_form_kinds_solve_finite_without_warnings(alpha):
     # every closed-form generator solves to a finite value. Run to the
     # default iteration count, the step-size cap keeps every trial iterate
-    # finite, and a geom gradient that overflows at the boundary (the
-    # mixture at 1.5) ends its start without a RuntimeWarning
+    # finite; no gradient here overflows (test_solver_guards_end_a_run_cleanly
+    # reaches that guard)
     rho, sig = sample_state(2, 2, 7), sample_state(2, 2, 8)
     opts = SolverOptions(restarts=0, use_closed_form=False)
     kinds = [Umegaki(), BelavkinStaszewski(), _GEOM, GeomWeighted(BelavkinStaszewski(), 0.5),
              _GEOM_MIX, Mixture(((0.5, Umegaki()), (0.5, GeomWeighted(Umegaki(), 0.3))))]
     for k in kinds:
         assert math.isfinite(barycentric_renyi(alpha, (k, k), rho, sig, opts))
+
+
+def _reaches(marker, call):
+    """(whether the first statement after the line of center_solver that
+    contains ``marker`` runs during ``call()``, by a line trace; its result)."""
+    from qrdiv.barycentric import center_solver
+
+    lines, first = inspect.getsourcelines(center_solver)
+    at = next(i for i, line in enumerate(lines) if marker in line) + 1
+    while lines[at].strip().startswith("#"):
+        at += 1
+    target, path, seen = first + at, center_solver.__code__.co_filename, []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            seen.append(target)
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(outer)
+    return bool(seen), result
+
+
+def _ill_conditioned_pair():
+    # rho with eigenvalues 1, 1e-4 and 1e-8 against a full-rank sigma
+    u = sample_unitary(3, 1)
+    return (u * np.array([1.0, 1e-4, 1e-8])) @ u.conj().T, sample_state(3, 3, 101)
+
+
+@pytest.mark.parametrize("kinds, marker", [
+    # the geom gradient's g x^(g - 1) overflows near the boundary at g = 0.02
+    ((Umegaki(), GeomWeighted(Umegaki(), 0.02)), "if not math.isfinite(gn):"),
+    # the mirror step at a negative weight shrinks below H's rounding
+    ((Umegaki(), BelavkinStaszewski()), "if (h_new == cur.h).all():"),
+], ids=["non-finite gradient", "vanishing step"])
+def test_solver_guards_end_a_run_cleanly(kinds, marker):
+    # each guard ends its run with the lowest finite iterate, flagged not
+    # converged, with no RuntimeWarning (an error under pyproject.toml)
+    rho, sig = _ill_conditioned_pair()
+    opts = SolverOptions(restarts=0, iters=200)
+    reached, res = _reaches(marker, lambda: barycentric_renyi_full(1.5, kinds, rho, sig, opts))
+    assert reached
+    assert math.isfinite(res["value"]) and not res["converged"] and res["gap"] == opts.tol
+
+
+def test_solver_skips_a_start_whose_objective_is_not_finite():
+    # no public input reaches this guard: the feasible subspace lies in every
+    # support. A measured term on W = diag(1, 0) over all of C^2 is -inf at
+    # omega = I/2, whose identity and joint-diagonalizer bases both put
+    # weight on ker W: the warm start is skipped, and a random start runs
+    from qrdiv.barycentric import _Term, center_solver
+
+    basis = np.eye(2, dtype=complex)
+    term = _Term(1.0, MeasuredProjective(0, 0), np.diag([1.0, 0.0]).astype(complex), basis)
+    reached, (center, value, gap, iters, conv) = _reaches(
+        "if not math.isfinite(start_val):",
+        lambda: center_solver([term], basis, SolverOptions(restarts=0)))
+    assert reached
+    assert value == INF and iters == 0 and not conv and gap == 1e-8
+    np.testing.assert_array_equal(center, basis / 2)
+    assert math.isfinite(center_solver([term], basis, SolverOptions(restarts=1))[1])
 
 
 def test_center_solver_takes_terms():

@@ -46,6 +46,7 @@ from qrdiv.hermitian import (
     spectral_decompose,
     spectrum,
     support_leq,
+    support_meet,
     tensor,
 )
 from qrdiv.renyi import (
@@ -483,6 +484,12 @@ _EIGH_BOUNDS = [
     # of the negative-weight supports is never formed (2 when it was)
     ("bary_q um signed, proper meet",
      lambda r, s: barycentric_q((_UM,) * 3, _NESTED, (1.5, -0.25, -0.25)), 1),
+    # ten iterations of a measured-term solve, each trial's ascent on omega
+    # and B M B* with no decomposition for a support gate (532 when each
+    # ascent decomposed both to pass one)
+    ("bary geom:meas,um 0.5 iters=10", lambda r, s: barycentric_renyi_full(
+        0.5, (parse_kind("geom:meas:r2:i20:0.5"), _UM), r, s,
+        SolverOptions(restarts=0, iters=10)), 510),
 ]
 
 
@@ -539,6 +546,36 @@ def test_hermitian_checks_per_call(herm_checks, name, call):
     herm_checks.clear()
     call(rho, sig)
     assert 0 < len(herm_checks) <= 2
+
+
+# each public call decides its supports once (relent._support_value, one
+# compressed_rank), and the kernels behind it take no gate; the count when
+# geom re-gated against its mean, each mixture component and the measured
+# bound re-gated, and alpha = 1 of barycentric_renyi_full gated again inside
+# its kind, is on the right
+_GATE_CALLS = [
+    ("umegaki", lambda r, s: umegaki(r, s)),  # 1
+    ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s)),  # 1
+    ("geom:um:0.5", lambda r, s: rel_entropy(parse_kind("geom:um:0.5"), r, s)),  # 2
+    ("mix:0.5*um+0.5*bs", lambda r, s: rel_entropy(parse_kind("mix:0.5*um+0.5*bs"), r, s)),  # 2
+    ("geom:mix:0.5*um+0.5*bs:0.5",
+     lambda r, s: rel_entropy(parse_kind("geom:mix:0.5*um+0.5*bs:0.5"), r, s)),  # 3
+    ("meas", lambda r, s: rel_entropy(parse_kind("meas:r2:i5"), r, s)),  # 2
+    ("bary um,geom:um:0.5 1", lambda r, s: barycentric_renyi_full(
+        1.0, (_UM, parse_kind("geom:um:0.5")), r, s)),  # 2
+    ("max_relative_entropy", lambda r, s: max_relative_entropy(r, s)),  # 1
+    ("max_renyi(inf)", lambda r, s: max_renyi(math.inf, r, s)),  # 1
+    ("renyi_alpha_z(1, 2)", lambda r, s: renyi_alpha_z(1.0, 2.0, r, s)),  # 1
+]
+
+
+@pytest.mark.parametrize("name, call", _GATE_CALLS, ids=[c[0] for c in _GATE_CALLS])
+def test_one_support_gate_per_call(rank_calls, name, call):
+    rng = np.random.default_rng(3)
+    rho, sig = sample_state(3, 3, rng), sample_state(3, 3, rng)
+    rank_calls.clear()
+    call(rho, sig)
+    assert len(rank_calls) == 1
 
 
 def test_a_measured_term_decomposes_its_operator_once_per_solve(lapack):
@@ -668,6 +705,24 @@ def test_an_unreadable_operand_fails_at_the_boundary(name, case):
     args, message = _UNREADABLE[case]
     with pytest.raises(BadParameter, match=message):
         _PUBLIC_PAIR_CALLS[name](*args)
+
+
+# the helpers that take a raw matrix read it through check_hermitian, as the
+# entry points do: each raised a bare ValueError from np.asarray
+_RAW_HELPERS = {
+    "spectrum": spectrum,
+    "check_hermitian": check_hermitian,
+    "compressed_rank": lambda a: compressed_rank(a, np.eye(2)),
+    "support_leq": lambda a: support_leq(a, _HALF),
+    "support_meet": lambda a: support_meet(_HALF, a),
+}
+
+
+@pytest.mark.parametrize("bad", [_TEXT, _RAGGED], ids=["non-numeric", "ragged"])
+@pytest.mark.parametrize("name", list(_RAW_HELPERS))
+def test_an_unreadable_matrix_fails_in_every_raw_helper(name, bad):
+    with pytest.raises(BadParameter, match="matrix entries must be numbers"):
+        _RAW_HELPERS[name](bad)
 
 
 @pytest.mark.parametrize("sigma, error", [(np.diag([math.nan, 1.0]), BadParameter),

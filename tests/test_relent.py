@@ -10,6 +10,7 @@ from qrdiv.hermitian import pinch, sample_state, sample_unitary
 from qrdiv.relent import (
     Barycentric,
     BelavkinStaszewski,
+    DivergenceValue,
     GeomWeighted,
     MaxRenyi,
     MeasuredProjective,
@@ -226,6 +227,73 @@ def test_below_cutoff_rho_is_zero_for_every_kind():
         chain = [rel_entropy(parse_kind(k), tiny_r, sigma).value
                  for k in ("meas", "um", "geom:um:0.5", "bs")]
         assert chain == [0.0] * 4
+
+
+_GATE_U = sample_unitary(3, 31)
+
+
+def _rotated(m):
+    return _GATE_U @ np.asarray(m, dtype=complex) @ _GATE_U.conj().T
+
+
+_PSI = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+# (rho, sigma, the value the supports decide at alpha = None, 0.5, 1, 2, inf;
+# None where they decide nothing), d = 3 after one unitary
+_GATE_CASES = {
+    "rho below its cutoff": (1e-12 * np.diag([1.0, 0.5, 0.2]), np.diag([0.5, 0.3, 0.2]),
+                             (0.0, INF, 0.0, -INF, -INF)),
+    "rho orthogonal to sigma": (np.diag([0.6, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0]),
+                                (INF,) * 5),
+    "supp rho not in supp sigma": (0.5 * np.outer(_PSI, _PSI) + np.diag([0.0, 0.5, 0.0]),
+                                   np.diag([0.5, 0.5, 0.0]), (INF, None, INF, INF, INF)),
+    "supp sigma inside supp rho": (np.diag([0.5, 0.3, 0.2]), np.diag([0.6, 0.4, 0.0]),
+                                   (INF, None, INF, INF, INF)),
+    "supp rho inside supp sigma": (np.diag([0.6, 0.4, 0.0]), np.diag([0.5, 0.3, 0.2]),
+                                   (None,) * 5),
+}
+_GATE_KINDS = ["um", "bs", "meas:r2:i5", "geom:um:0.5", "geom:meas:r2:i5:0.5",
+               "mix:0.5*um+0.5*meas:r2:i5", "mix:0.5*geom:meas:r2:i5:0.5+0.5*bs"]
+
+
+@pytest.mark.parametrize("case", list(_GATE_CASES))
+def test_a_support_decided_value_is_exact_on_every_route(case):
+    # relent._support_value decides once per call, and every route returns
+    # its value: exact, with no certificate gap or basis (the measured bound
+    # of a below-cutoff rho had carried a gap of 0.0 and the identity basis)
+    from qrdiv.barycentric import barycentric_renyi_full
+    from qrdiv.hermitian import spectrum
+    from qrdiv.relent import _support_value
+    from qrdiv.renyi import max_relative_entropy
+
+    r, s, expected = _GATE_CASES[case]
+    rho, sigma = _rotated(r), _rotated(s)
+    tr_rho = float(np.trace(rho).real)
+    gate = dict(zip((None, 0.5, 1, 2, INF), expected))
+    assert [_support_value(a, spectrum(rho), spectrum(sigma)) for a in gate] == list(expected)
+    d = gate[None]
+    for k in _GATE_KINDS:
+        kind = parse_kind(k)
+        dv = rel_entropy(kind, rho, sigma)
+        bary = barycentric_renyi_full(1.0, (Umegaki(), kind), rho, sigma)["value"] * tr_rho
+        if d is None:
+            assert math.isfinite(dv.value) and abs(bary - dv.value) <= 1e-12, k
+        else:
+            assert dv == DivergenceValue(d), k
+            assert bary == d, k
+    for shortcut in (umegaki, bs_rel_entropy):
+        v = shortcut(rho, sigma)
+        assert math.isfinite(v) if d is None else v == d
+    for alpha, value in gate.items():
+        v, basis = measured_lower_bound(rho, sigma, alpha=alpha, restarts=2, iters=5)
+        if value is None:
+            assert math.isfinite(v), alpha
+        else:
+            assert v == value and np.array_equal(basis, np.eye(3)), alpha
+    dmax = (max_renyi(INF, rho, sigma).value, max_relative_entropy(rho, sigma))
+    assert all(math.isfinite(v) for v in dmax) if gate[INF] is None else dmax == (gate[INF],) * 2
+    for z in (0.5, 1.0, 2.0, INF):
+        v = renyi_alpha_z(1.0, z, rho, sigma)
+        assert math.isfinite(v) if gate[1] is None else v == gate[1], z
 
 
 def test_bs_equals_reverse_test_value():
