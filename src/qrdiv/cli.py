@@ -99,30 +99,33 @@ def cmd_eval(args) -> int:
     return 3 if "not_converged" in flags else 0
 
 
-def _sweep_items(args, suffix: str) -> list:
-    """(text as written, spec) of each item of --kinds, or of --kind."""
-    if args.kinds:
-        return parse_kinds(args.kinds, suffix)
-    if args.kind is None:
+def _sweep_items(args, gamma: float | None = None) -> list:
+    """(text as written, spec) of each item of --kinds, or of --kind. At a
+    ``gamma`` each item is read with ":<gamma>" appended; no item that takes
+    a gamma contains a comma, so --kinds is split on its commas."""
+    if not args.kinds and args.kind is None:
         raise QrdivError("sweep needs --kind or --kinds")
-    return [(args.kind, parse_kind(args.kind, suffix))]
+    if gamma is None:
+        return parse_kinds(args.kinds) if args.kinds else [(args.kind, parse_kind(args.kind))]
+    texts = args.kinds.split(",") if args.kinds else [args.kind]
+    if any("".join(t.split()).startswith("bary:") for t in texts):
+        raise QrdivError("bary kinds require --alpha-grid, not --gamma-grid")
+    return [("".join(t.split()) if args.kinds else t, parse_kind(f"{t}:{gamma:g}"))
+            for t in texts]
 
 
 def cmd_sweep(args) -> int:
     # every grid and item is read before a matrix is: plan[j] is grid point
     # j as (g, alpha, items)
     if args.alpha_grid:
-        items = _sweep_items(args, "")
+        items = _sweep_items(args)
         plan = [(g, g, items) for g in parse_grid(args.alpha_grid)]
         for text, spec in items:
             if not isinstance(spec, Barycentric):
                 print(f"warning: --alpha-grid does not move {text}: only bary: items take alpha",
                       file=sys.stderr)
     elif args.gamma_grid:
-        # a gamma sweep reads ":<gamma>" at the end of every item
-        plan = [(g, None, _sweep_items(args, f":{g:g}")) for g in parse_grid(args.gamma_grid)]
-        if any(isinstance(spec, Barycentric) for _, _, items in plan for _, spec in items):
-            raise QrdivError("bary kinds require --alpha-grid, not --gamma-grid")
+        plan = [(g, None, _sweep_items(args, g)) for g in parse_grid(args.gamma_grid)]
     else:
         raise QrdivError("sweep needs --alpha-grid or --gamma-grid")
     from .hermitian import load_matrix

@@ -139,13 +139,12 @@ _TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[a-z]+(?:-[a-z]+)*|[:
 
 class _Reader:
     """Recursive-descent reader over the tokens of one string; spaces
-    between tokens are ignored. ``suffix`` is read as if it ended every
-    comma-separated item (a gamma sweep's ``:<gamma>``)."""
+    between tokens are ignored."""
 
-    def __init__(self, text: str, what: str, suffix: str = ""):
+    def __init__(self, text: str, what: str):
         self.text, self.what, self.i = text, what, 0
-        self.toks, self.tail = _TOKEN.findall(text), _TOKEN.findall(suffix)
-        if "".join(self.toks + self.tail) != "".join((text + suffix).split()):
+        self.toks = _TOKEN.findall(text)
+        if "".join(self.toks) != "".join(text.split()):
             raise BadParameter(f"bad {what} {text!r}: a character outside the grammar")
 
     def fail(self, expected: str):
@@ -201,10 +200,6 @@ class _Reader:
         self.fail("a kind")
 
     def item(self) -> EvalSpec:
-        """One eval item; the suffix goes in before its first comma."""
-        self.at = next((j for j, t in enumerate(self.toks) if j >= self.i and t == ","),
-                       len(self.toks))
-        self.toks[self.at:self.at] = self.tail
         if self.accept("meas-lb"):
             return MeasuredProjective()
         if self.accept("bary", ":"):
@@ -225,21 +220,21 @@ class _Reader:
         return value
 
 
-def parse_kind(text: str, suffix: str = "") -> EvalSpec:
+def parse_kind(text: str) -> EvalSpec:
     """Read one ``eval`` string: an entropy kind comes back as itself, an
-    eval form as its spec. ``suffix`` is read as if appended to ``text``."""
-    r = _Reader(text, "kind", suffix)
+    eval form as its spec."""
+    r = _Reader(text, "kind")
     return r.done(r.item())
 
 
-def parse_kinds(text: str, suffix: str = "") -> list[tuple[str, EvalSpec]]:
+def parse_kinds(text: str) -> list[tuple[str, EvalSpec]]:
     """Read a ``list`` (--kinds) as (item text without spaces, spec) pairs;
-    a ``bary:`` item reads its own comma. ``suffix`` ends every item."""
-    r, items = _Reader(text, "kind list", suffix), []
+    a ``bary:`` item reads its own comma."""
+    r, items = _Reader(text, "kind list"), []
     while not items or r.accept(","):
         first = r.i
         spec = r.item()
-        items.append(("".join(r.toks[first:r.at] + r.toks[r.at + len(r.tail):r.i]), spec))
+        items.append(("".join(r.toks[first:r.i]), spec))
     return r.done(items)
 
 

@@ -29,7 +29,7 @@ from .hermitian import (
 )
 from .kinds import _check_alpha
 from .relent import _empty_meet_renyi, _support_value, _umegaki
-from .supports import OpConvexFn, _abs_cont, perspective
+from .supports import OpConvexFn, _abs_cont, kubo_ando_mean, perspective, power_fn
 
 INF = float("inf")
 
@@ -328,22 +328,15 @@ def max_renyi(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> MaxRenyiValue
 
 def max_q_alpha_mean_route(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
     """Q_alpha^max as a geometric-mean trace: Tr sigma #_alpha rho for
-    alpha in [0, 1], and Tr sigma^{1/2} X^alpha sigma^{1/2} with
-    X = sigma^{-1/2} rho sigma^{-1/2} graded in sigma's eigenbasis for alpha
-    in (1, 2] on support-dominated pairs. Independent of the reverse-test
-    route."""
-    from .supports import kubo_ando_mean
-
+    alpha in [0, 1], and its continuation, the maximal f-divergence of
+    x^alpha (``max_fdivergence(power_fn(alpha))``, +inf unless
+    supp rho <= supp sigma), for alpha in (1, 2]. Independent of the
+    reverse-test route."""
     if 0.0 <= alpha <= 1.0:
         return float(np.trace(kubo_ando_mean(alpha, rho, sigma)).real)
     if not 1.0 < alpha <= 2.0:
         raise BadParameter(f"mean route needs alpha in [0, 2], got {alpha}")
-    (rho, _), (sr, ss) = operands(rho, sigma)
-    if not support_leq(sr, ss):
-        return INF
-    v = ss.basis
-    x = ss.graded(v.conj().T @ rho @ v, sr.rank)
-    return float(np.trace(ss.ungraded(x.power(alpha))).real)
+    return max_fdivergence(power_fn(alpha), rho, sigma)
 
 
 def max_fdivergence(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -168,6 +168,28 @@ def test_sweep_gamma_grid_over_kinds_list(mats, capsys):
     assert rows[1][2] == capsys.readouterr().out.strip()
 
 
+def test_sweep_gamma_grid_appends_gamma_to_every_item(mats, capsys):
+    # each item is read with ":<gamma>" appended, as eval reads it: az:0.5
+    # sweeps z, and a mixture under geom: takes the grid's gamma
+    rs = ["--rho", mats["rho"], "--sigma", mats["sigma"]]
+    assert main(["sweep", "--kinds", "geom:um, az:0.5, geom:mix:0.5*um+0.5*bs",
+                 "--gamma-grid", "0.2:0.8:3", *rs]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    items = ("geom:um", "az:0.5", "geom:mix:0.5*um+0.5*bs")
+    assert [r[:2] for r in rows] == [[k, g] for k in items for g in ("0.2", "0.5", "0.8")]
+    for text, g, value, *_ in rows:
+        assert main(["eval", "--kind", f"{text}:{g}", *rs]) == 0
+        assert capsys.readouterr().out.strip() == value
+    # an item that already ends in its gamma reads one too many
+    assert main(["sweep", "--kinds", "geom:um:0.5", "--gamma-grid", "0.2:0.8:2", *rs]) == 2
+    capsys.readouterr()
+    for kinds in (["--kind", "bary:geom:um,bs"], ["--kind", "bary:um,bs"],
+                  ["--kinds", "um, bary:um,bs"]):
+        assert main(["sweep", *kinds, "--gamma-grid", "0.2:0.8:2", *rs]) == 2
+        assert capsys.readouterr().err == (
+            "error: bary kinds require --alpha-grid, not --gamma-grid\n")
+
+
 def test_eval_non_finite_matrix_exit_2(mats, tmp_path, capsys):
     obj = matrix_to_json(np.diag([0.6, 0.4]))
     obj["re"][0][0] = float("nan")

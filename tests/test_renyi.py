@@ -211,9 +211,10 @@ def test_max_renyi_two_routes_agree():
 
 def _reverse_test_cases(kind):
     """(rho, sigma) pairs: ``clustered`` has sigma^{-1/2} rho sigma^{-1/2}
-    = U diag(y) U* with two pairs of eigenvalues within CLUSTER_RTOL of each
-    other; ``singular`` a rank-2 sigma, so rho has a part outside supp
-    sigma; ``kappa=1e6`` the pairs of test_conditioning's 1e6 row."""
+    = U diag(y) U* with two pairs of eigenvalues 0.3 CLUSTER_RTOL apart
+    (relative), and ``clustered-0.5`` 50 such pairs 0.5 CLUSTER_RTOL apart;
+    ``singular`` a rank-2 sigma, so rho has a part outside supp sigma;
+    ``kappa=1e6`` the pairs of test_conditioning's 1e6 row."""
     if kind == "kappa=1e6":
         from test_conditioning import _state
 
@@ -222,22 +223,27 @@ def _reverse_test_cases(kind):
     rng = np.random.default_rng(40)
     if kind == "singular":
         return [(sample_state(4, 4, rng), sample_state(4, 2, rng)) for _ in range(4)]
-    y = np.array([2.0, 2.0 * (1 + 0.3 * CLUSTER_RTOL), 0.5, 0.5 * (1 - 0.3 * CLUSTER_RTOL)])
+    t = (0.3 if kind == "clustered" else 0.5) * CLUSTER_RTOL
+    y = np.array([2.0, 2.0 * (1 + t), 0.5, 0.5 * (1 - t)])
     out = []
-    for _ in range(4):
+    for _ in range(4 if kind == "clustered" else 50):
         sig, u = sample_state(4, 4, rng), sample_unitary(4, rng)
         root = spectrum(sig).power(0.5)
         out.append((root @ ((u * y) @ u.conj().T) @ root, sig))
     return out
 
 
-@pytest.mark.parametrize("kind", ["clustered", "singular", "kappa=1e6"])
+@pytest.mark.parametrize("kind", ["clustered", "clustered-0.5", "singular", "kappa=1e6"])
 def test_max_renyi_is_the_classical_renyi_of_the_reverse_test(kind):
     # max_renyi reads only the reverse test's (p, q), without its channel
     for rho, sig in _reverse_test_cases(kind):
         rt = optimal_reverse_test(rho, sig)
-        if kind == "clustered":
+        if kind.startswith("clustered"):
             assert len(rt.p) == 3  # two blocks and the singular index
+        # the channel gives sigma back to rounding, and rho up to each block's
+        # mean over eigenvalues within CLUSTER_RTOL of each other
+        assert np.abs(rt.apply(rt.q) - sig).max() <= 1e-13
+        assert np.abs(rt.apply(rt.p) - rho).max() <= CLUSTER_RTOL * np.abs(rho).max()
         if kind == "singular":
             assert rt.p[-1] > 0.0 and rt.q[-1] == 0.0
         for a in (0.25, 0.5, 1.5, 2.0):
