@@ -10,14 +10,15 @@ Umegaki, else descent in the exponential parametrization
 omega = exp(H) / Tr exp(H) on the compressed feasible subspace: mirror
 descent on the convex problems (every weight positive) and on um and bs
 terms at any weight, steps in H where a measured term, or a geom term at a
-negative weight, is present. Each iterate is decomposed once: H's eigh
+negative weight, is present. A convex problem runs one start (the warm one
+where it is taken), and the random starts (``SolverOptions.restarts``) run
+only where a weight is negative. Each iterate is decomposed once: H's eigh
 gives omega and log omega, and memoized decompositions serve every term's
-value and gradient (``_Iterate``).
-Every generator has an analytic omega-gradient; the measured kind's is
-Danskin's at its ascent's best basis (``_Iterate.measured``). At
-alpha = inf, Umegaki first generators against Umegaki and BS second ones
-give a pure center from a 1-D convex dual (``renyi._um_first_top``), and
-all-BS generators D_max.
+value and gradient (``_Iterate``). Every generator has an analytic
+omega-gradient; the measured kind's is Danskin's at its ascent's best basis
+(``_Iterate.measured``). At alpha = inf, Umegaki first generators against
+Umegaki and BS second ones give a pure center from a 1-D convex dual
+(``renyi._um_first_top``), and all-BS generators D_max.
 
 The feasible subspace is the meet of the supports at nonzero weights, and
 Q = +inf where an input at a positive weight has a part outside the support
@@ -38,6 +39,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -368,7 +370,10 @@ def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
 def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[SolverOptions] = None):
     """Minimize sum of t.weight * D^{t.kind}(omega || W_t) over the terms t,
     built on ``basis`` (orthonormal, d x m, m >= 1), over states supported in
-    ran(basis). Returns (center, value, gap, iterations, converged); the
+    ran(basis), from the warm start (if taken), then ``restarts`` random ones,
+    each drawn when reached; a convex problem (every weight positive) ends
+    with its first start of finite value, as every start reaches its minimum.
+    Returns (center, value, gap, iterations, converged) of the lowest run; the
     iterations are those of the returned start, both runs where it was redone.
     """
     opts = options or SolverOptions()
@@ -387,17 +392,16 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
     mirror = not any(t.meas for t in terms) and (
         convex or all(t.mode in ("um", "bs") for t in terms))
     rng = np.random.default_rng(opts.seed) if opts.restarts else None
-    starts = [sample_hermitian(m, rng) for _ in range(opts.restarts)]
+    starts = (sample_hermitian(m, rng) for _ in range(opts.restarts))
     if opts.warm_start:
         # sum of weight * log W (log sig_eff = -log g for bs) over um and bs terms
         logs = [t.weight * (t.logw if t.mode == "um" else -t.g_spec.log())
                 for t in terms if t.mode in ("um", "bs")]
-        starts.insert(0, sum(logs, np.zeros((m, m), dtype=complex)))
+        starts = chain([sum(logs, np.zeros((m, m), dtype=complex))], starts)
 
     def direction_at(pt: _Iterate) -> np.ndarray:
-        g = terms[0].weight * terms[0].grad_omega(pt)
-        for t in terms[1:]:
-            g = g + t.weight * t.grad_omega(pt)
+        g = sum((t.weight * t.grad_omega(pt) for t in terms[1:]),
+                terms[0].weight * terms[0].grad_omega(pt))
         if mirror:
             # mirror descent: step along the omega-space gradient, with the
             # trace multiplier projected out (stationary iff G is a multiple
@@ -474,8 +478,9 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
                 break
         return low, low_val, it, converged
 
-    best_val, best, best_iters, best_conv = INF, None, 0, False
+    best_val, best, best_iters, best_conv, first = INF, None, 0, False, None
     for h in starts:
+        first = h if first is None else first
         # at trace zero, as every trial is: a trace part inflates the first BB step
         start = _Iterate(_trace_zero(h))
         start_val = f_of(start)
@@ -494,8 +499,9 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
             it += it2
         if val < best_val - 1e-15:
             best_val, best, best_iters, best_conv = val, cur, it, converged
-    center_c = (best or _Iterate(starts[0])).omega
-    center = basis @ center_c @ basis.conj().T
+        if convex:
+            break
+    center = basis @ (best or _Iterate(first)).omega @ basis.conj().T
     gap = 0.0 if best_conv else opts.tol
     return center, best_val, gap, best_iters, best_conv
 
@@ -565,15 +571,8 @@ def barycentric_q(
         weights, kinds, channel.operators, channel.spectra, basis, options)
     q = math.exp(-radius) if math.isfinite(radius) else (0.0 if radius == INF else INF)
     geo = None if center is None else q * center
-    return BarycenterResult(
-        q_value=q,
-        radius=radius,
-        center=center,
-        geo_mean=geo,
-        iterations=iters,
-        objective_gap=gap,
-        converged=conv,
-    )
+    return BarycenterResult(q_value=q, radius=radius, center=center, geo_mean=geo,
+                            iterations=iters, objective_gap=gap, converged=conv)
 
 
 # ---------------------------------------------------------------------------

@@ -121,14 +121,14 @@ def perspective(fn: OpConvexFn, rho: np.ndarray, sigma: np.ndarray) -> np.ndarra
     take f(0+). Those carry f(0+) (sigma - sigma_ac), sigma_ac the part of
     sigma absolutely continuous w.r.t. supp rho, so no sigma_ac is formed.
     An infinite boundary limit needs a zero deficiency (0 * inf = 0);
-    otherwise the limit does not exist (InfiniteLimit).
+    otherwise the limit does not exist (InfiniteLimit, before X is formed).
     """
     (rho, _), (sr, ss) = operands(rho, sigma)
     rho_ac, k = _abs_cont(rho, sr.cut, ss.basis, ss.kernel)
+    if k and not math.isfinite(fn.transpose_at_zero_plus):
+        raise InfiniteLimit(f"{fn.name}: infinite boundary limit against a nonzero rho part")
     out = _graded_perspective(fn, ss, rho_ac, sr.rank - k)
     if k:
-        if not math.isfinite(fn.transpose_at_zero_plus):
-            raise InfiniteLimit(f"{fn.name}: infinite boundary limit against a nonzero rho part")
         out = out + fn.transpose_at_zero_plus * (rho - ss.basis @ rho_ac @ ss.basis.conj().T)
     return herm_part(out)
 

@@ -28,6 +28,7 @@ from qrdiv.hermitian import (
     spectrum,
     tensor,
 )
+from qrdiv.kinds import parse_kind
 from qrdiv.oracles import (
     batch_bs_term,
     batch_umegaki_term,
@@ -1375,6 +1376,76 @@ def _trial_counts(monkeypatch):
         return out
 
     return counts
+
+
+def _random_draws(monkeypatch):
+    """A list that grows by one entry per random start the solver draws."""
+    import qrdiv.barycentric as bary
+
+    draws, inner = [], bary.sample_hermitian
+    monkeypatch.setattr(bary, "sample_hermitian",
+                        lambda m, rng: draws.append(m) or inner(m, rng))
+    return draws
+
+
+def _outcome(res):
+    """(value, center, iterations, flag) of a barycentric_renyi_full dict, or
+    of a BarycenterResult with its radius as the value."""
+    if isinstance(res, dict):
+        return res["value"], res["center"], res["iterations"], res["converged"]
+    return res.radius, res.center, res.iterations, res.converged
+
+
+def _same_solve(a, b):
+    """Whether two solves return bitwise the same value, center, iterations
+    and flag."""
+    a, b = _outcome(a), _outcome(b)
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_convex_solve_runs_one_start(monkeypatch, d):
+    # every weight positive: every start reaches the one minimum, so a solve
+    # at default options draws no random start and is the restarts=0 solve
+    # bit for bit
+    draws = _random_draws(monkeypatch)
+    rng = np.random.default_rng(40 + d)
+    rho, sig = sample_state(d, d, rng), sample_state(d, d, rng)
+    for name in ("um,bs", "bs,bs", "geom:um:0.5,geom:um:0.5", "meas:r2:i20,um"):
+        kinds = tuple(parse_kind(k) for k in name.split(","))
+        res = barycentric_renyi_full(0.5, kinds, rho, sig)
+        assert not draws, name
+        assert _same_solve(res, barycentric_renyi_full(0.5, kinds, rho, sig,
+                                                       SolverOptions(restarts=0))), name
+    ch = GcqChannel(("a", "b", "c"), (rho, sig, (rho + sig) / 2))
+    for kind in (BelavkinStaszewski(), GeomWeighted(Umegaki(), 0.5)):
+        res = barycentric_q((kind,) * 3, ch, (0.5, 0.25, 0.25))
+        assert not draws and res.iterations > 0
+        assert _same_solve(res, barycentric_q((kind,) * 3, ch, (0.5, 0.25, 0.25),
+                                              SolverOptions(restarts=0)))
+
+
+def test_a_convex_solve_without_warm_start_draws_one_start(monkeypatch):
+    draws = _random_draws(monkeypatch)
+    rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    kinds = (Umegaki(), BelavkinStaszewski())
+    res = barycentric_renyi_full(0.5, kinds, rho, sig, SolverOptions(restarts=3, warm_start=False))
+    assert len(draws) == 1 and res["converged"]
+    assert _same_solve(res, barycentric_renyi_full(
+        0.5, kinds, rho, sig, SolverOptions(restarts=1, warm_start=False)))
+
+
+def test_a_negative_weight_keeps_every_start(monkeypatch):
+    # alpha > 1 and signed P are not convex: the warm start and all four
+    # random starts run at default options
+    draws = _random_draws(monkeypatch)
+    rho, sig = sample_state(3, 3, 1), sample_state(3, 3, 2)
+    barycentric_renyi_full(1.5, (Umegaki(), BelavkinStaszewski()), rho, sig)
+    assert len(draws) == 4
+    draws.clear()
+    ch = GcqChannel(("a", "b"), (sample_state(3, 3, 21), sample_state(3, 3, 22)))
+    barycentric_q((BelavkinStaszewski(),) * 2, ch, (1.5, -0.5))
+    assert len(draws) == 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

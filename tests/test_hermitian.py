@@ -61,6 +61,7 @@ from qrdiv.supports import (
     kubo_ando_mean,
     kubo_ando_mean_real,
     perspective,
+    power_fn,
     x_log_x,
 )
 
@@ -433,6 +434,11 @@ _NESTED = GcqChannel(("a", "b", "c"), tuple(
     (_U3 * np.array(w)) @ _U3.conj().T for w in ([1.0, 0, 0], [0.6, 0.4, 0], [0.7, 0, 0.3])))
 
 
+# a rank-2 sigma at d = 4, against which a full-rank rho has a part outside
+# supp sigma
+_SIG_RANK2 = sample_state(4, 2, 12)
+
+
 # each operand is decomposed once per call; the count when every helper
 # re-decomposed its input is on the right. bs_rel_entropy works in supp rho's
 # eigenbasis (rho, sigma and Y = rho_c^{1/2} V* sigma^+ V rho_c^{1/2}); the
@@ -465,6 +471,14 @@ _EIGH_BOUNDS = [
     # decomposed, 11 when the meet and sig_eff were decomposed twice)
     ("bary bs,bs 0.5 iters=0", lambda r, s: barycentric_renyi_full(
         0.5, (_BS, _BS), r, s, SolverOptions(iters=0, restarts=0)), 5),
+    # a convex solve at default options runs its warm start alone, the count
+    # of restarts=0 (266 when the four random starts ran too)
+    ("bary bs,bs 0.5", lambda r, s: barycentric_renyi_full(0.5, (_BS, _BS), r, s), 53),
+    # x^1.5 has an infinite slope at infinity, and rho a part outside
+    # supp sigma: rho, sigma and C* rho C, raising before the graded X is
+    # decomposed (4 when X was decomposed and thrown away)
+    ("max_fdivergence(pow 1.5) rank-2 sigma",
+     lambda r, s: max_fdivergence(power_fn(1.5), r, _SIG_RANK2), 3),
     # alpha = inf: rho, sigma and one more (4 each when the meet was
     # decomposed); ~10^4 when the solver ran to its iteration cap
     ("bary um,um inf", lambda r, s: barycentric_renyi_full(math.inf, (_UM, _UM), r, s), 3),
@@ -507,7 +521,6 @@ def test_eigh_count_per_call(eigh_calls, name, call, bound):
 # on the right. A derived matrix is decomposed by the unchecked eigh_desc:
 # C* rho C of the part of rho outside a rank-2 sigma, the joint start of the
 # measured ascent, and the projection sum of the support meet
-_SIG_RANK2 = sample_state(4, 2, 12)
 _CHECK_CALLS = [
     ("umegaki", lambda r, s: umegaki(r, s)),  # 2
     ("bs_rel_entropy", lambda r, s: bs_rel_entropy(r, s)),  # 2
