@@ -337,14 +337,22 @@ class _Iterate:
         """(value, B*U, da, db): D^meas(B omega B* || T) for T = W (meas) or
         B M B* (geom) by rel_entropy's ascent, its best basis U and the
         slopes in a = diag(U* B omega B* U) and b = diag(U* T U). The ascent
-        takes no gate: ran(B) lies in supp W, and so in supp T."""
+        takes no gate: ran(B) lies in supp W, and so in supp T. It reads T's
+        spectrum, term.spec or M's from mean_eig, to certify its starts."""
         if term not in self._measured:
             basis = term.basis
-            target = (term.w_full if term.mode == "meas"
-                      else basis @ self.mean_eig(term)[3] @ basis.conj().T)
+            if term.mode == "meas":
+                target, spec = term.w_full, term.spec
+            else:
+                mu, q, _, m = self.mean_eig(term)
+                target = basis @ m @ basis.conj().T
+                # B M B* has M's eigenvalues, on the eigenvectors B Q, and no
+                # kernel where B is square
+                spec = (Spectrum(mu[::-1], (basis @ q)[:, ::-1], 0.0)
+                        if basis.shape[0] == basis.shape[1] else None)
             omega = basis @ self.omega @ basis.conj().T
-            val, u = _measured_lower_bound(omega, target, None, term.meas.restarts,
-                                           term.meas.iters, 0)
+            val, u, *_ = _measured_lower_bound(omega, target, spec, None, term.meas.restarts,
+                                               term.meas.iters, 0)
             a = np.sum(u.conj() * (omega @ u), axis=0).real
             b = np.sum(u.conj() * (target @ u), axis=0).real
             self._measured[term] = (val, basis.conj().T @ u, *_measured_slopes(None, a, b))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .classical import _kl_rows, _renyi_rows, classical_rel_entropy
 from .errors import BadParameter
-from .hermitian import (Spectrum, _derived_spectrum, compressed_rank, eigh, eigh_desc, herm_part,
-                        operands, sample_unitary, support_leq)
+from .hermitian import (Spectrum, _derived_spectrum, compressed_rank, eigh, eigh_desc, eigvalsh,
+                        herm_part, operands, sample_unitary, support_leq)
 # the grammar lives in .kinds; its names stay importable from here
 from .kinds import (  # noqa: F401
     Barycentric,
@@ -274,9 +274,12 @@ def measured_lower_bound(
     or measured Renyi alpha-divergence, from multi-start Riemannian ascent
     over projective measurement bases.
 
-    ``restarts`` counts all starts, with a floor of two: restarts = 0, 1
-    and 2 each run the identity start and the joint-diagonalizer start;
-    each further start is a Haar-random basis drawn from ``seed``.
+    ``restarts`` caps the starts, with a floor of two: restarts = 0, 1 and
+    2 each run the identity start and then the joint-diagonalizer start;
+    each further start is a Haar-random basis drawn from ``seed``. For the
+    relative entropy (alpha None or 1) against a sigma of full rank, the
+    ascent runs no further start once its best start is certified within
+    ``_CERT_TOL`` (``_fw_gap``).
 
     Returns (value, best basis unitary). Multi-start reduction is the max,
     ties resolved toward the lowest start index. A value the supports decide
@@ -289,30 +292,68 @@ def measured_lower_bound(
     gate = _support_value(alpha, sr, ss)
     if gate is not None:
         return gate, np.eye(rho.shape[0], dtype=complex)
-    return _measured_lower_bound(rho, sigma, alpha, restarts, iters, seed)
+    return _measured_lower_bound(rho, sigma, ss, alpha, restarts, iters, seed)[:2]
 
 
-def _measured_lower_bound(rho, sigma, alpha, restarts, iters, seed):
-    """``measured_lower_bound`` past the gate."""
+def _measured_lower_bound(rho, sigma, ss, alpha, restarts, iters, seed):
+    """``measured_lower_bound`` past the gate, with ``ss`` the Spectrum of
+    sigma (None where the caller holds none). Returns (value, basis, starts
+    run, Frank-Wolfe gap at the basis or None), the gap in the value's units."""
     tr_r, tr_s = float(np.trace(rho).real), float(np.trace(sigma).real)
+    # sigma_n^{-1/2} for sigma_n = sigma / tr_s = V diag(s) V*, as the factor
+    # diag(s^{-1/2}) V*, which has the same products' eigenvalues
+    white = None
+    if (alpha is None or alpha == 1) and ss is not None and ss.rank == len(ss.w):
+        white = np.sqrt(tr_s / ss.w)[:, None] * ss.u.conj().T
     # ascend on normalized states and restore the exact scaling correction,
     # so the certified bound obeys the scaling law by construction
     if abs(tr_r - 1.0) <= 1e-12 and abs(tr_s - 1.0) <= 1e-12:
-        return _measured_ascent(rho, sigma, alpha, restarts, iters, seed)
-    val, u = _measured_ascent(rho / tr_r, sigma / tr_s, alpha, restarts, iters, seed)
+        return _measured_ascent(rho, sigma, alpha, restarts, iters, seed, white)
+    val, u, starts, gap = _measured_ascent(rho / tr_r, sigma / tr_s, alpha, restarts, iters,
+                                           seed, white)
     if alpha is None:
-        return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u
-    return val + math.log(tr_r) - math.log(tr_s), u
+        gap = None if gap is None else tr_r * gap
+        return tr_r * val + tr_r * math.log(tr_r) - tr_r * math.log(tr_s), u, starts, gap
+    return val + math.log(tr_r) - math.log(tr_s), u, starts, gap
+
+
+def _fw_gap(u, pu, ab, white, i) -> Optional[float]:
+    """The Frank-Wolfe gap that bounds D^meas(rho || sigma) - f at the basis
+    u at index i of a ``_measured_point`` stack (pu, ab) of a pair of states,
+    with ``white`` = P, P* P = sigma^{-1}; None where some a_i or b_i is 0.
+
+    D^meas = sup Tr rho log w over {w >= 0 : Tr sigma w = 1} (Berta, Fawzi
+    and Tomamichel), a concave problem; at w = u diag(a/b) u*, where the
+    objective is f, its gradient is G = u (log^[1](a/b) o u* rho u) u* with
+    <G, w> = Tr rho = 1, and the linear maximum over the set is
+    lambda_max(P G P*), so the gap is lambda_max(P G P*) - 1 (Jaggi).
+    """
+    if not ab[:, i].all():  # the clipped diagonals are >= 0
+        return None
+    lam = ab[0, i] / ab[1, i]
+    hi, lo = np.maximum.outer(lam, lam), np.minimum.outer(lam, lam)
+    # log^[1](x, y) = log1p((hi - lo) / lo) / (hi - lo), 1 / x on the diagonal
+    spread = hi - lo
+    dlog = np.divide(np.log1p(spread / lo), spread, out=1.0 / lo, where=spread > 0)
+    x = white @ u
+    m = x @ (dlog * (u.conj().T @ pu[0, i])) @ x.conj().T
+    if not np.isfinite(m).all():
+        return None
+    return float(eigvalsh(m)[-1]) - 1.0
 
 
 _CHUNK = 4  # trial steps scored per stacked kernel call
+_CERT_TOL = 1e-9  # a best start whose Frank-Wolfe gap is below this ends the ascent
 _NEWTON_MAX_D = 4  # largest d whose relative-entropy ascent takes Newton steps
 
 
 @np.errstate(divide="ignore")
-def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
+def _measured_ascent(rho, sigma, alpha, restarts, iters, seed, white):
     """Multi-start ascent of measured_lower_bound on a pair of states, under
-    one divide-by-zero errstate for all its kernel calls."""
+    one divide-by-zero errstate for all its kernel calls; (value, basis,
+    starts run, gap). ``white`` (``_fw_gap``'s P, or None) certifies each
+    start that raises the best value, for alpha None and 1, and a best start
+    certified within _CERT_TOL ends the ascent."""
     d = rho.shape[0]
     rng = np.random.default_rng(seed)
     pair = np.stack((rho, sigma))[:, None]
@@ -323,7 +364,7 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
     # (exact for commuting pairs), then random bases
     _, u_joint = eigh_desc(rho + math.sqrt(2.0) * sigma)
     fixed_starts = [np.eye(d, dtype=complex), u_joint]
-    best_val, best_u = -INF, np.eye(d, dtype=complex)
+    best_val, best_u, best_gap = -INF, np.eye(d, dtype=complex), None
     newton = (alpha is None or alpha == 1) and d <= _NEWTON_MAX_D
     for start in range(max(restarts, len(fixed_starts))):
         u = fixed_starts[start] if start < len(fixed_starts) else sample_unitary(d, rng)
@@ -380,7 +421,10 @@ def _measured_ascent(rho, sigma, alpha, restarts, iters, seed):
                 break  # no trial step improves the value
         if val > best_val:
             best_val, best_u = val, u
-    return best_val, best_u
+            best_gap = None if white is None else _fw_gap(u, *point[:2], white, point[3])
+            if best_gap is not None and best_gap <= _CERT_TOL:
+                break
+    return best_val, best_u, start + 1, best_gap
 
 
 def _geom_weighted_value(base, gamma, rho, sr, ss, seed) -> DivergenceValue:
@@ -402,8 +446,11 @@ def rel_entropy(
     """Evaluate the quantum relative entropy of the given kind.
 
     For MeasuredProjective the value is a certified lower bound with
-    certificate_gap = D^Um - value. A value the supports decide
-    (``_support_value``) is exact: it carries no gap and no artifacts.
+    certificate_gap = D^Um - value; optimizer_artifacts holds the best
+    basis, the number of starts run and ``fw_gap``, the Frank-Wolfe gap at
+    that basis (``_fw_gap``; None where it is not defined). A value the
+    supports decide (``_support_value``) is exact: it carries no gap and no
+    artifacts.
     """
     (rho, sigma), (sr, ss) = operands(rho, sigma)
     gate = _support_value(None, sr, ss)
@@ -420,8 +467,10 @@ def _rel_entropy(kind, rho, sr, sigma, ss, seed) -> DivergenceValue:
     if isinstance(kind, BelavkinStaszewski):
         return DivergenceValue(_bs_rel_entropy(sr, ss))
     if isinstance(kind, MeasuredProjective):
-        val, u = _measured_lower_bound(rho, sigma, None, kind.restarts, kind.iters, seed)
-        return DivergenceValue(val, {"basis": u}, max(_umegaki(rho, sr, ss) - val, 0.0))
+        val, u, starts, fw_gap = _measured_lower_bound(rho, sigma, ss, None, kind.restarts,
+                                                       kind.iters, seed)
+        return DivergenceValue(val, {"basis": u, "starts": starts, "fw_gap": fw_gap},
+                               max(_umegaki(rho, sr, ss) - val, 0.0))
     if isinstance(kind, GeomWeighted):
         return _geom_weighted_value(kind.base, kind.gamma, rho, sr, ss, seed)
     if isinstance(kind, Mixture):

@@ -461,6 +461,10 @@ _EIGH_BOUNDS = [
     ("bary um,um 0.5", lambda r, s: barycentric_renyi_full(0.5, (_UM, _UM), r, s), 3),  # 10
     ("measured 2rho, 3sigma",
      lambda r, s: measured_lower_bound(2 * r, 3 * s, restarts=2, iters=0), 3),  # 5
+    # the relative entropy's identity start is certified within 1e-9 (one
+    # eigvalsh), and no further start is drawn (190 when all eight ran)
+    ("measured restarts=8",
+     lambda r, s: measured_lower_bound(r, s, restarts=8, iters=50), 29),  # 190
     # the three operators and H, and for BS one X per term: the meet is the
     # first operator's support, and each B* W^+ B is read off W's spectrum
     # (8 and 14 when the meet and each B* W^+ B were decomposed)

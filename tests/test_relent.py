@@ -443,6 +443,118 @@ def test_measured_lower_bound_certificate():
                    - dv.value) < 1e-9
 
 
+def _commuting_pair(d, rng):
+    """(rho, sigma, D) for a pair diagonal in one Haar basis, D = D^um = D^meas."""
+    p, q = rng.random(d) + 0.05, rng.random(d) + 0.05
+    p, q = p / p.sum(), q / q.sum()
+    u = sample_unitary(d, rng)
+    return (u * p) @ u.conj().T, (u * q) @ u.conj().T, classical_rel_entropy(p, q)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_measured_fw_gap_bounds_commuting_pairs(d):
+    # on a commuting pair D^meas = D^um, so value + fw_gap must reach D^um;
+    # a unit-trace pair and a scaled one, whose gap scales with Tr rho
+    rng = np.random.default_rng(90 + d)
+    for n in range(3):
+        rho, sigma, exact = _commuting_pair(d, rng)
+        for t, s in ((1.0, 1.0), (2.5, 0.4)):
+            dv = rel_entropy(MeasuredProjective(restarts=4, iters=50), t * rho, s * sigma, seed=n)
+            gap = dv.optimizer_artifacts["fw_gap"]
+            assert gap is not None and gap >= -1e-12
+            assert dv.value + gap >= t * exact + t * math.log(t / s) - 1e-12
+            assert dv.value <= t * exact + t * math.log(t / s) + 1e-12
+
+
+def _bloch_grid_max(rho, sigma, steps=400):
+    """The largest classical relative entropy of two-outcome projective
+    measurements of a qubit pair, over a grid of Bloch directions n on the
+    upper hemisphere (n and -n give the same measurement)."""
+    theta, phi = np.meshgrid(np.linspace(0.0, math.pi / 2, steps // 2 + 1),
+                             np.linspace(0.0, 2 * math.pi, 2 * steps, endpoint=False))
+    n = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+
+    def up(x):  # Tr x (I + n.sigma) / 2
+        bloch = np.array([2 * x[0, 1].real, -2 * x[0, 1].imag, (x[0, 0] - x[1, 1]).real])
+        return 0.5 * (1.0 + np.tensordot(bloch, n, axes=1))
+
+    p, q = up(rho), up(sigma)
+    return float(np.max(p * np.log(p / q) + (1 - p) * np.log((1 - p) / (1 - q))))
+
+
+def test_measured_fw_gap_bounds_a_bloch_grid():
+    rng = np.random.default_rng(91)
+    for n in range(6):
+        rho, sigma = sample_state(2, 2, rng), sample_state(2, 2, rng)
+        dv = rel_entropy(MeasuredProjective(restarts=2, iters=50), rho, sigma, seed=n)
+        gap, grid = dv.optimizer_artifacts["fw_gap"], _bloch_grid_max(rho, sigma)
+        assert gap >= -1e-12
+        assert dv.value + gap >= grid - 1e-12
+        # the grid comes within its spacing of the ascent's maximum
+        assert dv.value - grid < 1e-4
+
+
+def _draws(monkeypatch):
+    """The list that grows by one entry per random start the ascent draws."""
+    from qrdiv import relent
+
+    draws = []
+    _spy(monkeypatch, draws, relent, "sample_unitary", lambda args: "U")
+    return draws
+
+
+def _certified_pair():
+    """A d = 4 pair whose identity start the Newton ascent certifies."""
+    rng = np.random.default_rng(11)
+    return sample_state(4, 4, rng), sample_state(4, 4, rng)
+
+
+def test_measured_ascent_stops_after_a_certified_start(monkeypatch, eigvalsh_calls):
+    draws = _draws(monkeypatch)
+    rho, sigma = _certified_pair()
+    eigvalsh_calls.clear()
+    dv = rel_entropy(MeasuredProjective(restarts=8, iters=50), rho, sigma)
+    art = dv.optimizer_artifacts
+    assert art["starts"] == 1 and not draws
+    assert -1e-12 <= art["fw_gap"] <= 1e-9
+    # the certificate is the one eigvalsh of a start
+    assert len(eigvalsh_calls) == art["starts"]
+    # criterion 08's pair 8 (d = 4): no start before the sixth is both the
+    # best so far and certified, so four random starts are drawn; a
+    # certificate is taken only where a start raises the best value
+    rng = np.random.default_rng(8)
+    for n in range(9):
+        d = 2 + n % 3
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+    eigvalsh_calls.clear()
+    art = rel_entropy(MeasuredProjective(8, 50), rho, sigma, seed=8).optimizer_artifacts
+    assert art["starts"] == 6 and len(draws) == 4
+    assert -1e-12 <= art["fw_gap"] <= 1e-9 and 0 < len(eigvalsh_calls) <= 6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2, INF])
+def test_measured_renyi_draws_every_start(monkeypatch, eigvalsh_calls, alpha):
+    # no certificate is defined off the relative entropy: every start runs
+    draws = _draws(monkeypatch)
+    rho, sigma = _certified_pair()
+    eigvalsh_calls.clear()
+    measured_lower_bound(rho, sigma, alpha=alpha, restarts=4, iters=50)
+    assert len(draws) == 2 and not eigvalsh_calls
+
+
+def test_measured_ascent_against_singular_sigma_draws_every_start(monkeypatch):
+    # supp rho lies in a rank-3 supp sigma at d = 4: sigma^{-1/2} is not
+    # defined on the space, so no start is certified
+    rng = np.random.default_rng(12)
+    sigma = sample_state(4, 3, rng)
+    _, v = np.linalg.eigh(sigma)
+    rho = v[:, 1:] @ sample_state(3, 3, rng) @ v[:, 1:].conj().T
+    draws = _draws(monkeypatch)
+    dv = rel_entropy(MeasuredProjective(restarts=4, iters=50), rho, sigma)
+    assert math.isfinite(dv.value) and len(draws) == 2
+    assert dv.optimizer_artifacts["starts"] == 4 and dv.optimizer_artifacts["fw_gap"] is None
+
+
 def test_measured_renyi_lower_bound_below_sandwiched():
     # certified lower bound <= D_{1/2,1/2} = measured Renyi at alpha = 1/2
     rng = np.random.default_rng(13)
@@ -464,7 +576,7 @@ def test_measured_infinite_cases():
 
 
 def test_measured_restarts_count_all_starts_with_floor_two():
-    # restarts = 0, 1 and 2 all run the identity and joint-diagonalizer starts
+    # restarts = 0, 1 and 2 all allow the identity and joint-diagonalizer starts
     rng = np.random.default_rng(71)
     rho, sigma = sample_state(3, 3, rng), sample_state(3, 3, rng)
     (v0, u0), (v1, u1), (v2, u2) = (
