@@ -7,18 +7,18 @@ geom over a mixture split by linearity, geom over BS is BS) and reaches the
 center problem inf_omega sum_x P(x) D^{q_x}(omega || W_x) through one
 function, ``_center``: the closed-form center when every generator is
 Umegaki, else descent in the exponential parametrization
-omega = exp(H) / Tr exp(H) on the compressed feasible subspace: mirror
-descent on the convex problems (every weight positive) and on um and bs
-terms at any weight, steps in H where a measured term, or a geom term at a
-negative weight, is present. A convex problem runs one start (the warm one
-where it is taken), and the random starts (``SolverOptions.restarts``) run
-only where a weight is negative. Each iterate is decomposed once: H's eigh
-gives omega and log omega, and memoized decompositions serve every term's
-value and gradient (``_Iterate``). Every generator has an analytic
-omega-gradient; the measured kind's is Danskin's at its ascent's best basis
-(``_Iterate.measured``). At alpha = inf, Umegaki first generators against
-Umegaki and BS second ones give a pure center from a 1-D convex dual
-(``renyi._um_first_top``), and all-BS generators D_max.
+omega = exp(H) / Tr exp(H) on the compressed feasible subspace. Every convex
+problem (every weight positive, measured terms included) takes mirror steps,
+as does one of um and bs terms at any weight; one with a negative weight and
+a measured or geom term steps in H. A convex problem runs one start (the
+warm one where it is taken), and the random starts
+(``SolverOptions.restarts``) run only where a weight is negative. Each
+iterate is decomposed once: H's eigh gives omega and log omega, and memoized
+decompositions serve every term's value and gradient (``_Iterate``). Every
+generator has an analytic omega-gradient; the measured kind's is Danskin's
+at its ascent's best basis (``_Iterate.measured``). At alpha = inf, Umegaki
+first generators against Umegaki and BS second ones give a pure center from
+a 1-D convex dual (``renyi._um_first_top``), and all-BS generators D_max.
 
 The feasible subspace is the meet of the supports at nonzero weights, and
 Q = +inf where an input at a positive weight has a part outside the support
@@ -308,10 +308,6 @@ class _Iterate:
     def log_omega(self) -> np.ndarray:
         return (self.u * self.logp) @ self.uh
 
-    @cached_property
-    def eh(self) -> np.ndarray:  # exp(H - w_max), for _dexp_push
-        return (self.u * self.ew) @ self.uh
-
     def bs_eig(self, term: _Term):
         """(x, U, C) for X = U diag(x) U* and C = U* sig_eff U (None for geom)."""
         if term not in self._bs_eig:
@@ -368,11 +364,13 @@ def _trace_zero(h: np.ndarray) -> np.ndarray:
 
 def _dexp_push(pt: _Iterate, g: np.ndarray) -> np.ndarray:
     """Pushforward of an omega-gradient to the H parametrization of
-    omega = exp(H)/Tr exp(H)."""
+    omega = exp(H)/Tr exp(H), the step direction of a solve with a negative
+    weight and a measured or geom term."""
+    eh = (pt.u * pt.ew) @ pt.uh  # exp(H - w_max)
     dd = _divided_diff(pt.w - pt.w[-1], np.exp, np.exp)
     t = pt.u @ (dd * (pt.uh @ g @ pt.u)) @ pt.uh
-    tr_og = float(np.vdot(g, pt.eh).real) / pt.z
-    return (t - tr_og * pt.eh) / pt.z
+    tr_og = float(np.vdot(g, eh).real) / pt.z
+    return (t - tr_og * eh) / pt.z
 
 
 def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[SolverOptions] = None):
@@ -381,6 +379,8 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
     ran(basis), from the warm start (if taken), then ``restarts`` random ones,
     each drawn when reached; a convex problem (every weight positive) ends
     with its first start of finite value, as every start reaches its minimum.
+    Every convex problem, whatever its kinds, takes mirror steps, as does one
+    with a negative weight whose terms are all um or bs; the rest step in H.
     Returns (center, value, gap, iterations, converged) of the lowest run; the
     iterations are those of the returned start, both runs where it was redone.
     """
@@ -394,11 +394,9 @@ def center_solver(terms: list[_Term], basis: np.ndarray, options: Optional[Solve
     # the nonmonotone test (a negative weight keeps the monotone rule, as the
     # window doubles the iterations there)
     convex = all(t.weight > 0 for t in terms)
-    # mirror descent on the convex problems, and on um and bs terms at any
-    # weight; measured terms, and geom terms where a weight is negative (mirror
-    # descent stalls there), step in H coordinates
-    mirror = not any(t.meas for t in terms) and (
-        convex or all(t.mode in ("um", "bs") for t in terms))
+    # where a weight is negative, measured and geom terms step in H
+    # coordinates, as mirror descent stalls there
+    mirror = convex or all(t.mode in ("um", "bs") for t in terms)
     rng = np.random.default_rng(opts.seed) if opts.restarts else None
     starts = (sample_hermitian(m, rng) for _ in range(opts.restarts))
     if opts.warm_start:
@@ -702,6 +700,6 @@ def dual_renyi(
     if not 0.0 < alpha < 1.0:
         raise BadParameter(f"alpha must be in (0, 1), got {alpha}")
     inner = barycentric_renyi(1.0 - alpha, kinds, sigma, rho, options)
-    tr_rho = float(np.trace(np.asarray(rho)).real)
+    tr_rho = _nonzero_trace(np.asarray(rho))
     tr_sigma = float(np.trace(np.asarray(sigma)).real)
     return (alpha * inner + math.log(tr_rho) - math.log(tr_sigma)) / (1.0 - alpha)

@@ -233,6 +233,31 @@ def test_commuting_families_reach_multivariate_q(n, label):
         assert abs(res.q_value - multivariate_q(WeightedFamily(labels, weights, w))) < 1e-10, d
 
 
+_MEAS = MeasuredProjective(2, 20)
+_COMMUTING_MEAS_KINDS = {"meas,um": (_MEAS, Umegaki()), "um,meas": (Umegaki(), _MEAS),
+                         "geom:meas:0.5,um": (GeomWeighted(_MEAS, 0.5), Umegaki()),
+                         "meas,meas": (_MEAS, _MEAS)}
+
+
+@pytest.mark.parametrize("label", list(_COMMUTING_MEAS_KINDS))
+def test_commuting_measured_pairs_reach_the_classical_value(label):
+    # on a commuting pair D^meas = D^um, so at alpha in (0, 1) every
+    # measured kind gives the classical Renyi divergence; mirror steps land
+    # within 2.3e-14 in at most 2 iterations (H-coordinate steps stopped up
+    # to 6.5e-9 high, flagged converged)
+    kinds = _COMMUTING_MEAS_KINDS[label]
+    rng = np.random.default_rng(17)
+    for n in range(12):
+        d = 2 + n % 3
+        p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        u = sample_unitary(d, rng)
+        rho, sig = (u * p) @ u.conj().T, (u * q) @ u.conj().T
+        for a in (0.25, 0.5, 0.75):
+            res = barycentric_renyi_full(a, kinds, rho, sig)
+            assert res["converged"] and res["iterations"] <= 2, (n, a, res["iterations"])
+            assert abs(res["value"] - classical_renyi(a, p, q)) < 1e-12, (n, a)
+
+
 def test_all_umegaki_equals_log_euclidean():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -381,6 +406,16 @@ def test_dual_renyi_needs_alpha_in_the_open_unit_interval(alpha):
         dual_renyi(alpha, UM, p, p)
 
 
+def test_dual_renyi_rejects_a_zero_rho():
+    # the delegated primal reads the zero rho as its second argument and
+    # returns +inf from the supports; the dual raises as the primal does
+    # for a zero first argument, not on log(0)
+    sig = np.diag([0.4, 0.6]).astype(complex)
+    for kinds in (UM, (Umegaki(), BelavkinStaszewski()), (MeasuredProjective(), Umegaki())):
+        with pytest.raises(BadParameter, match="first argument must be nonzero"):
+            dual_renyi(0.5, kinds, np.zeros((2, 2)), sig)
+
+
 def test_support_infinity_characterization():
     # alpha in [0,1): +inf iff the support meet vanishes
     p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -456,8 +491,8 @@ def _batch_geom_term(kind, w_op):
 @pytest.mark.parametrize(
     "kinds",
     [
-        # a geom term keeps the H-coordinate direction: its exact gradient
-        # and the um term's go through _dexp_push
+        # a geom term's exact gradient, with the um term's, along the
+        # mirror direction of this convex solve
         (Umegaki(), GeomWeighted(Umegaki(), 0.5)),
         # geom:bs builds a plain bs term (D^{bs,#g} = D^bs); the oracle
         # evaluates the geom composition itself

@@ -502,12 +502,17 @@ _EIGH_BOUNDS = [
     # of the negative-weight supports is never formed (2 when it was)
     ("bary_q um signed, proper meet",
      lambda r, s: barycentric_q((_UM,) * 3, _NESTED, (1.5, -0.25, -0.25)), 1),
-    # ten iterations of a measured-term solve, each trial's ascent on omega
-    # and B M B* with no decomposition for a support gate (532 when each
-    # ascent decomposed both to pass one)
+    # a measured-term solve converging at its 10th iteration under mirror
+    # steps, each trial's ascent on omega and B M B* with no decomposition
+    # for a support gate (532 when each ascent decomposed both to pass one;
+    # 408 when its H-coordinate steps stopped unconverged at the cap)
     ("bary geom:meas,um 0.5 iters=10", lambda r, s: barycentric_renyi_full(
         0.5, (parse_kind("geom:meas:r2:i20:0.5"), _UM), r, s,
-        SolverOptions(restarts=0, iters=10)), 510),
+        SolverOptions(restarts=0, iters=10)), 444),
+    # a convex solve with a measured term takes mirror steps: 7 iterations
+    # (1091 in 32 iterations of H-coordinate steps)
+    ("bary meas,um 0.5", lambda r, s: barycentric_renyi_full(
+        0.5, (parse_kind("meas:r2:i20"), _UM), r, s), 229),
 ]
 
 

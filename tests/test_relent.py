@@ -466,6 +466,19 @@ def test_measured_fw_gap_bounds_commuting_pairs(d):
             assert dv.value <= t * exact + t * math.log(t / s) + 1e-12
 
 
+def test_measured_fw_gap_is_small_on_the_chain_pairs():
+    # criterion 08's first 150 pairs (d = 2..4) at two starts: every gap is
+    # certified nonnegative and at most 1e-6; the largest is 1.9e-7, and 45
+    # are above the 1e-9 certificate tolerance, where both starts ran
+    rng = np.random.default_rng(8)
+    for n in range(150):
+        d = 2 + n % 3
+        rho, sigma = sample_state(d, d, rng), sample_state(d, d, rng)
+        dv = rel_entropy(MeasuredProjective(2, 50), rho, sigma, seed=n)
+        gap = dv.optimizer_artifacts["fw_gap"]
+        assert -1e-12 <= gap <= 1e-6, n
+
+
 def _bloch_grid_max(rho, sigma, steps=400):
     """The largest classical relative entropy of two-outcome projective
     measurements of a qubit pair, over a grid of Bloch directions n on the
